@@ -24,6 +24,7 @@ from .corpus import (
 )
 from .errors import TaxotextError
 from .features import FeatureVector, featurize, tokenize
+from .manifest import TOOL_VERSION
 from .metrics import (
     ClassScore,
     ConfusionMatrix,
@@ -63,7 +64,7 @@ from .taxonomy import (
 )
 from .texts import AcquiredText, Source, combine_texts
 
-__version__ = "0.1.0"
+__version__ = TOOL_VERSION
 
 __all__ = [
     "AblationPoint",

@@ -6,7 +6,8 @@ experiment. A manifest is written before any artifact, and report files are
 byte-identical across reruns with the same run id, seed, and cache.
 
 Exit codes: 0 success, 2 configuration problems, 3 provider/network
-failures, 4 data errors.
+failures, 4 data errors. Configuration is checked before the manifest write,
+so a rejected command leaves the manifest as it was.
 """
 
 from __future__ import annotations
@@ -26,29 +27,15 @@ from .cache import TextCache
 from .config import PipelineConfig, load_config, snapshot
 from .corpus import build_instances, emit_chat_finetune, emit_tabular, load_tabular
 from .errors import (
-    AuthError,
-    ConfigError,
-    EmptyCompletion,
-    HttpError,
-    JobFailed,
-    LengthMismatch,
-    MalformedResponse,
-    MissingText,
-    TaxotextError,
+    AuthError, ConfigError, EmptyCompletion, HttpError, JobFailed, LengthMismatch,
+    MalformedResponse, MissingText, TaxotextError,
 )
 from .hashing import fingerprint
 from .http import RetryPolicy, TokenBucket
 from .manifest import RunManifest, load_manifest, save_manifest
 from .metrics import (
-    confusion,
-    load_report,
-    macro_report,
-    per_category_table,
-    threshold_sweep,
-    write_class_scores_csv,
-    write_per_category_csv,
-    write_report,
-    write_sweep_csv,
+    confusion, load_report, macro_report, per_category_table, threshold_sweep,
+    write_class_scores_csv, write_per_category_csv, write_report, write_sweep_csv,
 )
 from .remote import INVALID, INVALID_LABEL, prompt_baseline
 from .search import SearchClient
@@ -105,6 +92,26 @@ def _parse_split(raw: str) -> Split:
         raise ConfigError(f"unknown split {raw!r}; expected train, dev, or test") from exc
 
 
+def _signature_and_split(ctx: RunContext, args) -> tuple[str, Split]:
+    return _parse_signature(ctx, args.sources).signature, _parse_split(args.split)
+
+
+def _parse_list(raw: str, cast, what: str) -> tuple:
+    """Comma-separated values through cast; blank parts are skipped."""
+    try:
+        return tuple(cast(part) for part in raw.split(",") if part.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad {what} list: {raw!r}") from exc
+
+
+def _existing(explicit: str | None, default: Path, what: str, producer: str) -> Path:
+    """The explicit path, else the run-directory default; it must exist."""
+    path = Path(explicit) if explicit else default
+    if not path.exists():
+        raise ConfigError(f"{what} not found: {path}; run '{producer}' first")
+    return path
+
+
 def _load_split_dataset(ctx: RunContext, args) -> Dataset:
     path = getattr(args, "dataset", None) or ctx.config.dataset
     if not path:
@@ -114,7 +121,10 @@ def _load_split_dataset(ctx: RunContext, args) -> Dataset:
     return split_dataset(dataset, ctx.config.ratios, seed=ctx.config.split_seed)
 
 
-def _write_manifest(ctx: RunContext, command: str, options: dict, *, dataset: Dataset | None = None, signature: str | None = None):
+def _write_manifest(
+    ctx: RunContext, args, options: dict, *, dataset: Dataset | None = None,
+    signature: str | None = None,
+):
     """Record the invocation before any artifact it produces exists."""
     manifest = load_manifest(ctx.run_dir)
     if manifest is None:
@@ -126,7 +136,7 @@ def _write_manifest(ctx: RunContext, command: str, options: dict, *, dataset: Da
         manifest.dataset_fingerprint = dataset.fingerprint
     if signature is not None:
         manifest.note_signature(signature)
-    manifest.record_command(command, options)
+    manifest.record_command(args.command, options)
     save_manifest(manifest, ctx.run_dir)
 
 
@@ -137,40 +147,28 @@ def _tree_sources(spec: SourceSpec) -> set[Source]:
     return found
 
 
-def _retry_policy(ctx: RunContext) -> RetryPolicy:
-    return RetryPolicy(max_attempts=ctx.config.max_attempts, base_backoff=ctx.config.base_backoff)
-
-
-def _rate_limit(ctx: RunContext) -> TokenBucket | None:
-    rate = ctx.config.rate_per_second
-    return TokenBucket(rate) if rate and rate > 0 else None
-
-
-def _make_acquirer(ctx: RunContext, specs: list[SourceSpec]) -> TextAcquirer:
-    sources = set()
-    for spec in specs:
-        sources |= _tree_sources(spec)
+def _client(ctx: RunContext, cls, url_key: str):
+    """A provider client for the configured base URL, with retry and rate limit."""
     cfg = ctx.config
-    search_client = None
-    llm_client = None
-    if Source.GSNIP in sources:
-        if not cfg.search_base_url:
-            raise ConfigError("search_base_url is not configured")
-        search_client = SearchClient(
-            cfg.search_base_url, policy=_retry_policy(ctx), rate_limit=_rate_limit(ctx)
-        )
-    if sources & {Source.GPTSUM, Source.LLAMASUM}:
-        if not cfg.llm_base_url:
-            raise ConfigError("llm_base_url is not configured")
-        llm_client = LlmClient(
-            cfg.llm_base_url, policy=_retry_policy(ctx), rate_limit=_rate_limit(ctx)
-        )
+    base_url = getattr(cfg, url_key)
+    if not base_url:
+        raise ConfigError(f"{url_key} is not configured")
+    rate = cfg.rate_per_second
+    return cls(
+        base_url,
+        policy=RetryPolicy(max_attempts=cfg.max_attempts, base_backoff=cfg.base_backoff),
+        rate_limit=TokenBucket(rate) if rate and rate > 0 else None,
+    )
+
+
+def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquirer:
+    sources = set().union(*(_tree_sources(spec) for spec in specs))
+    search = _client(ctx, SearchClient, "search_base_url") if Source.GSNIP in sources else None
+    needs_llm = sources & {Source.GPTSUM, Source.LLAMASUM}
+    llm = _client(ctx, LlmClient, "llm_base_url") if needs_llm else None
     return TextAcquirer(
-        cfg.task,
-        ctx.cache,
-        search_client=search_client,
-        llm_client=llm_client,
-        max_parallel=cfg.max_parallel,
+        ctx.config.task, ctx.cache, search_client=search, llm_client=llm,
+        max_parallel=ctx.config.max_parallel,
     )
 
 
@@ -228,6 +226,18 @@ def _aligned_golds(predictions, dataset: Dataset, split: Split):
     return [by_id[i] for i in pred_ids]
 
 
+def _scored_predictions(ctx: RunContext, args):
+    """The eval/sweep inputs: dataset, signature, split, predictions path and rows, golds."""
+    dataset = _load_split_dataset(ctx, args)
+    signature, split = _signature_and_split(ctx, args)
+    pred_path = _existing(
+        args.predictions, _predictions_path(ctx, signature, split), "predictions", "predict"
+    )
+    predictions = load_predictions(pred_path, dataset.scheme)
+    golds = _aligned_golds(predictions, dataset, split)
+    return dataset, signature, split, pred_path, predictions, golds
+
+
 def _corpus_path(ctx: RunContext, signature: str, split: Split) -> Path:
     return ctx.run_dir / "corpus" / signature / f"{split.value}.jsonl"
 
@@ -241,16 +251,12 @@ def _predictions_path(ctx: RunContext, signature: str, split: Split) -> Path:
 
 def cmd_acquire(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
-    specs = [_parse_signature(ctx, s) for s in args.sources.split(",") if s.strip()]
+    specs = _parse_list(args.sources, lambda s: _parse_signature(ctx, s), "source")
     if not specs:
         raise ConfigError("no source signatures given")
     acquirer = _make_acquirer(ctx, specs)
-    _write_manifest(
-        ctx,
-        "acquire",
-        {"sources": [s.signature for s in specs], "refresh": bool(args.refresh)},
-        dataset=dataset,
-    )
+    options = {"sources": [s.signature for s in specs], "refresh": bool(args.refresh)}
+    _write_manifest(ctx, args, options, dataset=dataset)
     all_errors: dict[str, Exception] = {}
     for spec in specs:
         _, errors = acquirer.acquire_all(dataset.records, spec, refresh=args.refresh)
@@ -260,34 +266,29 @@ def cmd_acquire(ctx: RunContext, args) -> int:
         f"acquired: fetched={stats['fetched']} cache_hits={stats['hits']} "
         f"refusals={stats['refusals']} failures={stats['failures']}"
     )
-    if all_errors:
-        for entity_id, exc in sorted(all_errors.items())[:5]:
-            print(f"error: {entity_id}: {exc}", file=sys.stderr)
-        first = next(iter(sorted(all_errors.items())))[1]
-        return EXIT_NETWORK if isinstance(first, _NETWORK_ERRORS) else EXIT_DATA
-    return EXIT_OK
+    if not all_errors:
+        return EXIT_OK
+    for entity_id, exc in sorted(all_errors.items())[:5]:
+        print(f"error: {entity_id}: {exc}", file=sys.stderr)
+    # A data error needs a fix that a rerun will not bring, so it decides the exit code.
+    if all(isinstance(exc, _NETWORK_ERRORS) for exc in all_errors.values()):
+        return EXIT_NETWORK
+    return EXIT_DATA
 
 
 def cmd_build(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
     spec = _parse_signature(ctx, args.sources)
     signature = spec.signature
-    scheme = dataset.scheme
     texts = _cached_texts(ctx, dataset, spec)
-    _write_manifest(
-        ctx,
-        "build",
-        {"sources": signature, "strict": bool(args.strict)},
-        dataset=dataset,
-        signature=signature,
-    )
+    options = {"sources": signature, "strict": bool(args.strict)}
+    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
     for split in Split:
-        records = dataset.by_split(split)
-        result = build_instances(records, texts, signature, strict=args.strict)
+        result = build_instances(dataset.by_split(split), texts, signature, strict=args.strict)
         tab_path = emit_tabular(result.instances, _corpus_path(ctx, signature, split))
         chat_path = emit_chat_finetune(
             result.instances,
-            scheme,
+            dataset.scheme,
             ctx.run_dir / "finetune" / signature / f"{split.value}.jsonl",
             with_labels=split is not Split.TEST,
         )
@@ -299,16 +300,14 @@ def cmd_build(ctx: RunContext, args) -> int:
 
 
 def cmd_train(ctx: RunContext, args) -> int:
-    spec = _parse_signature(ctx, args.sources)
-    signature = spec.signature
+    signature = _parse_signature(ctx, args.sources).signature
     scheme = load_scheme(ctx.config.task)
-    corpus_path = Path(args.corpus) if args.corpus else _corpus_path(ctx, signature, Split.TRAIN)
-    if not corpus_path.exists():
-        raise ConfigError(f"training corpus not found: {corpus_path}; run 'build' first")
-    instances = load_tabular(corpus_path, scheme)
-    _write_manifest(
-        ctx, "train", {"sources": signature, "corpus": str(corpus_path)}, signature=signature
+    corpus_path = _existing(
+        args.corpus, _corpus_path(ctx, signature, Split.TRAIN), "training corpus", "build"
     )
+    instances = load_tabular(corpus_path, scheme)
+    options = {"sources": signature, "corpus": str(corpus_path)}
+    _write_manifest(ctx, args, options, signature=signature)
     model = train(instances, scheme, ctx.config.training)
     model_path = save_model(model, ctx.run_dir / "model" / f"{signature}.model")
     print(f"trained on {len(instances)} instances -> {model_path}")
@@ -316,112 +315,62 @@ def cmd_train(ctx: RunContext, args) -> int:
 
 
 def cmd_predict(ctx: RunContext, args) -> int:
-    spec = _parse_signature(ctx, args.sources)
-    signature = spec.signature
-    split = _parse_split(args.split)
+    signature, split = _signature_and_split(ctx, args)
     scheme = load_scheme(ctx.config.task)
-    corpus_path = Path(args.corpus) if args.corpus else _corpus_path(ctx, signature, split)
-    if not corpus_path.exists():
-        raise ConfigError(f"corpus not found: {corpus_path}; run 'build' first")
-    model_path = Path(args.model) if args.model else ctx.run_dir / "model" / f"{signature}.model"
-    if not model_path.exists():
-        raise ConfigError(f"model not found: {model_path}; run 'train' first")
+    corpus_path = _existing(args.corpus, _corpus_path(ctx, signature, split), "corpus", "build")
+    model_path = _existing(
+        args.model, ctx.run_dir / "model" / f"{signature}.model", "model", "train"
+    )
     instances = load_tabular(corpus_path, scheme)
     model = load_model(model_path, scheme)
-    _write_manifest(
-        ctx,
-        "predict",
-        {"sources": signature, "split": split.value, "model": str(model_path)},
-        signature=signature,
-    )
-    predictions = predict_instances(
-        model, instances, batch_size=ctx.config.training.eval_batch_size
-    )
+    options = {"sources": signature, "split": split.value, "model": str(model_path)}
+    _write_manifest(ctx, args, options, signature=signature)
+    batch_size = ctx.config.training.eval_batch_size
+    predictions = predict_instances(model, instances, batch_size=batch_size)
     out_path = write_predictions(predictions, _predictions_path(ctx, signature, split))
     print(f"predicted {len(predictions)} instances -> {out_path}")
     return EXIT_OK
 
 
 def cmd_eval(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
-    spec = _parse_signature(ctx, args.sources)
-    signature = spec.signature
-    split = _parse_split(args.split)
-    scheme = dataset.scheme
-    pred_path = (
-        Path(args.predictions) if args.predictions else _predictions_path(ctx, signature, split)
-    )
-    if not pred_path.exists():
-        raise ConfigError(f"predictions not found: {pred_path}; run 'predict' first")
-    predictions = load_predictions(pred_path, scheme)
-    golds = _aligned_golds(predictions, dataset, split)
-    _write_manifest(
-        ctx,
-        "eval",
-        {"sources": signature, "split": split.value, "predictions": str(pred_path)},
-        dataset=dataset,
-        signature=signature,
-    )
-    matrix = confusion(golds, [p.label for p in predictions], scheme)
+    dataset, signature, split, pred_path, predictions, golds = _scored_predictions(ctx, args)
+    options = {"sources": signature, "split": split.value, "predictions": str(pred_path)}
+    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
+    matrix = confusion(golds, [p.label for p in predictions], dataset.scheme)
     report = macro_report(
         matrix,
         config_fingerprint=fingerprint(snapshot(ctx.config)),
         run_id=ctx.run_id,
     )
     reports_dir = ctx.run_dir / "reports"
-    report_path = write_report(report, reports_dir / f"{signature}-{split.value}-eval.json")
-    write_class_scores_csv(report, reports_dir / f"{signature}-{split.value}-class_scores.csv")
+    stem = f"{signature}-{split.value}"
+    report_path = write_report(report, reports_dir / f"{stem}-eval.json")
+    write_class_scores_csv(report, reports_dir / f"{stem}-class_scores.csv")
     print(
         f"macro_p={report.macro_p:.4f} macro_r={report.macro_r:.4f} "
         f"macro_f1={report.macro_f1:.4f} -> {report_path}"
     )
     if args.compare:
-        other = load_report(args.compare, scheme)
-        rows = per_category_table(other, report)
-        cmp_path = write_per_category_csv(
-            rows, reports_dir / f"{signature}-{split.value}-compare.csv"
-        )
+        rows = per_category_table(load_report(args.compare, dataset.scheme), report)
+        cmp_path = write_per_category_csv(rows, reports_dir / f"{stem}-compare.csv")
         print(f"per-category comparison -> {cmp_path}")
     return EXIT_OK
 
 
 def cmd_sweep(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
-    spec = _parse_signature(ctx, args.sources)
-    signature = spec.signature
-    split = _parse_split(args.split)
-    pred_path = (
-        Path(args.predictions) if args.predictions else _predictions_path(ctx, signature, split)
-    )
-    if not pred_path.exists():
-        raise ConfigError(f"predictions not found: {pred_path}; run 'predict' first")
-    predictions = load_predictions(pred_path, dataset.scheme)
-    golds = _aligned_golds(predictions, dataset, split)
+    dataset, signature, split, _, predictions, golds = _scored_predictions(ctx, args)
     thresholds = ctx.config.thresholds
     if args.thresholds:
-        try:
-            thresholds = tuple(float(part) for part in args.thresholds.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad threshold list: {args.thresholds!r}") from exc
+        thresholds = _parse_list(args.thresholds, float, "threshold")
     inclusive = bool(args.inclusive) or ctx.config.inclusive_thresholds
-    _write_manifest(
-        ctx,
-        "sweep",
-        {
-            "sources": signature,
-            "split": split.value,
-            "thresholds": list(thresholds),
-            "inclusive": inclusive,
-        },
-        dataset=dataset,
-        signature=signature,
-    )
-    points = threshold_sweep(
-        predictions, golds, dataset.scheme, thresholds, inclusive=inclusive
-    )
-    out_path = write_sweep_csv(
-        points, ctx.run_dir / "reports" / f"{signature}-{split.value}-sweep.csv"
-    )
+    options = {
+        "sources": signature, "split": split.value,
+        "thresholds": list(thresholds), "inclusive": inclusive,
+    }
+    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
+    points = threshold_sweep(predictions, golds, dataset.scheme, thresholds, inclusive=inclusive)
+    sweep_path = ctx.run_dir / "reports" / f"{signature}-{split.value}-sweep.csv"
+    out_path = write_sweep_csv(points, sweep_path)
     for p in points:
         print(
             f"t={p.threshold:.2f} precision={p.precision:.4f} recall={p.recall:.4f} "
@@ -433,17 +382,9 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 
 def cmd_ablate(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
-    if args.ks:
-        try:
-            ks = tuple(int(part) for part in args.ks.split(",") if part.strip())
-        except ValueError as exc:
-            raise ConfigError(f"bad k list: {args.ks!r}") from exc
-    else:
-        ks = DEFAULT_KS
+    ks = _parse_list(args.ks, int, "k") if args.ks else DEFAULT_KS
     cached_depth = args.cached_depth if args.cached_depth else ctx.config.top_k
-    _write_manifest(
-        ctx, "ablate", {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset
-    )
+    _write_manifest(ctx, args, {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset)
     points = ablate_snippets(
         dataset, ctx.cache, ks, cached_depth=cached_depth, train_config=ctx.config.training
     )
@@ -458,8 +399,7 @@ def cmd_ablate(ctx: RunContext, args) -> int:
 def cmd_baseline(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
     split = _parse_split(args.split)
-    if not ctx.config.llm_base_url:
-        raise ConfigError("llm_base_url is not configured")
+    client = _client(ctx, LlmClient, "llm_base_url")
     records = dataset.by_split(split)
     contexts = None
     if args.context_sources:
@@ -474,19 +414,8 @@ def cmd_baseline(ctx: RunContext, args) -> int:
             if r.entity_id in texts and texts[r.entity_id].text
         }
     model_id = args.model or ctx.config.gpt_model
-    _write_manifest(
-        ctx,
-        "baseline",
-        {
-            "split": split.value,
-            "model": model_id,
-            "context_sources": args.context_sources,
-        },
-        dataset=dataset,
-    )
-    client = LlmClient(
-        ctx.config.llm_base_url, policy=_retry_policy(ctx), rate_limit=_rate_limit(ctx)
-    )
+    options = {"split": split.value, "model": model_id, "context_sources": args.context_sources}
+    _write_manifest(ctx, args, options, dataset=dataset)
     predictions = prompt_baseline(
         records, dataset.scheme, client, model_id=model_id, contexts=contexts
     )
@@ -498,19 +427,57 @@ def cmd_baseline(ctx: RunContext, args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "acquire": cmd_acquire,
-    "build": cmd_build,
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "eval": cmd_eval,
-    "sweep": cmd_sweep,
-    "ablate": cmd_ablate,
-    "baseline": cmd_baseline,
-}
-
-
 # --- parser -----------------------------------------------------------------
+
+
+def _sources(help_text: str | None = None):
+    return ("--sources", {"default": "gsnip", "help": help_text})
+
+
+_SPLIT = ("--split", {"default": "test"})
+_PREDICTIONS = ("--predictions", {"help": "explicit predictions path"})
+
+# name -> (handler, help, flags beyond --dataset); flags are (name, add_argument kwargs)
+_COMMANDS = {
+    "acquire": (cmd_acquire, "fetch entity texts into the cache", [
+        _sources("comma-separated source signatures"),
+    ]),
+    "build": (cmd_build, "emit corpus files from cached texts", [
+        _sources("source signature (use + to combine)"),
+    ]),
+    "train": (cmd_train, "fit the hashed-feature softmax classifier", [
+        _sources(),
+        ("--corpus", {"help": "explicit training corpus path"}),
+    ]),
+    "predict": (cmd_predict, "classify a corpus split with a trained model", [
+        _sources(),
+        _SPLIT,
+        ("--corpus", {"help": "explicit corpus path"}),
+        ("--model", {"help": "explicit model path"}),
+    ]),
+    "eval": (cmd_eval, "score predictions against gold labels", [
+        _sources(),
+        _SPLIT,
+        _PREDICTIONS,
+        ("--compare", {"help": "earlier report JSON to diff per-category F1 against"}),
+    ]),
+    "sweep": (cmd_sweep, "precision/coverage tradeoff across confidence thresholds", [
+        _sources(),
+        _SPLIT,
+        _PREDICTIONS,
+        ("--thresholds", {"help": "comma-separated thresholds"}),
+        ("--inclusive", {"action": "store_true", "help": "keep predictions at the threshold"}),
+    ]),
+    "ablate": (cmd_ablate, "retrain and score at several snippet depths", [
+        ("--ks", {"help": "comma-separated snippet counts"}),
+        ("--cached-depth", {"type": int, "default": None, "help": "depth the cache was filled at"}),
+    ]),
+    "baseline": (cmd_baseline, "zero-shot classification by prompting a hosted model", [
+        _SPLIT,
+        ("--model", {"help": "hosted model id"}),
+        ("--context-sources", {"help": "signature of cached texts to include in the prompt"}),
+    ]),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,54 +491,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--refresh", action="store_true", help="re-fetch even on cache hits")
     parser.add_argument("--strict", action="store_true", help="fail on missing texts")
     parser.add_argument("--seed", type=int, default=None, help="override split and training seeds")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--dataset", help="entity CSV (overrides the config)")
-        return p
-
-    p = add("acquire", "fetch entity texts into the cache")
-    p.add_argument("--sources", default="gsnip", help="comma-separated source signatures")
-
-    p = add("build", "emit corpus files from cached texts")
-    p.add_argument("--sources", default="gsnip", help="source signature (use + to combine)")
-
-    p = add("train", "fit the hashed-feature softmax classifier")
-    p.add_argument("--sources", default="gsnip")
-    p.add_argument("--corpus", help="explicit training corpus path")
-
-    p = add("predict", "classify a corpus split with a trained model")
-    p.add_argument("--sources", default="gsnip")
-    p.add_argument("--split", default="test")
-    p.add_argument("--corpus", help="explicit corpus path")
-    p.add_argument("--model", help="explicit model path")
-
-    p = add("eval", "score predictions against gold labels")
-    p.add_argument("--sources", default="gsnip")
-    p.add_argument("--split", default="test")
-    p.add_argument("--predictions", help="explicit predictions path")
-    p.add_argument("--compare", help="earlier report JSON to diff per-category F1 against")
-
-    p = add("sweep", "precision/coverage tradeoff across confidence thresholds")
-    p.add_argument("--sources", default="gsnip")
-    p.add_argument("--split", default="test")
-    p.add_argument("--predictions", help="explicit predictions path")
-    p.add_argument("--thresholds", help="comma-separated thresholds")
-    p.add_argument("--inclusive", action="store_true", help="keep predictions at the threshold")
-
-    p = add("ablate", "retrain and score at several snippet depths")
-    p.add_argument("--ks", help="comma-separated snippet counts")
-    p.add_argument("--cached-depth", type=int, default=None, help="depth the cache was filled at")
-
-    p = add("baseline", "zero-shot classification by prompting a hosted model")
-    p.add_argument("--split", default="test")
-    p.add_argument("--model", help="hosted model id")
-    p.add_argument(
-        "--context-sources", help="signature of cached texts to include in the prompt"
-    )
-
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -581,16 +506,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = replace(
-                config,
-                split_seed=args.seed,
-                training=replace(config.training, seed=args.seed),
-            )
+            training = replace(config.training, seed=args.seed)
+            config = replace(config, split_seed=args.seed, training=training)
         run_id = args.run_id or _generate_run_id()
         run_dir = Path(args.runs_dir) / run_id
         cache_root = Path(config.cache_dir) if config.cache_dir else run_dir / "cache"
         ctx = RunContext(config=config, run_id=run_id, run_dir=run_dir, cache=TextCache(cache_root))
-        return _COMMANDS[args.command](ctx, args)
+        return _COMMANDS[args.command][0](ctx, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from taxotext.acquire import TextAcquirer
 from taxotext.cli import main
+from taxotext.errors import CacheCorrupt, HttpError
 from taxotext.manifest import load_manifest
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.taxonomy import load_sic_scheme
@@ -322,3 +324,65 @@ def test_baseline_without_llm_url_exits_2(workspace):
     tmp_path, entities, _ = workspace
     config = _write_config(tmp_path / "c.ini", dataset=entities)
     assert _run(["baseline"], tmp_path / "runs", config=config) == 2
+
+
+@pytest.mark.parametrize("http_id,data_id", [("e001", "e002"), ("e002", "e001")])
+def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
+    workspace, monkeypatch, http_id, data_id
+):
+    # a data error needs a fix that a rerun will not bring, so it decides
+    # the exit code whatever the entity ids are
+    tmp_path, entities, _ = workspace
+    errors = {http_id: HttpError("server error", status=503), data_id: CacheCorrupt("bad file")}
+    monkeypatch.setattr(TextAcquirer, "acquire_all", lambda *a, **kw: ({}, dict(errors)))
+    config = _write_config(tmp_path / "c.ini", dataset=entities, search_url="http://x")
+    assert _run(["acquire", "--sources", "gsnip3"], tmp_path / "runs", config=config) == 4
+
+
+def _test_split_predictions(path):
+    # test-split ids of _write_entities: the last two of each class's six
+    ids = [f"e{6 * c + i:03d}" for c in range(len(CIDS)) for i in (5, 6)]
+    path.write_text(
+        "".join(json.dumps({"entity_id": i, "label": "20", "confidence": 0.9}) + "\n" for i in ids)
+    )
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["predict", "--corpus", "{entities}"],
+        ["eval"],
+        ["sweep"],
+        ["eval", "--split", "bogus"],
+        ["sweep", "--predictions", "{predictions}", "--thresholds", "0.5,x"],
+        ["ablate", "--ks", "1,x"],
+        ["acquire", "--sources", "gptsum"],
+        ["baseline"],
+    ],
+    ids=[
+        "predict-no-model",
+        "eval-no-predictions",
+        "sweep-no-predictions",
+        "bad-split",
+        "bad-thresholds",
+        "bad-ks",
+        "acquire-gptsum-no-llm-url",
+        "baseline-no-llm-key",
+    ],
+)
+def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    argv = [a.format(entities=entities, predictions=predictions) for a in argv]
+    llm_url = None
+    if argv[0] == "baseline":
+        llm_url = "http://x"
+        monkeypatch.delenv("LLM_API_KEY")
+    config = _write_config(
+        tmp_path / "c.ini", dataset=entities, search_url="http://x", llm_url=llm_url
+    )
+    runs = tmp_path / "runs"
+    assert _run(argv, runs, config=config) == 2
+    assert load_manifest(runs / "r1") is None
+
