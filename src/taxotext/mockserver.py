@@ -8,6 +8,7 @@ parallelism bounds. Not a general-purpose HTTP mock.
 
 from __future__ import annotations
 
+import functools
 import json
 import threading
 import time
@@ -67,12 +68,43 @@ class _ServerBase:
             self._in_flight -= 1
 
 
+def _counted(respond):
+    """Serve a request, counted as in flight until its reply starts.
+
+    ``respond(self, fail)`` gets whether this request should fail with 500.
+    ``_send_json`` stops the count; the ``finally`` only covers a handler
+    that raised before replying.
+    """
+
+    @functools.wraps(respond)
+    def serve(self):
+        self._counting = True
+        fail = self.server.owner._enter_request()
+        try:
+            respond(self, fail)
+        finally:
+            self._leave()
+
+    return serve
+
+
 class _Handler(BaseHTTPRequestHandler):
+    _counting = False
+
     def log_message(self, *args):  # keep test output quiet
         pass
 
+    def _leave(self):
+        if self._counting:
+            self._counting = False
+            self.server.owner._exit_request()
+
     def _send_json(self, payload: dict, status: int = 200):
         body = json.dumps(payload).encode("utf-8")
+        # Stop counting the request before its reply goes out: a client may
+        # send its next request as soon as it has read this reply, possibly
+        # before this thread runs again, and that is not concurrency.
+        self._leave()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
@@ -97,33 +129,30 @@ class MockSearchServer(_ServerBase):
         owner = self
 
         class Handler(_Handler):
-            def do_GET(self):
-                fail = owner._enter_request()
-                try:
-                    if owner.latency:
-                        time.sleep(owner.latency)
-                    if fail:
-                        self._send_json({"error": "injected failure"}, status=500)
-                        return
-                    query = parse_qs(urlparse(self.path).query)
-                    if owner.api_key is not None and query.get("api_key", [None])[0] != owner.api_key:
-                        self._send_json({"error": "bad key"}, status=401)
-                        return
-                    name = query.get("q", [""])[0]
-                    num = int(query.get("num", ["10"])[0])
-                    snippets = owner.results.get(name, [])
-                    organic = [
-                        {
-                            "position": i + 1,
-                            "title": f"{name} - result {i + 1}",
-                            "link": f"https://example.test/{i + 1}",
-                            "snippet": s,
-                        }
-                        for i, s in enumerate(snippets[:num])
-                    ]
-                    self._send_json({"organic_results": organic})
-                finally:
-                    owner._exit_request()
+            @_counted
+            def do_GET(self, fail):
+                if owner.latency:
+                    time.sleep(owner.latency)
+                if fail:
+                    self._send_json({"error": "injected failure"}, status=500)
+                    return
+                query = parse_qs(urlparse(self.path).query)
+                if owner.api_key is not None and query.get("api_key", [None])[0] != owner.api_key:
+                    self._send_json({"error": "bad key"}, status=401)
+                    return
+                name = query.get("q", [""])[0]
+                num = int(query.get("num", ["10"])[0])
+                snippets = owner.results.get(name, [])
+                organic = [
+                    {
+                        "position": i + 1,
+                        "title": f"{name} - result {i + 1}",
+                        "link": f"https://example.test/{i + 1}",
+                        "snippet": s,
+                    }
+                    for i, s in enumerate(snippets[:num])
+                ]
+                self._send_json({"organic_results": organic})
 
         super().__init__(Handler, latency)
 
@@ -161,65 +190,59 @@ class MockLlmServer(_ServerBase):
                     return True
                 return self.headers.get("Authorization") == f"Bearer {owner.api_key}"
 
-            def do_POST(self):
-                fail = owner._enter_request()
-                try:
-                    if owner.latency:
-                        time.sleep(owner.latency)
-                    if fail:
-                        self._send_json({"error": "injected failure"}, status=500)
-                        return
-                    if not self._authorized():
-                        self._send_json({"error": "bad key"}, status=401)
-                        return
-                    path = urlparse(self.path).path
-                    body = self._read_body()
-                    if path == "/chat/completions":
-                        payload = json.loads(body)
-                        owner.chat_requests.append(payload)
-                        content = owner.reply(payload["messages"], payload.get("model", ""))
-                        self._send_json(
-                            {"choices": [{"message": {"role": "assistant", "content": content}}]}
-                        )
-                    elif path == "/files":
-                        owner.uploads.append(body)
-                        self._send_json({"id": f"file-{len(owner.uploads)}"})
-                    elif path == "/fine_tuning/jobs":
-                        job_id = f"ftjob-{len(owner.jobs) + 1}"
-                        owner.jobs[job_id] = {"polls": 0, "request": json.loads(body)}
-                        self._send_json({"id": job_id, "status": "queued"})
-                    else:
-                        self._send_json({"error": "not found"}, status=404)
-                finally:
-                    owner._exit_request()
+            @_counted
+            def do_POST(self, fail):
+                if owner.latency:
+                    time.sleep(owner.latency)
+                if fail:
+                    self._send_json({"error": "injected failure"}, status=500)
+                    return
+                if not self._authorized():
+                    self._send_json({"error": "bad key"}, status=401)
+                    return
+                path = urlparse(self.path).path
+                body = self._read_body()
+                if path == "/chat/completions":
+                    payload = json.loads(body)
+                    owner.chat_requests.append(payload)
+                    content = owner.reply(payload["messages"], payload.get("model", ""))
+                    self._send_json(
+                        {"choices": [{"message": {"role": "assistant", "content": content}}]}
+                    )
+                elif path == "/files":
+                    owner.uploads.append(body)
+                    self._send_json({"id": f"file-{len(owner.uploads)}"})
+                elif path == "/fine_tuning/jobs":
+                    job_id = f"ftjob-{len(owner.jobs) + 1}"
+                    owner.jobs[job_id] = {"polls": 0, "request": json.loads(body)}
+                    self._send_json({"id": job_id, "status": "queued"})
+                else:
+                    self._send_json({"error": "not found"}, status=404)
 
-            def do_GET(self):
-                fail = owner._enter_request()
-                try:
-                    if fail:
-                        self._send_json({"error": "injected failure"}, status=500)
+            @_counted
+            def do_GET(self, fail):
+                if fail:
+                    self._send_json({"error": "injected failure"}, status=500)
+                    return
+                if not self._authorized():
+                    self._send_json({"error": "bad key"}, status=401)
+                    return
+                path = urlparse(self.path).path
+                if path.startswith("/fine_tuning/jobs/"):
+                    job_id = path.rsplit("/", 1)[1]
+                    job = owner.jobs.get(job_id)
+                    if job is None:
+                        self._send_json({"error": "unknown job"}, status=404)
                         return
-                    if not self._authorized():
-                        self._send_json({"error": "bad key"}, status=401)
-                        return
-                    path = urlparse(self.path).path
-                    if path.startswith("/fine_tuning/jobs/"):
-                        job_id = path.rsplit("/", 1)[1]
-                        job = owner.jobs.get(job_id)
-                        if job is None:
-                            self._send_json({"error": "unknown job"}, status=404)
-                            return
-                        statuses = owner.job_statuses
-                        state = statuses[min(job["polls"], len(statuses) - 1)]
-                        job["polls"] += 1
-                        payload = {"id": job_id, "status": state}
-                        if state == "succeeded":
-                            payload["fine_tuned_model"] = owner.fine_tuned_model
-                        self._send_json(payload)
-                    else:
-                        self._send_json({"error": "not found"}, status=404)
-                finally:
-                    owner._exit_request()
+                    statuses = owner.job_statuses
+                    state = statuses[min(job["polls"], len(statuses) - 1)]
+                    job["polls"] += 1
+                    payload = {"id": job_id, "status": state}
+                    if state == "succeeded":
+                        payload["fine_tuned_model"] = owner.fine_tuned_model
+                    self._send_json(payload)
+                else:
+                    self._send_json({"error": "not found"}, status=404)
 
         super().__init__(Handler, latency)
 
