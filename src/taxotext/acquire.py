@@ -172,10 +172,13 @@ class TextAcquirer:
     def acquire_all(
         self, records: list[EntityRecord], spec: SourceSpec, *, refresh: bool = False
     ) -> tuple[dict[str, AcquiredText], dict[str, Exception]]:
-        """Acquire texts for many records with a bounded worker pool."""
+        """Acquire texts for many records with a bounded worker pool.
+
+        The cache index is written once, when the pool has finished.
+        """
         results: dict[str, AcquiredText] = {}
         errors: dict[str, Exception] = {}
-        with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
+        with self.cache.batch(), ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
             futures = {
                 pool.submit(self.acquire, record, spec, refresh=refresh): record
                 for record in records

@@ -4,6 +4,12 @@ One JSON file per acquisition, named by the hex key hash, plus a human-
 readable index. Writes go through a temp file and an atomic rename, so a
 crash never leaves a half-written entry. Distinct keys may be written
 concurrently from worker threads.
+
+A bare ``store`` rewrites the index at once. Inside ``batch()`` (which
+``TextAcquirer.acquire_all`` uses) the index is rewritten once, when the
+outermost batch ends, so an acquisition run costs linear, not quadratic,
+index work. The entry files are the source of truth: a killed acquire can
+leave the index behind them.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import logging
 import os
 import threading
 import uuid
+from contextlib import contextmanager
 from pathlib import Path
 
 from .errors import CacheCorrupt
@@ -31,6 +38,8 @@ class TextCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._index: dict[str, dict] | None = None
+        self._batch_depth = 0
+        self._index_dirty = False
 
     @staticmethod
     def key(task_id: TaskId, entity_id: str, source: Source, params: dict) -> str:
@@ -72,11 +81,32 @@ class TextCache:
                 "source": text.source.value,
                 "params": text.params,
             }
-            self._atomic_write(
-                self.root / INDEX_NAME,
-                json.dumps(index, ensure_ascii=False, sort_keys=True, indent=2),
-            )
+            if self._batch_depth:
+                self._index_dirty = True
+            else:
+                self._write_index()
         return path
+
+    @contextmanager
+    def batch(self):
+        """Defer index rewrites from ``store`` to the end of the outermost batch."""
+        with self._lock:
+            self._batch_depth += 1
+        try:
+            yield
+        finally:
+            with self._lock:
+                self._batch_depth -= 1
+                if not self._batch_depth and self._index_dirty:
+                    self._write_index()
+
+    def _write_index(self) -> None:
+        # caller holds the lock
+        self._atomic_write(
+            self.root / INDEX_NAME,
+            json.dumps(self._index, ensure_ascii=False, sort_keys=True, indent=2),
+        )
+        self._index_dirty = False
 
     def _load_index(self) -> dict[str, dict]:
         # caller holds the lock

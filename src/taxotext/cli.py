@@ -25,7 +25,9 @@ from .ablation import DEFAULT_KS, ablate_snippets, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .config import PipelineConfig, load_config, snapshot
-from .corpus import build_instances, emit_chat_finetune, emit_tabular, load_tabular
+from .corpus import (
+    build_instances, emit_chat_finetune, emit_tabular, load_tabular, read_json_rows,
+)
 from .errors import (
     AuthError, ConfigError, EmptyCompletion, HttpError, JobFailed, LengthMismatch,
     MalformedResponse, MissingText, TaxotextError,
@@ -113,7 +115,7 @@ def _existing(explicit: str | None, default: Path, what: str, producer: str) -> 
 
 
 def _load_split_dataset(ctx: RunContext, args) -> Dataset:
-    path = getattr(args, "dataset", None) or ctx.config.dataset
+    path = args.dataset or ctx.config.dataset
     if not path:
         raise ConfigError("no dataset given; pass --dataset or set [task] dataset in the config")
     scheme = load_scheme(ctx.config.task)
@@ -195,23 +197,17 @@ def write_predictions(predictions, path: str | Path) -> Path:
 def load_predictions(path: str | Path, scheme) -> list[Prediction]:
     by_id = scheme.by_id
     out = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            label_id = row["label"]
-            if label_id in by_id:
-                label = by_id[label_id]
-            elif label_id == INVALID:
-                label = INVALID_LABEL
-            else:
-                label = CategoryLabel(label_id, label_id)
-            out.append(
-                Prediction(
-                    entity_id=row["entity_id"], label=label, confidence=row.get("confidence")
-                )
-            )
+    for row in read_json_rows(path, ("entity_id", "label")):
+        label_id = row["label"]
+        if label_id in by_id:
+            label = by_id[label_id]
+        elif label_id == INVALID:
+            label = INVALID_LABEL
+        else:
+            label = CategoryLabel(label_id, label_id)
+        out.append(
+            Prediction(entity_id=row["entity_id"], label=label, confidence=row.get("confidence"))
+        )
     return out
 
 
@@ -434,15 +430,18 @@ def _sources(help_text: str | None = None):
     return ("--sources", {"default": "gsnip", "help": help_text})
 
 
+_DATASET = ("--dataset", {"help": "entity CSV (overrides the config)"})
 _SPLIT = ("--split", {"default": "test"})
 _PREDICTIONS = ("--predictions", {"help": "explicit predictions path"})
 
-# name -> (handler, help, flags beyond --dataset); flags are (name, add_argument kwargs)
+# name -> (handler, help, flags); flags are (name, add_argument kwargs)
 _COMMANDS = {
     "acquire": (cmd_acquire, "fetch entity texts into the cache", [
+        _DATASET,
         _sources("comma-separated source signatures"),
     ]),
     "build": (cmd_build, "emit corpus files from cached texts", [
+        _DATASET,
         _sources("source signature (use + to combine)"),
     ]),
     "train": (cmd_train, "fit the hashed-feature softmax classifier", [
@@ -456,12 +455,14 @@ _COMMANDS = {
         ("--model", {"help": "explicit model path"}),
     ]),
     "eval": (cmd_eval, "score predictions against gold labels", [
+        _DATASET,
         _sources(),
         _SPLIT,
         _PREDICTIONS,
         ("--compare", {"help": "earlier report JSON to diff per-category F1 against"}),
     ]),
     "sweep": (cmd_sweep, "precision/coverage tradeoff across confidence thresholds", [
+        _DATASET,
         _sources(),
         _SPLIT,
         _PREDICTIONS,
@@ -469,10 +470,12 @@ _COMMANDS = {
         ("--inclusive", {"action": "store_true", "help": "keep predictions at the threshold"}),
     ]),
     "ablate": (cmd_ablate, "retrain and score at several snippet depths", [
+        _DATASET,
         ("--ks", {"help": "comma-separated snippet counts"}),
         ("--cached-depth", {"type": int, "default": None, "help": "depth the cache was filled at"}),
     ]),
     "baseline": (cmd_baseline, "zero-shot classification by prompting a hosted model", [
+        _DATASET,
         _SPLIT,
         ("--model", {"help": "hosted model id"}),
         ("--context-sources", {"help": "signature of cached texts to include in the prompt"}),
@@ -494,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--dataset", help="entity CSV (overrides the config)")
         for flag, kwargs in flags:
             p.add_argument(flag, **kwargs)
     return parser

@@ -11,9 +11,9 @@ import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
-from .errors import MissingGold, MissingText, UnknownLabel
+from .errors import MissingGold, MissingText, ParseError, UnknownLabel
 from .hashing import sha256_hex
 from .taxonomy import CategoryLabel, EntityRecord, Split, TaxonomyScheme, _data_text
 from .texts import AcquiredText
@@ -147,26 +147,44 @@ def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Pa
     return out_path
 
 
+def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[dict]:
+    """The JSON objects of a JSONL file, skipping blank lines.
+
+    A line that is not JSON, not an object, or lacks one of `fields` raises
+    ParseError naming the line number, the field and the file.
+    """
+    with open(path, encoding="utf-8") as fh:
+        for rownum, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError:
+                raise ParseError(f"not valid JSON in {path}", row=rownum) from None
+            if not isinstance(row, dict):
+                raise ParseError(f"not a JSON object in {path}", row=rownum)
+            for name in fields:
+                if name not in row:
+                    raise ParseError(f"missing field {name!r} in {path}", row=rownum)
+            yield row
+
+
 def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[ClassificationInstance]:
     """Inverse of emit_tabular; round-trips instances losslessly."""
     by_id = scheme.by_id
     out: list[ClassificationInstance] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            gold = None
-            if "gold" in row:
-                if row["gold"] not in by_id:
-                    raise UnknownLabel(f"gold label {row['gold']!r} not in scheme")
-                gold = by_id[row["gold"]]
-            out.append(
-                ClassificationInstance(
-                    entity_id=row["entity_id"],
-                    input_text=row["input_text"],
-                    gold=gold,
-                    source_signature=row["source_signature"],
-                )
+    for row in read_json_rows(path, ("entity_id", "input_text", "source_signature")):
+        gold = None
+        if "gold" in row:
+            if row["gold"] not in by_id:
+                raise UnknownLabel(f"gold label {row['gold']!r} not in scheme")
+            gold = by_id[row["gold"]]
+        out.append(
+            ClassificationInstance(
+                entity_id=row["entity_id"],
+                input_text=row["input_text"],
+                gold=gold,
+                source_signature=row["source_signature"],
             )
+        )
     return out

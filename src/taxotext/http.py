@@ -15,6 +15,8 @@ from .errors import AuthError, HttpError, MalformedResponse
 logger = logging.getLogger(__name__)
 
 _RETRYABLE = frozenset({429}) | frozenset(range(500, 600))
+# A 429 asking for a longer wait fails at once rather than parking a worker.
+MAX_RETRY_AFTER_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -74,15 +76,23 @@ def request_json(
     """Issue a request and decode its JSON body.
 
     Retries 429/5xx responses and transport faults with exponential backoff
-    plus jitter; 401/403 raise AuthError immediately and are never retried.
+    plus jitter; a 429 waits at least its delta-seconds ``Retry-After``, and
+    one whose ``Retry-After`` exceeds MAX_RETRY_AFTER_S raises HttpError at once.
+    401/403 raise AuthError immediately and are never retried. A session
+    made here (none passed) is closed before returning.
     """
-    sess = session if session is not None else requests.Session()
+    if session is None:
+        with requests.Session() as own:
+            return request_json(
+                method, url, policy=policy, session=own, sleep=sleep, rng=rng,
+                timeout=timeout, **kwargs,
+            )
     rng = rng if rng is not None else random.Random()
     failure = "no attempt made"
     status: int | None = None
     for attempt in range(1, max(1, policy.max_attempts) + 1):
         try:
-            resp = sess.request(method, url, timeout=timeout, **kwargs)
+            resp = session.request(method, url, timeout=timeout, **kwargs)
         except requests.RequestException as exc:
             status = None
             failure = f"transport error: {exc}"
@@ -100,6 +110,21 @@ def request_json(
                 raise HttpError(f"{url}: {failure}", status=status)
         if attempt < policy.max_attempts:
             delay = policy.base_backoff * (2 ** (attempt - 1)) * (1.0 + rng.random())
+            if status == 429:  # status is None after a transport error, so resp is this attempt's
+                wait = _retry_after_s(resp)
+                if wait > MAX_RETRY_AFTER_S:
+                    raise HttpError(
+                        f"{url}: {failure} with Retry-After {wait:g}s, over the "
+                        f"{MAX_RETRY_AFTER_S:g}s limit",
+                        status=status,
+                    )
+                delay = max(delay, wait)
             logger.debug("retrying %s after %s (attempt %d): %.2fs", url, failure, attempt, delay)
             sleep(delay)
     raise HttpError(f"{url}: {failure} after {policy.max_attempts} attempts", status=status)
+
+
+def _retry_after_s(resp) -> float:
+    """A response's delta-seconds ``Retry-After``; 0 when absent or an HTTP-date."""
+    value = str((getattr(resp, "headers", None) or {}).get("Retry-After", "")).strip()
+    return float(value) if value.isascii() and value.isdigit() else 0.0

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
-from taxotext.cache import TextCache
+from taxotext.cache import INDEX_NAME, TextCache
 from taxotext.errors import AuthError, InsufficientSnippets
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.search import SearchClient
 from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, TaskId, load_sic_scheme
-from taxotext.texts import Source
+from taxotext.texts import AcquiredText, Source
 
 from conftest import make_records
 
@@ -207,3 +209,111 @@ def test_acquire_cached_returns_none_when_absent(tmp_path):
     acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10", TaskId.SIC)
     assert acquirer.acquire_cached(_records(1)[0], spec) is None
+
+
+# --- cache index writes -------------------------------------------------------------
+
+
+def _count_index_writes(monkeypatch):
+    writes = []
+    real = TextCache._atomic_write
+
+    def counting(self, path, payload):
+        if path.name == INDEX_NAME:
+            writes.append(path)
+        real(self, path, payload)
+
+    monkeypatch.setattr(TextCache, "_atomic_write", counting)
+    return writes
+
+
+def _entry_keys(cache_dir):
+    return {p.stem for p in cache_dir.glob("*.json") if p.name != INDEX_NAME}
+
+
+def test_acquire_all_writes_the_index_once(tmp_path, monkeypatch):
+    records = _records(50)
+    writes = _count_index_writes(monkeypatch)
+    with MockSearchServer(_snippet_table(records), api_key="k") as server:
+        client = SearchClient(server.base_url, api_key="k")
+        cache = TextCache(tmp_path / "c")
+        acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client, max_parallel=4)
+        spec = parse_source_signature("gsnip10", TaskId.SIC)
+        results, errors = acquirer.acquire_all(records, spec)
+    assert not errors and len(results) == 50
+    assert len(writes) == 1
+
+    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
+    expected = {
+        TextCache.key(TaskId.SIC, r.entity_id, Source.GSNIP, {"k": 10}): r.entity_id
+        for r in records
+    }
+    assert {key: entry["entity_id"] for key, entry in index.items()} == expected
+    assert set(index) == _entry_keys(tmp_path / "c")
+
+
+def test_batched_index_matches_one_store_at_a_time(tmp_path):
+    records = _records(8)
+    with MockSearchServer(_snippet_table(records), api_key="k") as server:
+        client = SearchClient(server.base_url, api_key="k")
+        acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "a"), search_client=client)
+        spec = parse_source_signature("gsnip10", TaskId.SIC)
+        results, _ = acquirer.acquire_all(records, spec)
+    unbatched = TextCache(tmp_path / "b")
+    for record in reversed(records):
+        key = TextCache.key(TaskId.SIC, record.entity_id, Source.GSNIP, {"k": 10})
+        unbatched.store(key, results[record.entity_id], TaskId.SIC)
+    assert (tmp_path / "a" / INDEX_NAME).read_bytes() == (tmp_path / "b" / INDEX_NAME).read_bytes()
+
+
+def test_index_keeps_entries_stored_before_acquire_all_raises(tmp_path, monkeypatch):
+    # no LLM client: each worker stores the snippet component, then raises
+    records = _records(6)
+    writes = _count_index_writes(monkeypatch)
+    with MockSearchServer(_snippet_table(records), api_key="k") as server:
+        client = SearchClient(server.base_url, api_key="k")
+        acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
+        spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+        with pytest.raises(ValueError):
+            acquirer.acquire_all(records, spec)
+    stored = _entry_keys(tmp_path / "c")
+    assert stored
+    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
+    assert set(index) == stored
+    assert all(entry["source"] == "GSNIP" for entry in index.values())
+    assert len(writes) == 1
+
+
+def test_nested_batches_write_the_index_when_the_outermost_ends(tmp_path):
+    cache = TextCache(tmp_path / "c")
+    text = AcquiredText(
+        entity_id="e1", source=Source.GSNIP, params={"k": 10}, text="x",
+        retrieved_at="2026-01-01T00:00:00+00:00",
+    )
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    index_path = tmp_path / "c" / INDEX_NAME
+    with cache.batch():
+        with cache.batch():
+            cache.store(key, text, TaskId.SIC)
+        assert not index_path.exists()
+    assert key in json.loads(index_path.read_text(encoding="utf-8"))
+
+
+# --- HTTP connections -------------------------------------------------------------
+
+
+def test_wide_pool_logs_no_connection_pool_warnings(tmp_path, caplog):
+    # urllib3 keeps 10 connections per host in a pool; 16 workers sharing one
+    # pool would discard connections with a "Connection pool is full" warning
+    records = _records(64)
+    with MockSearchServer(_snippet_table(records), api_key="k", latency=0.1) as server:
+        client = SearchClient(server.base_url, api_key="k")
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=16
+        )
+        spec = parse_source_signature("gsnip10", TaskId.SIC)
+        with caplog.at_level("WARNING", logger="urllib3"):
+            _, errors = acquirer.acquire_all(records, spec)
+    assert not errors
+    assert server.peak_in_flight > 10
+    assert not [r for r in caplog.records if r.name.startswith("urllib3")]

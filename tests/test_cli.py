@@ -386,3 +386,45 @@ def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch,
     assert _run(argv, runs, config=config) == 2
     assert load_manifest(runs / "r1") is None
 
+
+
+@pytest.mark.parametrize(
+    "content,field",
+    [
+        ("{}\n", "'entity_id'"),
+        ('{"entity_id": "e1", "input_text": "x"}\n', "'source_signature'"),
+        ("[1, 2]\n", "not a JSON object"),
+        ("{not json\n", "not valid JSON"),
+    ],
+    ids=["empty-object", "missing-field", "not-object", "not-json"],
+)
+def test_malformed_corpus_exits_4_without_traceback(workspace, capsys, content, field):
+    tmp_path, entities, _ = workspace
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(content)
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    assert _run(["train", "--corpus", str(corpus)], tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(corpus) in err and field in err and "row 1" in err
+
+
+def test_malformed_predictions_exit_4(workspace, capsys):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    rows = predictions.read_text().splitlines()
+    rows[2] = json.dumps({"entity_id": "e005"})
+    predictions.write_text("\n".join(rows) + "\n")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = ["eval", "--predictions", str(predictions)]
+    assert _run(argv, tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "row 3" in err and "'label'" in err
+
+
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_dataset_flag_rejected_where_unused(workspace, command):
+    tmp_path, entities, _ = workspace
+    with pytest.raises(SystemExit) as exit_:
+        _run([command, "--dataset", str(entities)], tmp_path / "runs")
+    assert exit_.value.code == 2

@@ -8,7 +8,7 @@ import pytest
 import requests
 
 from taxotext.errors import AuthError, HttpError, MalformedResponse
-from taxotext.http import RetryPolicy, TokenBucket, request_json
+from taxotext.http import MAX_RETRY_AFTER_S, RetryPolicy, TokenBucket, request_json
 
 
 class FakeClock:
@@ -134,3 +134,72 @@ def test_non_json_success_is_malformed():
     session = StubSession([StubResponse(200, payload=None)])
     with pytest.raises(MalformedResponse):
         _request(session, [])
+
+
+class HeaderResponse(StubResponse):
+    def __init__(self, status, payload=None, headers=None):
+        super().__init__(status, payload)
+        self.headers = headers or {}
+
+
+def test_429_waits_for_delta_seconds_retry_after():
+    session = StubSession(
+        [HeaderResponse(429, headers={"Retry-After": "7"}), StubResponse(200, {"ok": 3})]
+    )
+    sleeps = []
+    assert _request(session, sleeps) == {"ok": 3}
+    assert sleeps == [7.0]
+
+
+def test_429_retry_after_at_the_limit_is_honoured():
+    session = StubSession(
+        [HeaderResponse(429, headers={"Retry-After": "60"}), StubResponse(200, {"ok": 4})]
+    )
+    sleeps = []
+    assert _request(session, sleeps) == {"ok": 4}
+    assert sleeps == [MAX_RETRY_AFTER_S]
+
+
+def test_429_retry_after_over_the_limit_fails_without_sleeping():
+    session = StubSession(
+        [HeaderResponse(429, headers={"Retry-After": "86400"}), StubResponse(200, {"ok": 4})]
+    )
+    sleeps = []
+    with pytest.raises(HttpError) as info:
+        _request(session, sleeps)
+    assert info.value.status == 429
+    assert sleeps == []
+    assert len(session.calls) == 1  # the 200 was never requested
+
+
+@pytest.mark.parametrize(
+    "status,headers",
+    [
+        (429, {}),
+        (429, {"Retry-After": "Wed, 21 Oct 2026 07:28:00 GMT"}),
+        (429, {"Retry-After": "-3"}),
+        (429, {"Retry-After": "0"}),  # shorter than the backoff
+        (503, {"Retry-After": "7"}),  # honoured on 429 only
+    ],
+)
+def test_retry_after_falls_back_to_backoff(status, headers):
+    session = StubSession([HeaderResponse(status, headers=headers), StubResponse(200, {"ok": 5})])
+    sleeps = []
+    _request(session, sleeps)
+    assert sleeps == pytest.approx([1.0 * (1 + random.Random(0).random())])
+
+
+def test_request_without_session_closes_the_one_it_made(monkeypatch):
+    closed = []
+
+    class ScriptedSession(requests.Session):
+        def request(self, method, url, **kwargs):
+            return StubResponse(200, {"ok": 7})
+
+        def close(self):
+            closed.append(self)
+            super().close()
+
+    monkeypatch.setattr(requests, "Session", ScriptedSession)
+    assert request_json("GET", "http://unit.test/x") == {"ok": 7}
+    assert len(closed) == 1

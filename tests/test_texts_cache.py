@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import pytest
 
@@ -127,3 +129,49 @@ def test_cache_leaves_no_temp_files(tmp_path):
         cache.store(key, _text(entity=f"e{i}"), TaskId.SIC)
     leftovers = [p for p in (tmp_path / "cache").iterdir() if p.name.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_cache_store_outside_a_batch_writes_the_index_at_once(tmp_path):
+    cache = TextCache(tmp_path / "cache")
+    index_path = tmp_path / "cache" / "index.json"
+    for i in range(3):
+        key = TextCache.key(TaskId.SIC, f"e{i}", Source.GSNIP, {"k": 10})
+        cache.store(key, _text(entity=f"e{i}"), TaskId.SIC)
+        index = json.loads(index_path.read_text())
+        assert len(index) == i + 1
+        assert index[key]["entity_id"] == f"e{i}"
+
+
+def test_concurrent_batches_leave_a_complete_index(tmp_path):
+    # more threads than cores, switching often: a lost update of the batch
+    # depth or the dirty flag would leave keys out of the final index
+    cache = TextCache(tmp_path / "cache")
+    keys = []
+
+    def worker(t):
+        for round_ in range(5):
+            with cache.batch():
+                for i in range(4):
+                    entity = f"e{t}-{round_}-{i}"
+                    key = TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10})
+                    cache.store(key, _text(entity=entity), TaskId.SIC)
+                    keys.append(key)
+            entity = f"bare{t}-{round_}"
+            key = TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10})
+            cache.store(key, _text(entity=entity), TaskId.SIC)
+            keys.append(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert len(keys) == 8 * 5 * 5
+    index = json.loads((tmp_path / "cache" / "index.json").read_text())
+    assert set(index) == set(keys)
