@@ -134,7 +134,8 @@ class TextAcquirer:
         """Return the text for one record, fetching and caching on a miss.
 
         Cached entries are immutable; pass refresh=True to re-fetch and
-        overwrite.
+        overwrite. A combined source is assembled from its components'
+        acquisitions, so only those count as fetched, refused or failed.
         """
         key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.key_params())
         if not refresh:
@@ -142,15 +143,18 @@ class TextAcquirer:
             if hit is not None:
                 self._count("hits")
                 return hit
-        try:
-            text = self._fetch(record, spec, refresh)
-        except TaxotextError:
-            self._count("failures")
-            raise
+        if spec.source is Source.COMBINED:
+            text = combine_texts([self.acquire(record, c, refresh=refresh) for c in spec.components])
+        else:
+            try:
+                text = self._fetch(record, spec)
+            except TaxotextError:
+                self._count("failures")
+                raise
+            self._count("fetched")
+            if text.refusal:
+                self._count("refusals")
         self.cache.store(key, text, self.task_id)
-        self._count("fetched")
-        if text.refusal:
-            self._count("refusals")
         return text
 
     def acquire_cached(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText | None:
@@ -191,7 +195,7 @@ class TextAcquirer:
                     errors[record.entity_id] = exc
         return results, errors
 
-    def _fetch(self, record: EntityRecord, spec: SourceSpec, refresh: bool) -> AcquiredText:
+    def _fetch(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText:
         if spec.source is Source.GSNIP:
             if self.search_client is None:
                 raise ValueError("no search client configured for GSNIP acquisition")
@@ -220,7 +224,4 @@ class TextAcquirer:
                 model_id=spec.params["model_id"],
                 max_tokens=spec.params["max_tokens"],
             )
-        if spec.source is Source.COMBINED:
-            parts = [self.acquire(record, c, refresh=refresh) for c in spec.components]
-            return combine_texts(parts)
         raise ValueError(f"unsupported source {spec.source!r}")

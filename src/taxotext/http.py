@@ -1,8 +1,9 @@
-"""HTTP plumbing shared by acquisition clients: retries and rate limiting."""
+"""HTTP plumbing shared by provider clients: the client base, retries and rate limiting."""
 
 from __future__ import annotations
 
 import logging
+import os
 import random
 import threading
 import time
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 
 import requests
 
-from .errors import AuthError, HttpError, MalformedResponse
+from .errors import AuthError, ConfigError, HttpError, MalformedResponse
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +61,50 @@ class TokenBucket:
                 shortfall = (tokens - self._tokens) / self.rate
             self._sleep(shortfall)
             waited += shortfall
+
+
+class ProviderClient:
+    """What every provider API client holds: base URL, key, retries and rate limit.
+
+    A subclass names the environment variable its key falls back to in
+    ``key_env``; ``strip_slash`` drops a trailing ``/`` from the base URL for
+    clients that append endpoint paths to it.
+    """
+
+    key_env: str
+    strip_slash = False
+
+    def __init__(
+        self,
+        base_url: str,
+        api_key: str | None = None,
+        *,
+        policy: RetryPolicy = RetryPolicy(),
+        rate_limit: TokenBucket | None = None,
+        session=None,
+        sleep=time.sleep,
+    ):
+        key = api_key if api_key is not None else os.environ.get(self.key_env)
+        if not key:
+            raise ConfigError(f"{self.key_env} is not set and no api_key was given")
+        self.base_url = base_url.rstrip("/") if self.strip_slash else base_url
+        self._key = key
+        self._policy = policy
+        self._rate_limit = rate_limit
+        self._session = session
+        self._sleep = sleep
+
+    def _request(self, request_json, method: str, url: str, **kwargs) -> dict:
+        """Take one rate-limit token, then issue the request through `request_json`.
+
+        Callers pass their own module's ``request_json`` so the name is looked
+        up at call time, where tests and tracers may have replaced it.
+        """
+        if self._rate_limit is not None:
+            self._rate_limit.acquire()
+        return request_json(
+            method, url, policy=self._policy, session=self._session, sleep=self._sleep, **kwargs
+        )
 
 
 def request_json(

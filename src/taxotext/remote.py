@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import logging
-import os
 import re
-import time
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import ClassificationInstance, chat_messages
-from .errors import ConfigError, JobFailed, MalformedResponse
-from .http import RetryPolicy, request_json
+from .errors import JobFailed, MalformedResponse
+from .http import request_json
 from .softmax import Prediction
 from .summarize import LlmClient
 from .taxonomy import CategoryLabel, EntityRecord, TaskId, TaxonomyScheme
@@ -86,6 +84,21 @@ def build_classify_prompt(scheme: TaxonomyScheme, name: str, context: str | None
     return body
 
 
+def _classify_remote(queries, scheme: TaxonomyScheme, ask) -> list[Prediction]:
+    """Send each ``(entity_id, query)`` pair through `ask` and parse the completion.
+
+    Unparseable completions predict INVALID_LABEL; none carries a confidence.
+    """
+    by_id = scheme.by_id
+    predictions = []
+    for entity_id, query in queries:
+        parsed = parse_code_response(ask(query), scheme.ids, scheme)
+        predictions.append(
+            Prediction(entity_id=entity_id, label=by_id.get(parsed, INVALID_LABEL), confidence=None)
+        )
+    return predictions
+
+
 def prompt_baseline(
     records: Sequence[EntityRecord],
     scheme: TaxonomyScheme,
@@ -101,60 +114,34 @@ def prompt_baseline(
     evaluation always counts as wrong. Remote predictions carry no
     confidence, so threshold sweeps reject them.
     """
-    predictions: list[Prediction] = []
-    by_id = scheme.by_id
-    for record in sorted(records, key=lambda r: r.entity_id):
-        context = contexts.get(record.entity_id) if contexts else None
-        prompt = build_classify_prompt(scheme, record.name, context)
-        completion = client.complete(prompt, model=model_id, max_tokens=max_tokens)
-        parsed = parse_code_response(completion, scheme.ids, scheme)
-        label = by_id.get(parsed, INVALID_LABEL)
-        predictions.append(
-            Prediction(entity_id=record.entity_id, label=label, confidence=None)
-        )
-    return predictions
+    contexts = contexts or {}
+    queries = [
+        (r.entity_id, build_classify_prompt(scheme, r.name, contexts.get(r.entity_id)))
+        for r in sorted(records, key=lambda r: r.entity_id)
+    ]
+    return _classify_remote(
+        queries, scheme, lambda prompt: client.complete(prompt, model=model_id, max_tokens=max_tokens)
+    )
 
 
-class FineTuneClient:
+class FineTuneClient(LlmClient):
     """Adapter for a provider's file-upload and fine-tune job endpoints."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        *,
-        policy: RetryPolicy = RetryPolicy(),
-        session=None,
-        sleep=time.sleep,
-    ):
-        key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        if not key:
-            raise ConfigError("LLM_API_KEY is not set and no api_key was given")
-        self.base_url = base_url.rstrip("/")
-        self._key = key
-        self._policy = policy
-        self._session = session
-        self._sleep = sleep
-
-    def _headers(self) -> dict:
-        return {"Authorization": f"Bearer {self._key}"}
+    def _create(self, path: str, **kwargs) -> str:
+        """POST to a creation endpoint and return the new object's id."""
+        payload = self._request(
+            request_json, "POST", f"{self.base_url}{path}", headers=self._headers(), **kwargs
+        )
+        new_id = payload.get("id")
+        if not isinstance(new_id, str):
+            raise MalformedResponse(f"{self.base_url}{path}: response missing id")
+        return new_id
 
     def upload_file(self, path: str | Path) -> str:
         with open(path, "rb") as fh:
-            payload = request_json(
-                "POST",
-                f"{self.base_url}/files",
-                headers=self._headers(),
-                data={"purpose": "fine-tune"},
-                files={"file": (Path(path).name, fh)},
-                policy=self._policy,
-                session=self._session,
-                sleep=self._sleep,
+            return self._create(
+                "/files", data={"purpose": "fine-tune"}, files={"file": (Path(path).name, fh)}
             )
-        file_id = payload.get("id")
-        if not isinstance(file_id, str):
-            raise MalformedResponse(f"{self.base_url}/files: response missing id")
-        return file_id
 
     def submit(
         self,
@@ -167,28 +154,11 @@ class FineTuneClient:
         body: dict = {"model": model_id, "training_file": self.upload_file(train_path)}
         if dev_path is not None:
             body["validation_file"] = self.upload_file(dev_path)
-        payload = request_json(
-            "POST",
-            f"{self.base_url}/fine_tuning/jobs",
-            headers=self._headers(),
-            json=body,
-            policy=self._policy,
-            session=self._session,
-            sleep=self._sleep,
-        )
-        job_id = payload.get("id")
-        if not isinstance(job_id, str):
-            raise MalformedResponse(f"{self.base_url}/fine_tuning/jobs: response missing id")
-        return job_id
+        return self._create("/fine_tuning/jobs", json=body)
 
     def status(self, job_id: str) -> dict:
-        return request_json(
-            "GET",
-            f"{self.base_url}/fine_tuning/jobs/{job_id}",
-            headers=self._headers(),
-            policy=self._policy,
-            session=self._session,
-            sleep=self._sleep,
+        return self._request(
+            request_json, "GET", f"{self.base_url}/fine_tuning/jobs/{job_id}", headers=self._headers()
         )
 
     def wait(self, job_id: str, *, poll_seconds: float = 5.0, max_polls: int = 720) -> str:
@@ -216,13 +186,7 @@ def remote_infer(
     max_tokens: int = 16,
 ) -> list[Prediction]:
     """Run inference-form chat requests against a fine-tuned model."""
-    by_id = scheme.by_id
-    predictions = []
-    for inst in instances:
-        messages = chat_messages(inst, scheme, with_labels=False)
-        completion = client.chat(messages, model=model_id, max_tokens=max_tokens)
-        parsed = parse_code_response(completion, scheme.ids, scheme)
-        predictions.append(
-            Prediction(entity_id=inst.entity_id, label=by_id.get(parsed, INVALID_LABEL), confidence=None)
-        )
-    return predictions
+    queries = [(inst.entity_id, chat_messages(inst, scheme, with_labels=False)) for inst in instances]
+    return _classify_remote(
+        queries, scheme, lambda messages: client.chat(messages, model=model_id, max_tokens=max_tokens)
+    )

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import logging
-import os
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ConfigError, MalformedResponse
-from .http import RetryPolicy, TokenBucket, request_json
+from .errors import MalformedResponse
+from .http import ProviderClient, request_json
 
 logger = logging.getLogger(__name__)
 
@@ -22,28 +20,10 @@ class SearchResult:
     snippet: str
 
 
-class SearchClient:
+class SearchClient(ProviderClient):
     """Client for a JSON search endpoint returning ``organic_results``."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        *,
-        policy: RetryPolicy = RetryPolicy(),
-        rate_limit: TokenBucket | None = None,
-        session=None,
-        sleep=time.sleep,
-    ):
-        key = api_key if api_key is not None else os.environ.get("SEARCH_API_KEY")
-        if not key:
-            raise ConfigError("SEARCH_API_KEY is not set and no api_key was given")
-        self.base_url = base_url
-        self._key = key
-        self._policy = policy
-        self._rate_limit = rate_limit
-        self._session = session
-        self._sleep = sleep
+    key_env = "SEARCH_API_KEY"
 
     def search_entity(self, name: str, k: int) -> list[SearchResult]:
         """Fetch the top-k organic results for an entity name."""
@@ -51,15 +31,8 @@ class SearchClient:
             raise ValueError("entity name must be non-empty")
         if k < 1:
             raise ValueError("k must be >= 1")
-        if self._rate_limit is not None:
-            self._rate_limit.acquire()
-        payload = request_json(
-            "GET",
-            self.base_url,
-            params={"q": name, "num": k, "api_key": self._key},
-            policy=self._policy,
-            session=self._session,
-            sleep=self._sleep,
+        payload = self._request(
+            request_json, "GET", self.base_url, params={"q": name, "num": k, "api_key": self._key}
         )
         organic = payload.get("organic_results")
         if not isinstance(organic, list):

@@ -235,15 +235,12 @@ def predict_text(model: SoftmaxModel, text: str, entity_id: str | None = None) -
 
 
 def predict_instances(model: SoftmaxModel, instances, batch_size: int = 16) -> list[Prediction]:
-    """Predict a sequence of instances in evaluation-sized chunks."""
-    out: list[Prediction] = []
-    chunk: list = []
-    instances = list(instances)
-    for pos in range(0, len(instances), max(1, batch_size)):
-        chunk = instances[pos : pos + max(1, batch_size)]
-        for inst in chunk:
-            out.append(predict_text(model, inst.input_text, entity_id=inst.entity_id))
-    return out
+    """Predict a sequence of instances one at a time, in order.
+
+    ``batch_size`` has no effect; it stays so callers passing the
+    ``eval_batch_size`` setting keep working.
+    """
+    return [predict_text(model, inst.input_text, entity_id=inst.entity_id) for inst in instances]
 
 
 def save_model(model: SoftmaxModel, path: str | Path) -> Path:

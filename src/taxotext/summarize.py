@@ -4,13 +4,11 @@ from __future__ import annotations
 
 import datetime as _dt
 import logging
-import os
-import time
 from dataclasses import dataclass
 
-from .errors import ConfigError, EmptyCompletion, MalformedResponse
+from .errors import EmptyCompletion, MalformedResponse
 from .hashing import sha256_hex
-from .http import RetryPolicy, TokenBucket, request_json
+from .http import ProviderClient, request_json
 from .texts import AcquiredText, Source
 
 logger = logging.getLogger(__name__)
@@ -125,40 +123,22 @@ def truncate_at_sentence(text: str) -> str:
     return t[:end]
 
 
-class LlmClient:
+class LlmClient(ProviderClient):
     """Client for a chat-completions JSON endpoint."""
 
-    def __init__(
-        self,
-        base_url: str,
-        api_key: str | None = None,
-        *,
-        policy: RetryPolicy = RetryPolicy(),
-        rate_limit: TokenBucket | None = None,
-        session=None,
-        sleep=time.sleep,
-    ):
-        key = api_key if api_key is not None else os.environ.get("LLM_API_KEY")
-        if not key:
-            raise ConfigError("LLM_API_KEY is not set and no api_key was given")
-        self.base_url = base_url.rstrip("/")
-        self._key = key
-        self._policy = policy
-        self._rate_limit = rate_limit
-        self._session = session
-        self._sleep = sleep
+    key_env = "LLM_API_KEY"
+    strip_slash = True
+
+    def _headers(self) -> dict:
+        return {"Authorization": f"Bearer {self._key}"}
 
     def chat(self, messages: list[dict], *, model: str, max_tokens: int) -> str:
-        if self._rate_limit is not None:
-            self._rate_limit.acquire()
-        payload = request_json(
+        payload = self._request(
+            request_json,
             "POST",
             f"{self.base_url}/chat/completions",
             json={"model": model, "messages": messages, "max_tokens": max_tokens},
-            headers={"Authorization": f"Bearer {self._key}"},
-            policy=self._policy,
-            session=self._session,
-            sleep=self._sleep,
+            headers=self._headers(),
         )
         try:
             content = payload["choices"][0]["message"]["content"]

@@ -205,6 +205,37 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
             assert offline.acquire_cached(records[0], sub) is not None
 
 
+def _acquire_combined(tmp_path, records, llm_key):
+    with MockSearchServer(_snippet_table(records), api_key="k") as search_srv, MockLlmServer(
+        lambda m, mo: "A summary sentence.", api_key="sk"
+    ) as llm_srv:
+        acquirer = TextAcquirer(
+            TaskId.SIC,
+            TextCache(tmp_path / "c"),
+            search_client=SearchClient(search_srv.base_url, api_key="k"),
+            llm_client=LlmClient(llm_srv.base_url, api_key=llm_key),
+        )
+        spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+        results, errors = acquirer.acquire_all(records, spec)
+        requests = search_srv.request_count + llm_srv.request_count
+    return acquirer.stats, results, errors, requests
+
+
+def test_acquire_combined_counts_one_fetch_per_provider_reply(tmp_path):
+    stats, results, errors, requests = _acquire_combined(tmp_path, _records(2), "sk")
+    assert len(results) == 2 and not errors
+    assert requests == 4
+    assert stats["fetched"] == 4
+
+
+def test_acquire_combined_counts_one_failure_per_failed_entity(tmp_path):
+    stats, results, errors, _ = _acquire_combined(tmp_path, _records(2), "wrong")
+    assert not results
+    assert len(errors) == 2
+    assert stats["failures"] == len(errors)
+    assert stats["fetched"] == 2  # the snippet components succeeded
+
+
 def test_acquire_cached_returns_none_when_absent(tmp_path):
     acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10", TaskId.SIC)
