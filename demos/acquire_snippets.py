@@ -6,7 +6,6 @@ top-k snippets per entity, and demonstrates that repeat acquisition is
 served from the cache without further requests.
 """
 
-import os
 import tempfile
 
 from taxotext import (
@@ -21,8 +20,6 @@ from taxotext import (
 )
 from taxotext.http import RetryPolicy
 from taxotext.mockserver import MockSearchServer
-
-os.environ.setdefault("SEARCH_API_KEY", "demo-key")
 
 scheme = load_sic_scheme()
 records = [
@@ -44,7 +41,7 @@ fixtures = {
 
 with MockSearchServer(fixtures, api_key="demo-key") as server, \
         tempfile.TemporaryDirectory() as cache_dir:
-    client = SearchClient(server.base_url, policy=RetryPolicy())
+    client = SearchClient(server.base_url, api_key="demo-key", policy=RetryPolicy())
     cache = TextCache(cache_dir)
     acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
 

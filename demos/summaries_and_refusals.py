@@ -6,14 +6,10 @@ entity triggers a refusal, which comes back flagged with empty text so
 downstream corpus building can count it rather than crash on it.
 """
 
-import os
-
 from taxotext import PromptTemplate, detect_refusal, generate_summary
 from taxotext.http import RetryPolicy
 from taxotext.mockserver import MockLlmServer
 from taxotext.summarize import PROMPT_TEMPLATES, LlmClient
-
-os.environ.setdefault("LLM_API_KEY", "demo-key")
 
 template = PROMPT_TEMPLATES["GPT_SIC"]
 print(f"template {template.id}, placeholder {template.placeholder!r}")
@@ -37,7 +33,7 @@ def reply(messages, model):
 
 
 with MockLlmServer(reply=reply, api_key="demo-key") as server:
-    client = LlmClient(server.base_url, policy=RetryPolicy())
+    client = LlmClient(server.base_url, api_key="demo-key", policy=RetryPolicy())
     for n, name in enumerate(REPLIES):
         summary = generate_summary(
             f"e{n}", name, template, client, model_id="demo-model"

@@ -321,8 +321,7 @@ def cmd_predict(ctx: RunContext, args) -> int:
     model = load_model(model_path, scheme)
     options = {"sources": signature, "split": split.value, "model": str(model_path)}
     _write_manifest(ctx, args, options, signature=signature)
-    batch_size = ctx.config.training.eval_batch_size
-    predictions = predict_instances(model, instances, batch_size=batch_size)
+    predictions = predict_instances(model, instances)
     out_path = write_predictions(predictions, _predictions_path(ctx, signature, split))
     print(f"predicted {len(predictions)} instances -> {out_path}")
     return EXIT_OK

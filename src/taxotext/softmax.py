@@ -13,8 +13,9 @@ operations on that prefix. Each weight, moment and logit sees the same
 floating-point operations in the same order as in a dense update over all
 2^18 columns (logits gather a vector's weights in its bucket order, gradients
 accumulate in instance order), so the weights are bit-identical to it (see
-the dense-oracle tests). The slots are scattered back to bucket columns once,
-at the end.
+the dense-oracle tests). At the end the slots are put in bucket order once,
+and the model keeps only those columns: no path builds the classes x 2^18
+matrix except the on-demand ``SoftmaxModel.W``.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .errors import (
     EmptyTrainingSet,
     FingerprintMismatch,
     MissingGold,
+    ParseError,
     UnknownLabel,
 )
 from .features import FEATURIZER_HASH, N_BUCKETS, FeatureVector, featurize
@@ -40,12 +42,15 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "taxotext-softmax/1"
 
+# Column width of the buffer through which each Adam step writes its update.
+UPDATE_CHUNK_COLS = 2048
+
 
 @dataclass
 class TrainConfig:
     epochs: int = 3
     batch_size: int = 8
-    eval_batch_size: int = 16
+    eval_batch_size: int = 16  # read from [training]; nothing uses it
     # Default tuned for this backend; transformer-style rates (~5e-5) barely
     # move a linear model on unit-norm hashed features.
     learning_rate: float = 0.05
@@ -58,15 +63,66 @@ class TrainConfig:
 
 
 class SoftmaxModel:
-    """Weights W (classes x buckets) and bias b, in scheme category order."""
+    """Bias ``b`` and the weight columns of the buckets in ``cols``.
 
-    def __init__(self, scheme: TaxonomyScheme, W: np.ndarray | None = None, b: np.ndarray | None = None):
+    ``cols`` holds strictly increasing buckets; ``block[:, j]`` holds the
+    weights of bucket ``cols[j]``, rows in scheme category order. Every other
+    bucket's weights are zero. Without ``block`` the weights start at zero.
+    """
+
+    def __init__(
+        self,
+        scheme: TaxonomyScheme,
+        cols: np.ndarray | None = None,
+        block: np.ndarray | None = None,
+        b: np.ndarray | None = None,
+    ):
         n_classes = len(scheme.categories)
         self.scheme = scheme
-        self.W = np.zeros((n_classes, N_BUCKETS)) if W is None else W
+        self.cols = np.zeros(0, dtype=np.int64) if cols is None else np.asarray(cols, dtype=np.int64)
         self.b = np.zeros(n_classes) if b is None else b
-        if self.W.shape != (n_classes, N_BUCKETS) or self.b.shape != (n_classes,):
+        n = self.cols.size
+        if (
+            self.cols.shape != (n,)
+            or self.b.shape != (n_classes,)
+            or (block is not None and np.shape(block) != (n_classes, n))
+        ):
             raise ValueError("weight shapes do not match the scheme")
+        if n and (self.cols[0] < 0 or self.cols[-1] >= N_BUCKETS or np.any(np.diff(self.cols) <= 0)):
+            raise ValueError(f"columns must be strictly increasing buckets in [0, {N_BUCKETS})")
+        # One trailing all-zero column stands in for every bucket not in cols.
+        self._weights = np.zeros((n_classes, n + 1))
+        if block is not None:
+            self.block[...] = block
+
+    @property
+    def block(self) -> np.ndarray:
+        """Writable classes x len(cols) view of the weights."""
+        return self._weights[:, :-1]
+
+    @property
+    def W(self) -> np.ndarray:
+        """Dense read-only classes x N_BUCKETS weights, built on each access.
+
+        About 57 MB for SIC's 27 classes; the pipeline never reads it.
+        """
+        W = np.zeros((self.b.size, N_BUCKETS))
+        W[:, self.cols] = self.block
+        W.flags.writeable = False
+        return W
+
+    def weights_of(self, indices: np.ndarray) -> np.ndarray:
+        """The classes x len(indices) weights of these buckets, zeros included.
+
+        This is the same matrix as ``W[:, indices]``, so a product with it
+        sums the same terms in the same order.
+        """
+        n = self.cols.size
+        pos = np.searchsorted(self.cols, indices)
+        found = pos < n
+        found[found] = self.cols[pos[found]] == indices[found]
+        pos[~found] = n
+        return self._weights[:, pos]
 
 
 @dataclass(eq=False)
@@ -110,16 +166,16 @@ def loss_and_grad(
 def _slot_layout(feats: list[FeatureVector], first_order):
     """Number the used buckets by first appearance along `first_order`.
 
-    Returns each slot's bucket and, per instance, the slots of its feature
-    indices in the same (bucket) order as the indices.
+    Returns the used buckets in increasing order, the slot of each, and, per
+    instance, the slots of its feature indices in the same (bucket) order as
+    the indices.
     """
     seq = np.concatenate([feats[i].indices for i in first_order])
     buckets, first = np.unique(seq, return_index=True)
-    by_appearance = np.argsort(first)
     slot_of = np.empty(buckets.size, dtype=np.int64)
-    slot_of[by_appearance] = np.arange(buckets.size)
+    slot_of[np.argsort(first)] = np.arange(buckets.size)
     slots = [slot_of[np.searchsorted(buckets, fv.indices)] for fv in feats]
-    return buckets[by_appearance], slots
+    return buckets, slot_of, slots
 
 
 def _batch_grad(W, b, feats, slots, targets, batch_ids):
@@ -141,6 +197,26 @@ def _batch_grad(W, b, feats, slots, targets, batch_ids):
         grad_b += g
     n = len(batch_ids)
     return cols, grad_cols / n, grad_b / n, loss / n
+
+
+def _adam_step(W, mW, vW, n_active, decay, scale, sqrt_bc2, eps, buf):
+    """``W[:, :n_active] = W * decay - scale * (mW / (sqrt(vW) / sqrt_bc2 + eps))``.
+
+    In place, through ``buf`` one column chunk at a time: the same IEEE
+    operations in the same order as the whole-prefix expression, without its
+    classes x n_active temporaries. ``decay`` None skips the multiplication.
+    """
+    for start in range(0, n_active, buf.shape[1]):
+        stop = min(start + buf.shape[1], n_active)
+        w, step = W[:, start:stop], buf[:, : stop - start]
+        if decay is not None:
+            w *= decay
+        np.sqrt(vW[:, start:stop], out=step)
+        step /= sqrt_bc2
+        step += eps
+        np.divide(mW[:, start:stop], step, out=step)
+        step *= scale
+        w -= step
 
 
 def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) -> SoftmaxModel:
@@ -166,10 +242,11 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
 
     rng = np.random.default_rng(config.seed)
     orders = [rng.permutation(len(feats)) for _ in range(config.epochs)]
-    buckets, slots = _slot_layout(feats, orders[0] if orders else range(len(feats)))
+    buckets, slot_of, slots = _slot_layout(feats, orders[0] if orders else range(len(feats)))
 
     n_classes = len(scheme.categories)
     W = np.zeros((n_classes, buckets.size))
+    buf = np.empty((n_classes, min(UPDATE_CHUNK_COLS, buckets.size)))
     b = np.zeros(n_classes)
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)
@@ -188,11 +265,10 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
             cols, grad_cols, grad_b, batch_loss = _batch_grad(W, b, feats, slots, targets, batch_ids)
             if cols.size:
                 n_active = max(n_active, int(cols[-1]) + 1)
-            W_act, mW_act, vW_act = W[:, :n_active], mW[:, :n_active], vW[:, :n_active]
 
             mult = min(step / config.warmup_steps, 1.0) if config.warmup_steps > 0 else 1.0
-            mW_act *= beta1
-            vW_act *= beta2
+            mW[:, :n_active] *= beta1
+            vW[:, :n_active] *= beta2
             mW[:, cols] += (1.0 - beta1) * grad_cols
             vW[:, cols] += (1.0 - beta2) * (grad_cols * grad_cols)
             mb = beta1 * mb + (1.0 - beta1) * grad_b
@@ -201,25 +277,29 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
             bc1 = 1.0 - beta1**step
             bc2 = 1.0 - beta2**step
             scale = mult * config.learning_rate / bc1
-            if config.weight_decay:
-                W_act *= 1.0 - mult * config.weight_decay
-            denom = np.sqrt(vW_act) / math.sqrt(bc2) + eps
-            W_act -= scale * (mW_act / denom)
+            decay = 1.0 - mult * config.weight_decay if config.weight_decay else None
+            _adam_step(W, mW, vW, n_active, decay, scale, math.sqrt(bc2), eps, buf)
             b = b - scale * (mb / (np.sqrt(vb) / math.sqrt(bc2) + eps))
             epoch_loss += batch_loss
             n_batches += 1
         logger.info("epoch %d: mean batch loss %.4f", epoch + 1, epoch_loss / max(1, n_batches))
 
-    W_dense = np.zeros((n_classes, N_BUCKETS))
-    W_dense[:, buckets] = W
-    return SoftmaxModel(scheme, W_dense, b)
+    # Free the moments, then copy the slots into bucket order in chunks, so at
+    # most two classes x U arrays (W and the model's block) are ever alive here.
+    del mW, vW
+    model = SoftmaxModel(scheme, buckets, b=b)
+    block = model.block
+    for start in range(0, buckets.size, UPDATE_CHUNK_COLS):
+        stop = start + UPDATE_CHUNK_COLS
+        block[:, start:stop] = W[:, slot_of[start:stop]]
+    return model
 
 
 def predict(model: SoftmaxModel, features: FeatureVector, entity_id: str | None = None) -> Prediction:
     """Score one feature vector; ties go to the lowest category index."""
     z = model.b.copy()
     if features.nnz:
-        z += model.W[:, features.indices] @ features.values
+        z += model.weights_of(features.indices) @ features.values
     scores = _softmax(z)
     best = int(np.argmax(scores))
     return Prediction(
@@ -237,8 +317,8 @@ def predict_text(model: SoftmaxModel, text: str, entity_id: str | None = None) -
 def predict_instances(model: SoftmaxModel, instances, batch_size: int = 16) -> list[Prediction]:
     """Predict a sequence of instances one at a time, in order.
 
-    ``batch_size`` has no effect; it stays so callers passing the
-    ``eval_batch_size`` setting keep working.
+    ``batch_size`` has no effect; it stays so callers that pass it keep
+    working.
     """
     return [predict_text(model, inst.input_text, entity_id=inst.entity_id) for inst in instances]
 
@@ -251,41 +331,59 @@ def save_model(model: SoftmaxModel, path: str | Path) -> Path:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    nonzero_cols = np.flatnonzero(np.any(model.W != 0.0, axis=0)).astype(np.int64)
-    block = np.ascontiguousarray(model.W[:, nonzero_cols], dtype="<f8")
+    nonzero = np.any(model.block != 0.0, axis=0)
+    cols = model.cols[nonzero]
+    block = model.block[:, nonzero]
     header = {
         "format": MODEL_FORMAT,
-        "classes": int(model.W.shape[0]),
-        "buckets": int(model.W.shape[1]),
+        "classes": int(model.b.size),
+        "buckets": N_BUCKETS,
         "storage": "sparse-columns",
-        "n_cols": int(nonzero_cols.size),
+        "n_cols": int(cols.size),
         "scheme_fingerprint": model.scheme.fingerprint,
         "featurizer_hash": FEATURIZER_HASH,
     }
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(nonzero_cols.astype("<i8").tobytes())
-        fh.write(block.tobytes())
+        fh.write(cols.astype("<i8", copy=False).tobytes())
+        fh.write(block.astype("<f8", copy=False).tobytes())
         fh.write(model.b.astype("<f8").tobytes())
     return path
 
 
 def load_model(path: str | Path, scheme: TaxonomyScheme) -> SoftmaxModel:
-    """Read a model container; reject scheme or featurizer mismatches."""
-    with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        if header.get("format") != MODEL_FORMAT:
-            raise FingerprintMismatch(f"unsupported model format {header.get('format')!r}")
-        if header["scheme_fingerprint"] != scheme.fingerprint:
-            raise FingerprintMismatch("model was trained under a different scheme")
-        if header["featurizer_hash"] != FEATURIZER_HASH:
-            raise FingerprintMismatch("model was trained with a different featurizer")
-        n_classes, n_cols = header["classes"], header["n_cols"]
-        cols = np.frombuffer(fh.read(8 * n_cols), dtype="<i8")
-        block = np.frombuffer(fh.read(8 * n_classes * n_cols), dtype="<f8").reshape(
-            n_classes, n_cols
+    """Read a model container.
+
+    Raises FingerprintMismatch for another format, scheme or featurizer, and
+    ParseError for a file that is not a well-formed container.
+    """
+    head, _, body = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = json.loads(head)
+    except ValueError:
+        raise ParseError(f"{path}: model header is not JSON") from None
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}: model header is not a JSON object")
+    if header.get("format") != MODEL_FORMAT:
+        raise FingerprintMismatch(f"unsupported model format {header.get('format')!r}")
+    if header.get("scheme_fingerprint") != scheme.fingerprint:
+        raise FingerprintMismatch("model was trained under a different scheme")
+    if header.get("featurizer_hash") != FEATURIZER_HASH:
+        raise FingerprintMismatch("model was trained with a different featurizer")
+    if header.get("buckets") != N_BUCKETS:
+        raise ParseError(f"{path}: model has {header.get('buckets')!r} buckets, expected {N_BUCKETS}")
+    n_classes, n_cols = header.get("classes"), header.get("n_cols")
+    if not (isinstance(n_classes, int) and isinstance(n_cols, int) and n_classes >= 0 and n_cols >= 0):
+        raise ParseError(f"{path}: model header has no valid classes/n_cols")
+    expected = 8 * (n_cols + n_classes * n_cols + n_classes)
+    if len(body) != expected:
+        raise ParseError(f"{path}: model body is {len(body)} bytes, expected {expected}")
+    cols = np.frombuffer(body, dtype="<i8", count=n_cols)
+    block = np.frombuffer(body, dtype="<f8", count=n_classes * n_cols, offset=8 * n_cols)
+    b = np.frombuffer(body, dtype="<f8", count=n_classes, offset=8 * (n_cols + n_classes * n_cols))
+    try:
+        return SoftmaxModel(
+            scheme, cols.astype(np.int64), block.reshape(n_classes, n_cols), b.astype(np.float64)
         )
-        b = np.frombuffer(fh.read(8 * n_classes), dtype="<f8").copy()
-    W = np.zeros((n_classes, header["buckets"]))
-    W[:, cols] = block
-    return SoftmaxModel(scheme, W, b)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None

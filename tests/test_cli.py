@@ -428,3 +428,14 @@ def test_dataset_flag_rejected_where_unused(workspace, command):
     with pytest.raises(SystemExit) as exit_:
         _run([command, "--dataset", str(entities)], tmp_path / "runs")
     assert exit_.value.code == 2
+
+
+def test_truncated_model_exits_4_without_traceback(workspace, capsys):
+    tmp_path, entities, snippets = workspace
+    run_dir = _pipeline(tmp_path, entities, snippets, tmp_path / "runs")
+    model = run_dir / "model/gsnip3.model"
+    model.write_bytes(model.read_bytes()[:-5])
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    assert _run(["predict", "--sources", "gsnip3"], tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and str(model) in err

@@ -27,3 +27,22 @@ def test_demo_runs(demo):
         [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+@pytest.mark.parametrize("demo", ["acquire_snippets", "summaries_and_refusals"])
+def test_network_demos_ignore_keys_in_the_environment(demo):
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(ROOT / "src"),
+        SEARCH_API_KEY="someone-elses-key",
+        LLM_API_KEY="someone-elses-key",
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / f"{demo}.py")],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]

@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from taxotext.corpus import ClassificationInstance
-from taxotext.errors import EmptyTrainingSet, FingerprintMismatch, MissingGold, UnknownLabel
+from taxotext.errors import (
+    EmptyTrainingSet,
+    FingerprintMismatch,
+    MissingGold,
+    ParseError,
+    UnknownLabel,
+)
 from taxotext.features import N_BUCKETS, FeatureVector, featurize
 from taxotext.softmax import (
+    UPDATE_CHUNK_COLS,
     SoftmaxModel,
     TrainConfig,
+    _softmax,
     load_model,
     loss_and_grad,
     predict,
@@ -300,3 +311,104 @@ def test_load_model_rejects_garbage(tmp_path):
     path.write_bytes(b'{"format": "something-else/1"}\n')
     with pytest.raises(FingerprintMismatch):
         load_model(path, load_sic_scheme())
+
+
+# --- sparse-column model ------------------------------------------------------------
+
+
+def _wide_instances(scheme, n=60):
+    """SIC instances over about 6,000 distinct buckets: more than two update
+    chunks, the last one short."""
+    cats = ["20", "60", "73"]
+    out = []
+    for k in range(n):
+        cid = cats[k % len(cats)]
+        words = " ".join(f"tok{k}x{i}" for i in range(50))
+        out.append(
+            ClassificationInstance(
+                f"w{k:03d}", f"classtoken_{cid} {words}", scheme.by_id[cid], "gsnip10"
+            )
+        )
+    return out
+
+
+# sha256 of the model file the dense-matrix trainer wrote for _wide_instances
+# under WIDE_CONFIG; the sparse-column model and the chunked update must keep it.
+WIDE_CONFIG = TrainConfig(epochs=2, batch_size=8, warmup_steps=10, seed=4)
+WIDE_MODEL_SHA256 = "5cc73305d36d0e7fb8638630d34f65a53ffb83d1cb0215c42fa4ef3b2fde58ef"
+
+
+def test_model_file_bytes_pinned_across_update_chunks(tmp_path):
+    scheme = load_sic_scheme()
+    model = train(_wide_instances(scheme), scheme, WIDE_CONFIG)
+    assert model.cols.size > 2 * UPDATE_CHUNK_COLS
+    assert model.cols.size % UPDATE_CHUNK_COLS != 0
+    path = save_model(model, tmp_path / "wide.model")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_MODEL_SHA256
+
+
+def test_train_save_load_predict_never_allocate_a_dense_matrix(tmp_path):
+    scheme = load_sic_scheme()
+    instances = _wide_instances(scheme)
+    dense_bytes = len(scheme.categories) * N_BUCKETS * 8
+    tracemalloc.start()
+    try:
+        model = train(instances, scheme, WIDE_CONFIG)
+        path = save_model(model, tmp_path / "wide.model")
+        loaded = load_model(path, scheme)
+        predict_instances(loaded, instances)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense_bytes > 50 * 2**20
+    assert peak < 16 * 2**20
+
+
+def test_predict_equals_dense_gather_with_unseen_buckets():
+    scheme = load_sic_scheme()
+    model = train(_instances(scheme, ["20", "60"], per_class=4), scheme, TrainConfig(epochs=1))
+    fv = featurize("classtoken_20 filler words and several never seen tokens")
+    known = np.isin(fv.indices, model.cols)
+    assert known.any() and not known.all()
+    expected = _softmax(model.b + model.W[:, fv.indices] @ fv.values)
+    assert np.array_equal(predict(model, fv).scores, expected)
+
+
+def test_dense_view_matches_columns():
+    scheme = load_sic_scheme()
+    model = train(_instances(scheme, ["20", "60"], per_class=3), scheme, TrainConfig(epochs=1))
+    W = model.W
+    assert not W.flags.writeable
+    assert np.array_equal(W[:, model.cols], model.block)
+    assert not np.any(np.delete(W, model.cols, axis=1))
+
+
+def test_load_model_rejects_truncated_file(tmp_path):
+    scheme = load_sic_scheme()
+    path = save_model(train(_instances(scheme, ["20"], per_class=3), scheme), tmp_path / "m.model")
+    path.write_bytes(path.read_bytes()[:-3])
+    with pytest.raises(ParseError, match="bytes"):
+        load_model(path, scheme)
+
+
+def test_load_model_rejects_out_of_range_column(tmp_path):
+    scheme = load_sic_scheme()
+    path = save_model(train(_instances(scheme, ["20"], per_class=3), scheme), tmp_path / "m.model")
+    head, _, body = path.read_bytes().partition(b"\n")
+    n_cols = json.loads(head)["n_cols"]
+    cols = np.frombuffer(body, dtype="<i8", count=n_cols).copy()
+    cols[-1] = N_BUCKETS
+    path.write_bytes(head + b"\n" + cols.tobytes() + body[8 * n_cols :])
+    with pytest.raises(ParseError, match="increasing"):
+        load_model(path, scheme)
+
+
+def test_load_model_rejects_other_bucket_count(tmp_path):
+    scheme = load_sic_scheme()
+    path = save_model(train(_instances(scheme, ["20"], per_class=3), scheme), tmp_path / "m.model")
+    head, _, body = path.read_bytes().partition(b"\n")
+    header = json.loads(head)
+    header["buckets"] = N_BUCKETS // 2
+    path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
+    with pytest.raises(ParseError, match="buckets"):
+        load_model(path, scheme)
