@@ -14,7 +14,7 @@ from typing import Sequence
 from .acquire import SourceSpec, TextAcquirer
 from .cache import TextCache
 from .corpus import build_instances
-from .errors import InsufficientSnippets, MissingText
+from .errors import InsufficientSnippets
 from .metrics import MacroReport, confusion, macro_report
 from .search import SearchResult, aggregate_snippets
 from .softmax import TrainConfig, predict_instances, train
@@ -30,22 +30,6 @@ DEFAULT_KS = (1, 5, 10, 15, 20)
 class AblationPoint:
     k: int
     report: MacroReport
-
-
-def _cached_results(cache: TextCache, dataset: Dataset, depth: int) -> dict[str, AcquiredText]:
-    spec = SourceSpec(Source.GSNIP, {"k": depth})
-    acquirer = TextAcquirer(dataset.scheme.task_id, cache)
-    texts = {}
-    for record in dataset.records:
-        if record.split not in (Split.TRAIN, Split.TEST):
-            continue
-        entry = acquirer.acquire_cached(record, spec)
-        if entry is None:
-            raise InsufficientSnippets(
-                f"no cached snippets at depth {depth} for entity {record.entity_id!r}"
-            )
-        texts[record.entity_id] = entry
-    return texts
 
 
 def ablate_snippets(
@@ -70,7 +54,14 @@ def ablate_snippets(
         raise InsufficientSnippets(
             f"cache holds snippets at depth {cached_depth}, but k={max(ks)} was requested"
         )
-    full = _cached_results(cache, dataset, cached_depth)
+    scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
+    spec = SourceSpec(Source.GSNIP, {"k": cached_depth})
+    full = TextAcquirer(dataset.scheme.task_id, cache).cached_texts(scored, spec)
+    missing = [r.entity_id for r in scored if r.entity_id not in full]
+    if missing:
+        raise InsufficientSnippets(
+            f"no cached snippets at depth {cached_depth} for entity {missing[0]!r}"
+        )
 
     train_records = dataset.by_split(Split.TRAIN)
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)

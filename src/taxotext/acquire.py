@@ -173,6 +173,17 @@ class TextAcquirer:
                 return combine_texts([p for p in parts if p is not None])
         return None
 
+    def cached_texts(
+        self, records: list[EntityRecord], spec: SourceSpec
+    ) -> dict[str, AcquiredText]:
+        """Texts resolved from the cache only, by entity id; misses are left out."""
+        texts = {}
+        for record in records:
+            hit = self.acquire_cached(record, spec)
+            if hit is not None:
+                texts[record.entity_id] = hit
+        return texts
+
     def acquire_all(
         self, records: list[EntityRecord], spec: SourceSpec, *, refresh: bool = False
     ) -> tuple[dict[str, AcquiredText], dict[str, Exception]]:

@@ -24,7 +24,7 @@ from pathlib import Path
 from .ablation import DEFAULT_KS, ablate_snippets, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
-from .config import PipelineConfig, load_config, snapshot
+from .config import PipelineConfig, load_config, parse_list, snapshot
 from .corpus import (
     build_instances, emit_chat_finetune, emit_tabular, load_tabular, read_json_rows,
 )
@@ -99,9 +99,8 @@ def _signature_and_split(ctx: RunContext, args) -> tuple[str, Split]:
 
 
 def _parse_list(raw: str, cast, what: str) -> tuple:
-    """Comma-separated values through cast; blank parts are skipped."""
     try:
-        return tuple(cast(part) for part in raw.split(",") if part.strip())
+        return parse_list(raw, cast)
     except ValueError as exc:
         raise ConfigError(f"bad {what} list: {raw!r}") from exc
 
@@ -172,16 +171,6 @@ def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquir
         ctx.config.task, ctx.cache, search_client=search, llm_client=llm,
         max_parallel=ctx.config.max_parallel,
     )
-
-
-def _cached_texts(ctx: RunContext, dataset: Dataset, spec: SourceSpec) -> dict:
-    acquirer = TextAcquirer(ctx.config.task, ctx.cache)
-    texts = {}
-    for record in dataset.records:
-        hit = acquirer.acquire_cached(record, spec)
-        if hit is not None:
-            texts[record.entity_id] = hit
-    return texts
 
 
 def write_predictions(predictions, path: str | Path) -> Path:
@@ -276,7 +265,7 @@ def cmd_build(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
     spec = _parse_signature(ctx, args.sources)
     signature = spec.signature
-    texts = _cached_texts(ctx, dataset, spec)
+    texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, spec)
     options = {"sources": signature, "strict": bool(args.strict)}
     _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
     for split in Split:
@@ -378,7 +367,11 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 def cmd_ablate(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
     ks = _parse_list(args.ks, int, "k") if args.ks else DEFAULT_KS
-    cached_depth = args.cached_depth if args.cached_depth else ctx.config.top_k
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}")
+    if args.cached_depth is not None and args.cached_depth < 1:
+        raise ConfigError(f"--cached-depth must be >= 1, got {args.cached_depth}")
+    cached_depth = args.cached_depth or ctx.config.top_k
     _write_manifest(ctx, args, {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset)
     points = ablate_snippets(
         dataset, ctx.cache, ks, cached_depth=cached_depth, train_config=ctx.config.training
@@ -399,7 +392,7 @@ def cmd_baseline(ctx: RunContext, args) -> int:
     contexts = None
     if args.context_sources:
         spec = _parse_signature(ctx, args.context_sources)
-        texts = _cached_texts(ctx, dataset, spec)
+        texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, spec)
         missing = [r.entity_id for r in records if r.entity_id not in texts]
         if missing and args.strict:
             raise MissingText(f"no cached text for {len(missing)} entities (first: {missing[0]})")

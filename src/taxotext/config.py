@@ -3,18 +3,22 @@
 Sections: [task], [acquisition], [training], [eval]. Every key has a
 default, so an empty (or absent) file yields a usable configuration;
 unknown sections or keys are rejected rather than silently ignored.
+Each key is declared once, in ``KEYS``, which drives parsing, the key
+checks and the manifest snapshot.
 """
 
 from __future__ import annotations
 
-import configparser
-from dataclasses import dataclass, field, replace
+from configparser import ConfigParser, Error as IniError
+from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
+from typing import Callable
 
 from .errors import ConfigError
 from .metrics import DEFAULT_THRESHOLDS
 from .softmax import TrainConfig
-from .taxonomy import DEFAULT_RATIOS, TaskId
+from .taxonomy import DEFAULT_RATIOS, TaskId, valid_ratios
 
 
 @dataclass(frozen=True)
@@ -42,85 +46,118 @@ class PipelineConfig:
     inclusive_thresholds: bool = False
 
 
-def snapshot(config: PipelineConfig) -> dict:
-    """Plain-dict view of the config, stable across runs, for the manifest."""
-    t = config.training
-    return {
-        "task": config.task.value,
-        "dataset": config.dataset,
-        "split_seed": config.split_seed,
-        "ratios": list(config.ratios),
-        "acquisition": {
-            "top_k": config.top_k,
-            "max_parallel": config.max_parallel,
-            "max_attempts": config.max_attempts,
-            "base_backoff": config.base_backoff,
-            "rate_per_second": config.rate_per_second,
-            "cache_dir": config.cache_dir,
-            "summary_max_tokens": config.summary_max_tokens,
-            "search_base_url": config.search_base_url,
-            "llm_base_url": config.llm_base_url,
-            "gpt_model": config.gpt_model,
-            "llama_model": config.llama_model,
-        },
-        "training": {
-            "epochs": t.epochs,
-            "batch_size": t.batch_size,
-            "eval_batch_size": t.eval_batch_size,
-            "learning_rate": t.learning_rate,
-            "warmup_steps": t.warmup_steps,
-            "weight_decay": t.weight_decay,
-            "seed": t.seed,
-        },
-        "eval": {
-            "thresholds": list(config.thresholds),
-            "inclusive_thresholds": config.inclusive_thresholds,
-        },
-    }
+def parse_list(raw: str, cast) -> tuple:
+    """Comma-separated values through cast; blank parts are skipped."""
+    return tuple(cast(part) for part in raw.split(",") if part.strip())
 
 
-_TASK_KEYS = {"name", "dataset", "split_seed", "ratios"}
-_ACQ_KEYS = {
-    "top_k",
-    "max_parallel",
-    "max_attempts",
-    "base_backoff",
-    "rate_per_second",
-    "cache_dir",
-    "summary_max_tokens",
-    "search_base_url",
-    "llm_base_url",
-    "gpt_model",
-    "llama_model",
-}
-_TRAIN_KEYS = {
-    "epochs",
-    "batch_size",
-    "eval_batch_size",
-    "learning_rate",
-    "warmup_steps",
-    "weight_decay",
-    "seed",
-}
-_EVAL_KEYS = {"thresholds", "inclusive"}
-_SECTIONS = {"task": _TASK_KEYS, "acquisition": _ACQ_KEYS, "training": _TRAIN_KEYS, "eval": _EVAL_KEYS}
+# A parser reads one key of a section, as ConfigParser.getint does; its
+# ValueError becomes a ConfigError naming the file.
+_Parser = Callable[[ConfigParser, str, str], object]
 
 
-def _check_keys(parser: configparser.ConfigParser, path: Path):
-    for section in parser.sections():
-        allowed = _SECTIONS.get(section)
-        if allowed is None:
-            raise ConfigError(f"{path}: unknown section [{section}]")
-        for key in parser[section]:
-            if key not in allowed:
-                raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+def _positive_int(ini: ConfigParser, section: str, key: str) -> int:
+    value = ini.getint(section, key)
+    if value < 1:
+        raise ValueError(f"{key} must be >= 1, got {value}")
+    return value
 
 
-def _floats(raw: str, path: Path, key: str) -> tuple[float, ...]:
+def _optional(ini: ConfigParser, section: str, key: str) -> str | None:
+    return ini.get(section, key).strip() or None
+
+
+def _required(ini: ConfigParser, section: str, key: str) -> str:
+    value = _optional(ini, section, key)
+    if value is None:
+        raise ValueError(f"{key} must not be empty")
+    return value
+
+
+def _task(ini: ConfigParser, section: str, key: str) -> TaskId:
+    raw = ini.get(section, key)
     try:
-        return tuple(float(part) for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad float list for '{key}': {raw!r}") from exc
+        return TaskId(raw.strip().upper())
+    except ValueError:
+        raise ValueError(f"unknown task name {raw!r}") from None
+
+
+def _floats(ini: ConfigParser, section: str, key: str) -> tuple[float, ...]:
+    raw = ini.get(section, key)
+    try:
+        return parse_list(raw, float)
+    except ValueError:
+        raise ValueError(f"bad float list for '{key}': {raw!r}") from None
+
+
+def _ratios(ini: ConfigParser, section: str, key: str) -> tuple[float, ...]:
+    ratios = _floats(ini, section, key)
+    if len(ratios) != 3:
+        raise ValueError(f"{key} needs exactly three values")
+    if not valid_ratios(ratios):
+        raise ValueError(f"{key} must be three non-negative numbers summing to 1: {ratios!r}")
+    return ratios
+
+
+# section -> INI key -> (attribute, parser). [training] attributes are
+# TrainConfig fields; the others are PipelineConfig fields.
+KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
+    "task": {
+        "name": ("task", _task),
+        "dataset": ("dataset", _optional),
+        "split_seed": ("split_seed", ConfigParser.getint),
+        "ratios": ("ratios", _ratios),
+    },
+    "acquisition": {
+        "top_k": ("top_k", ConfigParser.getint),
+        "max_parallel": ("max_parallel", ConfigParser.getint),
+        "max_attempts": ("max_attempts", ConfigParser.getint),
+        "base_backoff": ("base_backoff", ConfigParser.getfloat),
+        "rate_per_second": ("rate_per_second", ConfigParser.getfloat),
+        "cache_dir": ("cache_dir", _optional),
+        "summary_max_tokens": ("summary_max_tokens", ConfigParser.getint),
+        "search_base_url": ("search_base_url", _optional),
+        "llm_base_url": ("llm_base_url", _optional),
+        "gpt_model": ("gpt_model", _required),
+        "llama_model": ("llama_model", _required),
+    },
+    "training": {
+        "epochs": ("epochs", ConfigParser.getint),
+        "batch_size": ("batch_size", _positive_int),
+        "eval_batch_size": ("eval_batch_size", ConfigParser.getint),  # has no effect
+        "learning_rate": ("learning_rate", ConfigParser.getfloat),
+        "warmup_steps": ("warmup_steps", ConfigParser.getint),
+        "weight_decay": ("weight_decay", ConfigParser.getfloat),
+        "seed": ("seed", ConfigParser.getint),
+    },
+    "eval": {
+        "thresholds": ("thresholds", _floats),
+        "inclusive": ("inclusive_thresholds", ConfigParser.getboolean),
+    },
+}
+
+
+def _plain(value):
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def snapshot(config: PipelineConfig) -> dict:
+    """Plain-dict view of the config, stable across runs, for the manifest.
+
+    Values are keyed by attribute name: [task] values at the top level,
+    every other section nested under its own name.
+    """
+    out: dict = {}
+    for section, rows in KEYS.items():
+        owner = config.training if section == "training" else config
+        target = out if section == "task" else out.setdefault(section, {})
+        for attr, _ in rows.values():
+            target[attr] = _plain(getattr(owner, attr))
+    return out
 
 
 def load_config(path: str | Path | None) -> PipelineConfig:
@@ -129,71 +166,24 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser()
+    parser = ConfigParser()
     try:
         parser.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except IniError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    _check_keys(parser, path)
-
-    config = PipelineConfig()
-    try:
-        if parser.has_section("task"):
-            sec = parser["task"]
-            if "name" in sec:
-                raw = sec["name"].strip().upper()
-                try:
-                    config = replace(config, task=TaskId(raw))
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: unknown task name {sec['name']!r}") from exc
-            if "dataset" in sec:
-                config = replace(config, dataset=sec["dataset"].strip() or None)
-            if "split_seed" in sec:
-                config = replace(config, split_seed=sec.getint("split_seed"))
-            if "ratios" in sec:
-                parts = _floats(sec["ratios"], path, "ratios")
-                if len(parts) != 3:
-                    raise ConfigError(f"{path}: ratios needs exactly three values")
-                config = replace(config, ratios=parts)
-
-        if parser.has_section("acquisition"):
-            sec = parser["acquisition"]
-            updates = {}
-            for key in ("top_k", "max_parallel", "max_attempts", "summary_max_tokens"):
-                if key in sec:
-                    updates[key] = sec.getint(key)
-            for key in ("base_backoff", "rate_per_second"):
-                if key in sec:
-                    updates[key] = sec.getfloat(key)
-            for key in ("cache_dir", "search_base_url", "llm_base_url", "gpt_model", "llama_model"):
-                if key in sec:
-                    updates[key] = sec[key].strip() or None
-            if updates.get("gpt_model") is None and "gpt_model" in updates:
-                raise ConfigError(f"{path}: gpt_model must not be empty")
-            if updates.get("llama_model") is None and "llama_model" in updates:
-                raise ConfigError(f"{path}: llama_model must not be empty")
-            config = replace(config, **updates)
-
-        if parser.has_section("training"):
-            sec = parser["training"]
-            tr = config.training
-            kwargs = {}
-            for key in ("epochs", "batch_size", "eval_batch_size", "warmup_steps", "seed"):
-                if key in sec:
-                    kwargs[key] = sec.getint(key)
-            for key in ("learning_rate", "weight_decay"):
-                if key in sec:
-                    kwargs[key] = sec.getfloat(key)
-            config = replace(config, training=replace(tr, **kwargs))
-
-        if parser.has_section("eval"):
-            sec = parser["eval"]
-            if "thresholds" in sec:
-                config = replace(config, thresholds=_floats(sec["thresholds"], path, "thresholds"))
-            if "inclusive" in sec:
-                config = replace(config, inclusive_thresholds=sec.getboolean("inclusive"))
-    except ValueError as exc:
-        # configparser get* conversion failures land here
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    return config
+    values: dict = {}
+    training: dict = {}
+    for section in parser.sections():
+        rows = KEYS.get(section)
+        if rows is None:
+            raise ConfigError(f"{path}: unknown section [{section}]")
+        target = training if section == "training" else values
+        for key in parser[section]:
+            if key not in rows:
+                raise ConfigError(f"{path}: unknown key '{key}' in [{section}]")
+            attr, parse = rows[key]
+            try:
+                target[attr] = parse(parser, section, key)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+    return PipelineConfig(**values, training=TrainConfig(**training))

@@ -34,7 +34,6 @@ class RunManifest:
     config_fingerprint: str = ""
     dataset_fingerprint: str | None = None
     source_signatures: list[str] = field(default_factory=list)
-    deviations: list[str] = field(default_factory=list)
     commands: list[dict] = field(default_factory=list)
 
     @classmethod
@@ -62,7 +61,6 @@ class RunManifest:
             "config_fingerprint": self.config_fingerprint,
             "dataset_fingerprint": self.dataset_fingerprint,
             "source_signatures": self.source_signatures,
-            "deviations": self.deviations,
             "commands": self.commands,
         }
 
@@ -76,7 +74,6 @@ class RunManifest:
             config_fingerprint=payload.get("config_fingerprint", ""),
             dataset_fingerprint=payload.get("dataset_fingerprint"),
             source_signatures=list(payload.get("source_signatures", [])),
-            deviations=list(payload.get("deviations", [])),
             commands=list(payload.get("commands", [])),
         )
 

@@ -263,6 +263,11 @@ def _apportion(n: int, ratios: tuple[float, float, float]) -> list[int]:
     return counts
 
 
+def valid_ratios(ratios) -> bool:
+    """Three non-negative train/dev/test fractions that sum to 1 (within 1e-9)."""
+    return len(ratios) == 3 and all(r >= 0 for r in ratios) and abs(sum(ratios) - 1.0) <= 1e-9
+
+
 def split_dataset(
     dataset: Dataset,
     ratios: tuple[float, float, float] = DEFAULT_RATIOS,
@@ -275,7 +280,7 @@ def split_dataset(
     """
     if any(r.split is not None for r in dataset.records):
         return dataset
-    if len(ratios) != 3 or any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9:
+    if not valid_ratios(ratios):
         raise BadRatios(f"ratios must be three non-negative numbers summing to 1: {ratios!r}")
 
     ordered = sorted(dataset.records, key=lambda r: r.entity_id)

@@ -110,10 +110,12 @@ def test_depth_beyond_cache_is_rejected(tmp_path, sic_scheme):
 def test_missing_cache_entry_is_rejected(tmp_path, sic_scheme):
     dataset = _dataset(sic_scheme, n_train_per=3, n_test_per=1)
     cache = TextCache(tmp_path)
-    _seed_cache(cache, dataset, skip={"e0001"})
+    _seed_cache(cache, dataset, skip={"e0001", "e0005"})
     with pytest.raises(InsufficientSnippets) as exc_info:
         ablate_snippets(dataset, cache, ks=(1,), cached_depth=DEPTH, train_config=CONFIG)
+    # the first missing entity in record order is named
     assert "e0001" in str(exc_info.value)
+    assert "e0005" not in str(exc_info.value)
 
 
 def test_bad_ks_rejected(tmp_path, sic_scheme):

@@ -203,6 +203,7 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
         for sig in ("gsnip10", "gptsum", "gsnip10+gptsum"):
             sub = parse_source_signature(sig, TaskId.SIC)
             assert offline.acquire_cached(records[0], sub) is not None
+            assert set(offline.cached_texts(records, sub)) == {r.entity_id for r in records}
 
 
 def _acquire_combined(tmp_path, records, llm_key):
@@ -240,6 +241,7 @@ def test_acquire_cached_returns_none_when_absent(tmp_path):
     acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10", TaskId.SIC)
     assert acquirer.acquire_cached(_records(1)[0], spec) is None
+    assert acquirer.cached_texts(_records(1), spec) == {}
 
 
 # --- cache index writes -------------------------------------------------------------

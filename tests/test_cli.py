@@ -258,6 +258,28 @@ def test_manifest_written_before_outputs(workspace):
     assert not (runs / "r2" / "model").exists()
 
 
+@pytest.mark.parametrize(
+    "argv,line,bad_line",
+    [
+        (["train"], "batch_size = 4", "batch_size = 0"),
+        (["build"], "[task]", "[task]\nratios = -1, 1.5, 0.5"),
+    ],
+    ids=["zero-batch-size", "negative-ratio"],
+)
+def test_bad_config_value_exits_2_and_leaves_manifest_unchanged(workspace, argv, line, bad_line):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    good = _write_config(tmp_path / "good.ini", dataset=entities)
+    assert _run(["build"], runs, config=good) == 0
+    before = (runs / "r1" / "manifest.json").read_bytes()
+    bad = tmp_path / "bad.ini"
+    bad.write_text(good.read_text().replace(line, bad_line))
+    assert _run(argv, runs, config=bad) == 2
+    assert (runs / "r1" / "manifest.json").read_bytes() == before
+    assert _run(argv, runs, config=bad, run_id="r2") == 2
+    assert load_manifest(runs / "r2") is None
+
+
 def test_eval_compare_emits_per_category_csv(workspace):
     tmp_path, entities, snippets = workspace
     run_dir = _pipeline(tmp_path, entities, snippets, tmp_path / "runs")
@@ -357,6 +379,9 @@ def _test_split_predictions(path):
         ["eval", "--split", "bogus"],
         ["sweep", "--predictions", "{predictions}", "--thresholds", "0.5,x"],
         ["ablate", "--ks", "1,x"],
+        ["ablate", "--ks", "0"],
+        ["ablate", "--ks", ","],
+        ["ablate", "--cached-depth", "0"],
         ["acquire", "--sources", "gptsum"],
         ["baseline"],
     ],
@@ -367,6 +392,9 @@ def _test_split_predictions(path):
         "bad-split",
         "bad-thresholds",
         "bad-ks",
+        "zero-ks",
+        "empty-ks",
+        "zero-cached-depth",
         "acquire-gptsum-no-llm-url",
         "baseline-no-llm-key",
     ],

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import configparser
 import json
+from pathlib import Path
 
 import pytest
 
-from taxotext.config import PipelineConfig, load_config, snapshot
+from taxotext.config import KEYS, PipelineConfig, load_config, snapshot
 from taxotext.errors import ConfigError
 from taxotext.hashing import fingerprint
 from taxotext.manifest import (
@@ -112,6 +114,10 @@ def test_missing_file_is_config_error(tmp_path):
         ("[task]\nratios = a, b, c\n", "bad float"),
         ("[training]\nepochs = many\n", "invalid literal"),
         ("[acquisition]\ngpt_model =\n", "must not be empty"),
+        ("[training]\nbatch_size = 0\n", "batch_size must be >= 1"),
+        ("[task]\nratios = -1, 1.5, 0.5\n", "non-negative numbers summing to 1"),
+        ("[task]\nratios = 0.5, 0.5, 0.5\n", "non-negative numbers summing to 1"),
+        ("[task]\nratios = nan, 0.5, 0.5\n", "non-negative numbers summing to 1"),
     ],
 )
 def test_bad_files_raise_config_error(tmp_path, body, fragment):
@@ -128,6 +134,18 @@ def test_blank_optional_strings_stay_none(tmp_path):
     config = load_config(path)
     assert config.cache_dir is None
     assert config.search_base_url is None
+
+
+def test_readme_lists_every_config_key_with_its_default(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]
+    parser = configparser.ConfigParser()
+    parser.read_string(block)
+    documented = {section: set(parser[section]) for section in parser.sections()}
+    assert documented == {section: set(rows) for section, rows in KEYS.items()}
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    assert load_config(path) == PipelineConfig()
 
 
 def test_snapshot_is_json_stable():
@@ -210,6 +228,14 @@ def test_manifest_json_has_expected_top_level_keys(tmp_path):
         "config_fingerprint",
         "dataset_fingerprint",
         "source_signatures",
-        "deviations",
         "commands",
     }
+
+
+def test_manifest_with_old_deviations_key_still_loads(tmp_path):
+    payload = RunManifest.new("run-6", {"x": 1}).to_json()
+    payload["deviations"] = []
+    manifest_path(tmp_path).write_text(json.dumps(payload))
+    manifest = load_manifest(tmp_path)
+    assert manifest.run_id == "run-6"
+    assert "deviations" not in manifest.to_json()

@@ -20,7 +20,7 @@ def test_demos_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(demo):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    # The demos fall back to the mock servers' keys only when none is set.
+    # The demos pass their own key to the mock servers, so none is needed here.
     for name in ("SEARCH_API_KEY", "LLM_API_KEY"):
         env.pop(name, None)
     proc = subprocess.run(
