@@ -32,6 +32,14 @@ class AblationPoint:
     report: MacroReport
 
 
+def require_depth(ks: Sequence[int], cached_depth: int) -> None:
+    """Raise InsufficientSnippets unless the cached depth covers every k."""
+    if max(ks) > cached_depth:
+        raise InsufficientSnippets(
+            f"cache holds snippets at depth {cached_depth}, but k={max(ks)} was requested"
+        )
+
+
 def ablate_snippets(
     dataset: Dataset,
     cache: TextCache,
@@ -50,10 +58,7 @@ def ablate_snippets(
         raise ValueError("ks must be non-empty")
     if ks[0] < 1:
         raise ValueError("ks must be positive")
-    if max(ks) > cached_depth:
-        raise InsufficientSnippets(
-            f"cache holds snippets at depth {cached_depth}, but k={max(ks)} was requested"
-        )
+    require_depth(ks, cached_depth)
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
     spec = SourceSpec(Source.GSNIP, {"k": cached_depth})
     full = TextAcquirer(dataset.scheme.task_id, cache).cached_texts(scored, spec)

@@ -20,21 +20,12 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """What to acquire: a source plus the parameters that key its cache slot."""
+    """What to acquire: a provider source plus the parameters that key its
+    cache slot, or a combination of such sources, which is never cached."""
 
     source: Source
     params: dict = field(default_factory=dict)
     components: tuple["SourceSpec", ...] = ()
-
-    def key_params(self) -> dict:
-        if self.source is Source.COMBINED:
-            return {
-                "components": [
-                    {"source": c.source.value, "params": c.key_params()}
-                    for c in self.components
-                ]
-            }
-        return dict(self.params)
 
     @property
     def signature(self) -> str:
@@ -101,7 +92,7 @@ def parse_source_signature(
     if len(set(sources)) != len(sources):
         raise ValueError(f"signature {signature!r} repeats a source")
     # canonical component order (snippets first) so the same combination
-    # always maps to one cache key and one signature, however it was written
+    # always has one signature, however it was written
     specs.sort(key=lambda s: _COMBINE_ORDER[s.source])
     return SourceSpec(Source.COMBINED, components=tuple(specs))
 
@@ -134,44 +125,40 @@ class TextAcquirer:
         """Return the text for one record, fetching and caching on a miss.
 
         Cached entries are immutable; pass refresh=True to re-fetch and
-        overwrite. A combined source is assembled from its components'
-        acquisitions, so only those count as fetched, refused or failed.
+        overwrite. Only provider replies are cached: a combined text is
+        rebuilt from its components' acquisitions on every call.
         """
-        key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.key_params())
+        if spec.components:
+            parts = [self.acquire(record, c, refresh=refresh) for c in spec.components]
+            return combine_texts(parts)
+        key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
         if not refresh:
             hit = self.cache.load(key)
             if hit is not None:
                 self._count("hits")
                 return hit
-        if spec.source is Source.COMBINED:
-            text = combine_texts([self.acquire(record, c, refresh=refresh) for c in spec.components])
-        else:
-            try:
-                text = self._fetch(record, spec)
-            except TaxotextError:
-                self._count("failures")
-                raise
-            self._count("fetched")
-            if text.refusal:
-                self._count("refusals")
+        try:
+            text = self._fetch(record, spec)
+        except TaxotextError:
+            self._count("failures")
+            raise
+        self._count("fetched")
+        if text.refusal:
+            self._count("refusals")
         self.cache.store(key, text, self.task_id)
         return text
 
     def acquire_cached(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText | None:
         """Resolve a record's text from the cache only; None when absent.
 
-        Combined sources fall back to combining cached components when the
-        combined entry itself was never stored.
+        A combined source is None unless every component is cached.
         """
-        key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.key_params())
-        hit = self.cache.load(key)
-        if hit is not None:
-            return hit
-        if spec.source is Source.COMBINED:
+        if spec.components:
             parts = [self.acquire_cached(record, c) for c in spec.components]
-            if all(p is not None for p in parts):
-                return combine_texts([p for p in parts if p is not None])
-        return None
+            return None if any(p is None for p in parts) else combine_texts(parts)
+        return self.cache.load(
+            TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
+        )
 
     def cached_texts(
         self, records: list[EntityRecord], spec: SourceSpec

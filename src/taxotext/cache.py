@@ -1,7 +1,7 @@
 """Content-addressed on-disk cache for acquired texts.
 
-One JSON file per acquisition, named by the hex key hash, plus a human-
-readable index. Writes go through a temp file and an atomic rename, so a
+One JSON file per provider reply, named by the hex key hash, plus a human-
+readable index; combined texts are derived from these, never stored. Writes go through a temp file and an atomic rename, so a
 crash never leaves a half-written entry. Distinct keys may be written
 concurrently from worker threads.
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .ablation import DEFAULT_KS, ablate_snippets, write_ablation_csv
+from .ablation import DEFAULT_KS, ablate_snippets, require_depth, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .config import PipelineConfig, load_config, parse_list, snapshot
@@ -30,7 +30,7 @@ from .corpus import (
 )
 from .errors import (
     AuthError, ConfigError, EmptyCompletion, HttpError, JobFailed, LengthMismatch,
-    MalformedResponse, MissingText, TaxotextError,
+    MalformedResponse, MissingText, TaxotextError, UnknownLabel,
 )
 from .hashing import fingerprint
 from .http import RetryPolicy, TokenBucket
@@ -43,7 +43,7 @@ from .remote import INVALID, INVALID_LABEL, prompt_baseline
 from .search import SearchClient
 from .softmax import Prediction, load_model, predict_instances, save_model, train
 from .summarize import LlmClient
-from .taxonomy import CategoryLabel, Dataset, Split, load_dataset, load_scheme, split_dataset
+from .taxonomy import Dataset, Split, load_dataset, load_scheme, split_dataset
 from .texts import Source
 
 log = logging.getLogger(__name__)
@@ -117,6 +117,8 @@ def _load_split_dataset(ctx: RunContext, args) -> Dataset:
     path = args.dataset or ctx.config.dataset
     if not path:
         raise ConfigError("no dataset given; pass --dataset or set [task] dataset in the config")
+    if not Path(path).is_file():
+        raise ConfigError(f"dataset not found: {path}")
     scheme = load_scheme(ctx.config.task)
     dataset = load_dataset(path, scheme)
     return split_dataset(dataset, ctx.config.ratios, seed=ctx.config.split_seed)
@@ -141,13 +143,6 @@ def _write_manifest(
     save_manifest(manifest, ctx.run_dir)
 
 
-def _tree_sources(spec: SourceSpec) -> set[Source]:
-    found = {spec.source}
-    for component in spec.components:
-        found |= _tree_sources(component)
-    return found
-
-
 def _client(ctx: RunContext, cls, url_key: str):
     """A provider client for the configured base URL, with retry and rate limit."""
     cfg = ctx.config
@@ -163,7 +158,7 @@ def _client(ctx: RunContext, cls, url_key: str):
 
 
 def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquirer:
-    sources = set().union(*(_tree_sources(spec) for spec in specs))
+    sources = {leaf.source for spec in specs for leaf in spec.components or (spec,)}
     search = _client(ctx, SearchClient, "search_base_url") if Source.GSNIP in sources else None
     needs_llm = sources & {Source.GPTSUM, Source.LLAMASUM}
     llm = _client(ctx, LlmClient, "llm_base_url") if needs_llm else None
@@ -184,16 +179,13 @@ def write_predictions(predictions, path: str | Path) -> Path:
 
 
 def load_predictions(path: str | Path, scheme) -> list[Prediction]:
-    by_id = scheme.by_id
+    """Predictions from JSONL; a label outside the scheme, bar INVALID, is a data error."""
+    by_id = {**scheme.by_id, INVALID: INVALID_LABEL}
     out = []
-    for row in read_json_rows(path, ("entity_id", "label")):
-        label_id = row["label"]
-        if label_id in by_id:
-            label = by_id[label_id]
-        elif label_id == INVALID:
-            label = INVALID_LABEL
-        else:
-            label = CategoryLabel(label_id, label_id)
+    for rownum, row in read_json_rows(path, ("entity_id", "label")):
+        label = by_id.get(row["label"]) if isinstance(row["label"], str) else None
+        if label is None:
+            raise UnknownLabel(f"row {rownum}: unknown label {row['label']!r} in {path}")
         out.append(
             Prediction(entity_id=row["entity_id"], label=label, confidence=row.get("confidence"))
         )
@@ -372,6 +364,7 @@ def cmd_ablate(ctx: RunContext, args) -> int:
     if args.cached_depth is not None and args.cached_depth < 1:
         raise ConfigError(f"--cached-depth must be >= 1, got {args.cached_depth}")
     cached_depth = args.cached_depth or ctx.config.top_k
+    require_depth(ks, cached_depth)
     _write_manifest(ctx, args, {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset)
     points = ablate_snippets(
         dataset, ctx.cache, ks, cached_depth=cached_depth, train_config=ctx.config.training

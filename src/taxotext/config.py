@@ -166,7 +166,7 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    parser = ConfigParser()
+    parser = ConfigParser(interpolation=None)  # values are read verbatim, % included
     try:
         parser.read(path, encoding="utf-8")
     except IniError as exc:

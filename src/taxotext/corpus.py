@@ -147,8 +147,8 @@ def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Pa
     return out_path
 
 
-def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[dict]:
-    """The JSON objects of a JSONL file, skipping blank lines.
+def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:
+    """The JSON objects of a JSONL file with their line numbers, skipping blank lines.
 
     A line that is not JSON, not an object, or lacks one of `fields` raises
     ParseError naming the line number, the field and the file.
@@ -166,18 +166,18 @@ def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[dict]:
             for name in fields:
                 if name not in row:
                     raise ParseError(f"missing field {name!r} in {path}", row=rownum)
-            yield row
+            yield rownum, row
 
 
 def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[ClassificationInstance]:
     """Inverse of emit_tabular; round-trips instances losslessly."""
     by_id = scheme.by_id
     out: list[ClassificationInstance] = []
-    for row in read_json_rows(path, ("entity_id", "input_text", "source_signature")):
+    for rownum, row in read_json_rows(path, ("entity_id", "input_text", "source_signature")):
         gold = None
         if "gold" in row:
             if row["gold"] not in by_id:
-                raise UnknownLabel(f"gold label {row['gold']!r} not in scheme")
+                raise UnknownLabel(f"row {rownum}: unknown gold label {row['gold']!r} in {path}")
             gold = by_id[row["gold"]]
         out.append(
             ClassificationInstance(

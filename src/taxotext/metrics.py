@@ -15,6 +15,8 @@ from .taxonomy import CategoryLabel, TaxonomyScheme
 
 DEFAULT_THRESHOLDS = (0.60, 0.65, 0.70, 0.75, 0.80, 0.85)
 
+# The id of a prediction outside the scheme (an unparseable response);
+# remote exports it as INVALID.
 INVALID_COLUMN = "__invalid__"
 
 
@@ -229,35 +231,23 @@ def threshold_sweep(
                 f"prediction for {p.entity_id!r} has no confidence; "
                 "remote backends cannot be swept"
             )
-    index = {cid: i for i, cid in enumerate(scheme.ids)}
     n = len(scheme.ids)
-    full_support = np.zeros(n, dtype=np.int64)
-    for gold in golds:
-        row = index.get(gold.id)
-        if row is None:
-            raise UnknownGold(f"gold label {gold.id!r} not in scheme")
-        full_support[row] += 1
+    full_support = confusion(golds, golds, scheme).counts.diagonal()
 
     points = []
     total = len(predictions)
     for threshold in sorted(thresholds):
-        tp = np.zeros(n)
-        fp = np.zeros(n)
-        kept = 0
-        for pred, gold in zip(predictions, golds):
-            keep = pred.confidence >= threshold if inclusive else pred.confidence > threshold
-            if not keep:
-                continue
-            kept += 1
-            col = index.get(pred.label.id)
-            if col is None:
-                continue  # invalid prediction: kept but never a true positive
-            if pred.label.id == gold.id:
-                tp[col] += 1
-            else:
-                fp[col] += 1
+        kept = [
+            (gold, pred.label)
+            for pred, gold in zip(predictions, golds)
+            if (pred.confidence >= threshold if inclusive else pred.confidence > threshold)
+        ]
+        counts = confusion([g for g, _ in kept], [p for _, p in kept], scheme).counts
+        tp = counts.diagonal()
+        # column sums over the scheme's classes: invalid predictions stay out
+        predicted = counts[:, :n].sum(axis=0)
         precision = float(
-            np.mean([tp[i] / (tp[i] + fp[i]) if tp[i] + fp[i] > 0 else 0.0 for i in range(n)])
+            np.mean([tp[i] / predicted[i] if predicted[i] > 0 else 0.0 for i in range(n)])
         )
         recall = float(
             np.mean(
@@ -269,8 +259,8 @@ def threshold_sweep(
                 threshold=float(threshold),
                 precision=precision,
                 recall=recall,
-                coverage=kept / total,
-                n_labeled=kept,
+                coverage=len(kept) / total,
+                n_labeled=len(kept),
             )
         )
     return points

@@ -245,9 +245,3 @@ class MockLlmServer(_ServerBase):
                     self._send_json({"error": "not found"}, status=404)
 
         super().__init__(Handler, latency)
-
-
-def echo_code_reply(messages, model) -> str:
-    """Default reply: parrot the last user line (handy for tests)."""
-    text = messages[-1]["content"] if messages else ""
-    return text.splitlines()[-1] if text else ""

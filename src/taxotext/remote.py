@@ -10,13 +10,13 @@ from typing import Sequence
 from .corpus import ClassificationInstance, chat_messages
 from .errors import JobFailed, MalformedResponse
 from .http import request_json
+from .metrics import INVALID_COLUMN as INVALID
 from .softmax import Prediction
 from .summarize import LlmClient
 from .taxonomy import CategoryLabel, EntityRecord, TaskId, TaxonomyScheme
 
 logger = logging.getLogger(__name__)
 
-INVALID = "__invalid__"
 INVALID_LABEL = CategoryLabel(id=INVALID, display_name="unparseable response")
 
 # Tokens are alphanumeric runs, optionally hyphen-joined; a hyphen never

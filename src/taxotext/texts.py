@@ -17,7 +17,7 @@ class Source(Enum):
 
 # Order in which sources appear when texts are combined: snippets first,
 # then model summaries.
-_COMBINE_ORDER = {Source.GSNIP: 0, Source.GPTSUM: 1, Source.LLAMASUM: 2, Source.COMBINED: 3}
+_COMBINE_ORDER = {Source.GSNIP: 0, Source.GPTSUM: 1, Source.LLAMASUM: 2}
 
 COMBINE_SEPARATOR = "\n\n"
 

@@ -237,6 +237,38 @@ def test_acquire_combined_counts_one_failure_per_failed_entity(tmp_path):
     assert stats["fetched"] == 2  # the snippet components succeeded
 
 
+def test_combined_acquire_caches_only_provider_replies(tmp_path):
+    records = _records(3)
+    stats, results, errors, _ = _acquire_combined(tmp_path, records, "sk")
+    assert len(results) == 3 and not errors
+    entries = [
+        json.loads(p.read_text(encoding="utf-8"))
+        for p in (tmp_path / "c").glob("*.json") if p.name != INDEX_NAME
+    ]
+    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
+    assert len(entries) == len(index) == 2 * len(records)
+    assert sorted(e["source"] for e in entries) == ["GPTSUM"] * 3 + ["GSNIP"] * 3
+    assert sorted(e["source"] for e in index.values()) == ["GPTSUM"] * 3 + ["GSNIP"] * 3
+
+    # a warm rerun serves each component entry from the cache, no client needed
+    offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
+    spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+    rerun, errors = offline.acquire_all(records, spec)
+    assert rerun == results and not errors
+    assert offline.stats == {"fetched": 0, "hits": 6, "refusals": 0, "failures": 0}
+
+
+def test_combined_text_is_none_when_a_component_is_missing(tmp_path):
+    records = _records(2)
+    with MockSearchServer(_snippet_table(records), api_key="k") as server:
+        client = SearchClient(server.base_url, api_key="k")
+        acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
+        acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
+    spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+    assert acquirer.acquire_cached(records[0], spec) is None
+    assert acquirer.cached_texts(records, spec) == {}
+
+
 def test_acquire_cached_returns_none_when_absent(tmp_path):
     acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10", TaskId.SIC)

@@ -5,12 +5,13 @@ import json
 
 import pytest
 
-from taxotext.acquire import TextAcquirer
+from taxotext.acquire import TextAcquirer, parse_source_signature
+from taxotext.cache import TextCache
 from taxotext.cli import main
 from taxotext.errors import CacheCorrupt, HttpError
 from taxotext.manifest import load_manifest
 from taxotext.mockserver import MockLlmServer, MockSearchServer
-from taxotext.taxonomy import load_sic_scheme
+from taxotext.taxonomy import TaskId, load_dataset, load_sic_scheme
 
 CIDS = ("20", "58", "73")
 
@@ -327,6 +328,7 @@ def test_ablate_beyond_cached_depth_exits_4(workspace):
         )
         assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
         assert _run(["ablate", "--ks", "1,5"], runs, config=config) == 4
+    assert [c["command"] for c in load_manifest(runs / "r1").commands] == ["acquire"]
 
 
 def test_baseline_command(workspace):
@@ -384,6 +386,7 @@ def _test_split_predictions(path):
         ["ablate", "--cached-depth", "0"],
         ["acquire", "--sources", "gptsum"],
         ["baseline"],
+        ["build", "--dataset", "{missing}"],
     ],
     ids=[
         "predict-no-model",
@@ -397,12 +400,14 @@ def _test_split_predictions(path):
         "zero-cached-depth",
         "acquire-gptsum-no-llm-url",
         "baseline-no-llm-key",
+        "missing-dataset",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
     tmp_path, entities, _ = workspace
     predictions = _test_split_predictions(tmp_path / "preds.jsonl")
-    argv = [a.format(entities=entities, predictions=predictions) for a in argv]
+    missing = tmp_path / "nope.csv"
+    argv = [a.format(entities=entities, predictions=predictions, missing=missing) for a in argv]
     llm_url = None
     if argv[0] == "baseline":
         llm_url = "http://x"
@@ -414,6 +419,56 @@ def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch,
     assert _run(argv, runs, config=config) == 2
     assert load_manifest(runs / "r1") is None
 
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("label", ["99", ["20"]], ids=["unknown-id", "not-a-string"])
+def test_prediction_label_outside_the_scheme_exits_4(workspace, capsys, command, label):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    rows = predictions.read_text().splitlines()
+    rows[1] = json.dumps({"entity_id": "e006", "label": label, "confidence": 0.9})
+    predictions.write_text("\n".join(rows) + "\n")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = [command, "--predictions", str(predictions)]
+    assert _run(argv, tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "row 2" in err and repr(label) in err and str(predictions) in err
+
+
+def test_reserved_invalid_prediction_label_is_scored(workspace):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    rows = predictions.read_text().splitlines()
+    rows[1] = json.dumps({"entity_id": "e006", "label": "__invalid__", "confidence": 0.9})
+    predictions.write_text("\n".join(rows) + "\n")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = ["eval", "--predictions", str(predictions)]
+    assert _run(argv, tmp_path / "runs", config=config) == 0
+    report = json.loads((tmp_path / "runs/r1/reports/gsnip3-test-eval.json").read_text())
+    assert sum(row[-1] for row in report["confusion"]["counts"]) == 1
+
+
+def test_refreshed_component_reaches_the_combined_text(workspace):
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "A summary.", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        assert _run(["acquire", "--sources", "gsnip3+gptsum"], runs, config=config) == 0
+        for name in snippets:
+            snippets[name] = ["new snippet."]
+        assert _run(["--refresh", "acquire", "--sources", "gsnip3"], runs, config=config) == 0
+    records = load_dataset(entities, load_sic_scheme()).records
+    spec = parse_source_signature("gsnip3+gptsum", TaskId.SIC)
+    texts = TextAcquirer(TaskId.SIC, TextCache(runs / "r1/cache")).cached_texts(records, spec)
+    assert len(texts) == len(records)
+    assert {t.text for t in texts.values()} == {"new snippet.\n\nA summary."}
 
 
 @pytest.mark.parametrize(

@@ -136,6 +136,14 @@ def test_blank_optional_strings_stay_none(tmp_path):
     assert config.search_base_url is None
 
 
+def test_percent_in_a_value_is_read_verbatim(tmp_path):
+    path = tmp_path / "c.ini"
+    path.write_text("[acquisition]\nsearch_base_url = http://x/a%20b\ngpt_model = m%%1\n")
+    config = load_config(path)
+    assert config.search_base_url == "http://x/a%20b"
+    assert config.gpt_model == "m%%1"
+
+
 def test_readme_lists_every_config_key_with_its_default(tmp_path):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Configuration", 1)[1].split("```ini\n", 1)[1].split("```", 1)[0]

@@ -102,6 +102,12 @@ def test_cache_key_depends_on_all_parts():
     )
 
 
+def test_leaf_cache_key_is_pinned():
+    # a changed key would orphan every existing cache entry
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    assert key == "774acd2aea0dd2c84ced3e3739154345507d3e7a55bacc263dca670ee4280006"
+
+
 def test_cache_index_lists_entries(tmp_path):
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
