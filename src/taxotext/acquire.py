@@ -176,11 +176,13 @@ class TextAcquirer:
     ) -> tuple[dict[str, AcquiredText], dict[str, Exception]]:
         """Acquire texts for many records with a bounded worker pool.
 
-        The cache index is written once, when the pool has finished.
+        Each provider reply is stored as its own cache entry the moment it
+        arrives; a record that fails with a ``TaxotextError`` is logged and
+        returned in the error map.
         """
         results: dict[str, AcquiredText] = {}
         errors: dict[str, Exception] = {}
-        with self.cache.batch(), ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
+        with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
             futures = {
                 pool.submit(self.acquire, record, spec, refresh=refresh): record
                 for record in records

@@ -173,10 +173,14 @@ def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[Classificatio
     """Inverse of emit_tabular; round-trips instances losslessly."""
     by_id = scheme.by_id
     out: list[ClassificationInstance] = []
-    for rownum, row in read_json_rows(path, ("entity_id", "input_text", "source_signature")):
+    fields = ("entity_id", "input_text", "source_signature")
+    for rownum, row in read_json_rows(path, fields):
+        for name in fields:
+            if not isinstance(row[name], str):
+                raise ParseError(f"field {name!r} is not a string in {path}", row=rownum)
         gold = None
         if "gold" in row:
-            if row["gold"] not in by_id:
+            if not isinstance(row["gold"], str) or row["gold"] not in by_id:
                 raise UnknownLabel(f"row {rownum}: unknown gold label {row['gold']!r} in {path}")
             gold = by_id[row["gold"]]
         out.append(

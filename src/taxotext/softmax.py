@@ -246,7 +246,7 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
 
     n_classes = len(scheme.categories)
     W = np.zeros((n_classes, buckets.size))
-    buf = np.empty((n_classes, min(UPDATE_CHUNK_COLS, buckets.size)))
+    buf = np.empty((n_classes, max(1, min(UPDATE_CHUNK_COLS, buckets.size))))
     b = np.zeros(n_classes)
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)

@@ -3,17 +3,18 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
-from taxotext.cache import INDEX_NAME, TextCache
+from taxotext.cache import TextCache
 from taxotext.errors import AuthError, InsufficientSnippets
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.search import SearchClient
 from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, TaskId, load_sic_scheme
-from taxotext.texts import AcquiredText, Source
+from taxotext.texts import Source
 
 from conftest import make_records
 
@@ -241,14 +242,9 @@ def test_combined_acquire_caches_only_provider_replies(tmp_path):
     records = _records(3)
     stats, results, errors, _ = _acquire_combined(tmp_path, records, "sk")
     assert len(results) == 3 and not errors
-    entries = [
-        json.loads(p.read_text(encoding="utf-8"))
-        for p in (tmp_path / "c").glob("*.json") if p.name != INDEX_NAME
-    ]
-    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
-    assert len(entries) == len(index) == 2 * len(records)
+    entries = [json.loads(p.read_text(encoding="utf-8")) for p in (tmp_path / "c").iterdir()]
+    assert len(entries) == 2 * len(records)
     assert sorted(e["source"] for e in entries) == ["GPTSUM"] * 3 + ["GSNIP"] * 3
-    assert sorted(e["source"] for e in index.values()) == ["GPTSUM"] * 3 + ["GSNIP"] * 3
 
     # a warm rerun serves each component entry from the cache, no client needed
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
@@ -276,92 +272,49 @@ def test_acquire_cached_returns_none_when_absent(tmp_path):
     assert acquirer.cached_texts(_records(1), spec) == {}
 
 
-# --- cache index writes -------------------------------------------------------------
+# --- cache entry files -------------------------------------------------------------
 
 
-def _count_index_writes(monkeypatch):
-    writes = []
-    real = TextCache._atomic_write
+def test_cold_acquire_all_leaves_one_entry_file_per_provider_reply(tmp_path):
+    records = _records(4)
+    stats, results, errors, requests = _acquire_combined(tmp_path, records, "sk")
+    assert len(results) == 4 and not errors
+    files = sorted((tmp_path / "c").iterdir())
+    assert len(files) == requests == stats["fetched"] == 2 * len(records)
+    assert all(re.fullmatch(r"[0-9a-f]{64}\.json", p.name) for p in files)
 
-    def counting(self, path, payload):
-        if path.name == INDEX_NAME:
-            writes.append(path)
-        real(self, path, payload)
-
-    monkeypatch.setattr(TextCache, "_atomic_write", counting)
-    return writes
-
-
-def _entry_keys(cache_dir):
-    return {p.stem for p in cache_dir.glob("*.json") if p.name != INDEX_NAME}
-
-
-def test_acquire_all_writes_the_index_once(tmp_path, monkeypatch):
-    records = _records(50)
-    writes = _count_index_writes(monkeypatch)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
-        cache = TextCache(tmp_path / "c")
-        acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client, max_parallel=4)
-        spec = parse_source_signature("gsnip10", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
-    assert not errors and len(results) == 50
-    assert len(writes) == 1
-
-    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
+    gsnip = parse_source_signature("gsnip10", TaskId.SIC)
+    gptsum = parse_source_signature("gptsum", TaskId.SIC)
     expected = {
-        TextCache.key(TaskId.SIC, r.entity_id, Source.GSNIP, {"k": 10}): r.entity_id
+        TextCache.key(TaskId.SIC, r.entity_id, spec.source, spec.params):
+            ("SIC", r.entity_id, spec.source.value, spec.params)
         for r in records
+        for spec in (gsnip, gptsum)
     }
-    assert {key: entry["entity_id"] for key, entry in index.items()} == expected
-    assert set(index) == _entry_keys(tmp_path / "c")
+    found = {}
+    for p in files:
+        entry = json.loads(p.read_text(encoding="utf-8"))
+        found[p.stem] = (entry["task"], entry["entity_id"], entry["source"], entry["params"])
+    assert found == expected
 
 
-def test_batched_index_matches_one_store_at_a_time(tmp_path):
-    records = _records(8)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
-        acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "a"), search_client=client)
-        spec = parse_source_signature("gsnip10", TaskId.SIC)
-        results, _ = acquirer.acquire_all(records, spec)
-    unbatched = TextCache(tmp_path / "b")
-    for record in reversed(records):
-        key = TextCache.key(TaskId.SIC, record.entity_id, Source.GSNIP, {"k": 10})
-        unbatched.store(key, results[record.entity_id], TaskId.SIC)
-    assert (tmp_path / "a" / INDEX_NAME).read_bytes() == (tmp_path / "b" / INDEX_NAME).read_bytes()
-
-
-def test_index_keeps_entries_stored_before_acquire_all_raises(tmp_path, monkeypatch):
-    # no LLM client: each worker stores the snippet component, then raises
-    records = _records(6)
-    writes = _count_index_writes(monkeypatch)
+def test_an_old_index_json_is_ignored_and_left_in_place(tmp_path):
+    records = _records(3)
     with MockSearchServer(_snippet_table(records), api_key="k") as server:
         client = SearchClient(server.base_url, api_key="k")
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
-        spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-        with pytest.raises(ValueError):
-            acquirer.acquire_all(records, spec)
-    stored = _entry_keys(tmp_path / "c")
-    assert stored
-    index = json.loads((tmp_path / "c" / INDEX_NAME).read_text(encoding="utf-8"))
-    assert set(index) == stored
-    assert all(entry["source"] == "GSNIP" for entry in index.values())
-    assert len(writes) == 1
+        spec = parse_source_signature("gsnip10", TaskId.SIC)
+        results, _ = acquirer.acquire_all(records, spec)
+    # an index as older versions wrote it, here out of step with the entries
+    index_path = tmp_path / "c" / "index.json"
+    index_path.write_bytes(b'{\n  "stale": {"entity_id": "gone"}\n}')
+    before = index_path.read_bytes()
 
-
-def test_nested_batches_write_the_index_when_the_outermost_ends(tmp_path):
-    cache = TextCache(tmp_path / "c")
-    text = AcquiredText(
-        entity_id="e1", source=Source.GSNIP, params={"k": 10}, text="x",
-        retrieved_at="2026-01-01T00:00:00+00:00",
-    )
-    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
-    index_path = tmp_path / "c" / INDEX_NAME
-    with cache.batch():
-        with cache.batch():
-            cache.store(key, text, TaskId.SIC)
-        assert not index_path.exists()
-    assert key in json.loads(index_path.read_text(encoding="utf-8"))
+    offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
+    rerun, errors = offline.acquire_all(records, spec)
+    assert rerun == results and not errors
+    assert offline.stats["hits"] == 3
+    assert index_path.read_bytes() == before
 
 
 # --- HTTP connections -------------------------------------------------------------

@@ -492,6 +492,29 @@ def test_malformed_corpus_exits_4_without_traceback(workspace, capsys, content, 
     assert str(corpus) in err and field in err and "row 1" in err
 
 
+@pytest.mark.parametrize(
+    "field,value,message",
+    [
+        ("gold", ["20"], "unknown gold label ['20']"),
+        ("gold", 20, "unknown gold label 20"),
+        ("entity_id", 7, "field 'entity_id' is not a string"),
+        ("input_text", 5, "field 'input_text' is not a string"),
+        ("source_signature", None, "field 'source_signature' is not a string"),
+    ],
+    ids=["gold-list", "gold-int", "entity-id-int", "input-text-int", "signature-null"],
+)
+def test_corpus_field_of_the_wrong_type_exits_4(workspace, capsys, field, value, message):
+    tmp_path, entities, _ = workspace
+    good = {"entity_id": "e1", "input_text": "x\ny", "gold": "20", "source_signature": "gsnip3"}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    assert _run(["train", "--corpus", str(corpus)], tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(corpus) in err and message in err and "row 2" in err
+
+
 def test_malformed_predictions_exit_4(workspace, capsys):
     tmp_path, entities, _ = workspace
     predictions = _test_split_predictions(tmp_path / "preds.jsonl")

@@ -279,6 +279,26 @@ def test_predict_instances_preserves_order():
 # --- serialization ----------------------------------------------------------------
 
 
+def test_train_on_an_empty_vocabulary_gives_a_bias_only_model(tmp_path):
+    # no training text yields a feature: the dense update moves only the bias
+    scheme = load_sic_scheme()
+    instances = [
+        ClassificationInstance(f"y{k}", "--- !!", scheme.by_id[cid], "gsnip10")
+        for k, cid in enumerate(["20", "60", "60"])
+    ]
+    config = TrainConfig(epochs=2, batch_size=2, warmup_steps=2, weight_decay=0.02, seed=4)
+    model = train(instances, scheme, config)
+    assert model.cols.size == 0 and model.block.shape == (len(scheme.categories), 0)
+    _, b = _dense_oracle(instances, scheme, config)
+    assert np.allclose(model.b, b, rtol=0, atol=1e-14)
+
+    loaded = load_model(save_model(model, tmp_path / "m.model"), scheme)
+    assert np.array_equal(loaded.b, model.b) and loaded.cols.size == 0
+    for text in ("--- !!", "anvils and rockets"):
+        assert np.array_equal(predict_text(loaded, text).scores, predict_text(model, text).scores)
+    assert predict_text(loaded, "x").label == scheme.by_id["60"]
+
+
 def test_model_file_roundtrip(tmp_path):
     scheme = load_sic_scheme()
     instances = _instances(scheme, ["20", "60"], per_class=5)

@@ -108,13 +108,12 @@ def test_leaf_cache_key_is_pinned():
     assert key == "774acd2aea0dd2c84ced3e3739154345507d3e7a55bacc263dca670ee4280006"
 
 
-def test_cache_index_lists_entries(tmp_path):
+def test_cache_loads_an_entry_without_a_task_field(tmp_path):
+    # entries written before the task was recorded in them must still load
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
-    cache.store(key, _text(), TaskId.SIC)
-    index = json.loads((tmp_path / "cache" / "index.json").read_text())
-    assert key in index
-    assert index[key]["entity_id"] == "e1"
+    cache.path_for(key).write_text(json.dumps(_text().to_json()), encoding="utf-8")
+    assert cache.load(key) == _text()
 
 
 def test_cache_corrupt_entry_names_file(tmp_path):
@@ -137,35 +136,17 @@ def test_cache_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_cache_store_outside_a_batch_writes_the_index_at_once(tmp_path):
+def test_concurrent_stores_all_load_and_leave_no_temp_files(tmp_path):
+    # more threads than cores, switching often: every store must land whole
     cache = TextCache(tmp_path / "cache")
-    index_path = tmp_path / "cache" / "index.json"
-    for i in range(3):
-        key = TextCache.key(TaskId.SIC, f"e{i}", Source.GSNIP, {"k": 10})
-        cache.store(key, _text(entity=f"e{i}"), TaskId.SIC)
-        index = json.loads(index_path.read_text())
-        assert len(index) == i + 1
-        assert index[key]["entity_id"] == f"e{i}"
-
-
-def test_concurrent_batches_leave_a_complete_index(tmp_path):
-    # more threads than cores, switching often: a lost update of the batch
-    # depth or the dirty flag would leave keys out of the final index
-    cache = TextCache(tmp_path / "cache")
-    keys = []
+    keys = {}
 
     def worker(t):
-        for round_ in range(5):
-            with cache.batch():
-                for i in range(4):
-                    entity = f"e{t}-{round_}-{i}"
-                    key = TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10})
-                    cache.store(key, _text(entity=entity), TaskId.SIC)
-                    keys.append(key)
-            entity = f"bare{t}-{round_}"
+        for i in range(25):
+            entity = f"e{t}-{i}"
             key = TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10})
             cache.store(key, _text(entity=entity), TaskId.SIC)
-            keys.append(key)
+            keys[key] = entity
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -178,6 +159,9 @@ def test_concurrent_batches_leave_a_complete_index(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(keys) == 8 * 5 * 5
-    index = json.loads((tmp_path / "cache" / "index.json").read_text())
-    assert set(index) == set(keys)
+    assert len(keys) == 8 * 25
+    for key, entity in keys.items():
+        assert cache.load(key) == _text(entity=entity)
+    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
+        f"{key}.json" for key in keys
+    )
