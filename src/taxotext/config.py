@@ -124,7 +124,6 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
     "training": {
         "epochs": ("epochs", ConfigParser.getint),
         "batch_size": ("batch_size", _positive_int),
-        "eval_batch_size": ("eval_batch_size", ConfigParser.getint),  # has no effect
         "learning_rate": ("learning_rate", ConfigParser.getfloat),
         "warmup_steps": ("warmup_steps", ConfigParser.getint),
         "weight_decay": ("weight_decay", ConfigParser.getfloat),

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import fingerprint, token_hash64
+from .hashing import digests64, fingerprint
 
 N_BUCKETS = 1 << 18
 
@@ -47,16 +47,11 @@ def featurize(text: str) -> FeatureVector:
     punctuation-only text yields an empty vector.
     """
     tokens = tokenize(text)
-    counts: dict[int, float] = {}
-    for tok in tokens:
-        bucket = token_hash64(tok) % N_BUCKETS
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    for left, right in zip(tokens, tokens[1:]):
-        bucket = token_hash64(f"{left} {right}") % N_BUCKETS
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    if not counts:
+    if not tokens:
         return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    ngrams = tokens + [f"{left} {right}" for left, right in zip(tokens, tokens[1:])]
+    buckets = np.frombuffer(digests64(ngrams), dtype="<u8") % N_BUCKETS
+    indices, counts = np.unique(buckets, return_counts=True)
+    values = counts.astype(np.float64)
     values /= np.linalg.norm(values)
-    return FeatureVector(indices, values)
+    return FeatureVector(indices.astype(np.int64), values)

@@ -22,7 +22,26 @@ def fingerprint(obj) -> str:
     return sha256_hex(canonical_json(obj))
 
 
+# The one blake2b-64 definition behind token_hash64 and the feature buckets.
+# Only ever copied, never updated, so threads may share it.
+_BLAKE2B_64 = hashlib.blake2b(digest_size=8)
+
+
+def digests64(tokens) -> bytes:
+    """The 8-byte blake2b digests of each token's UTF-8 bytes, concatenated in order.
+
+    Copying one prebuilt hasher per token is cheaper than constructing one,
+    which parses its keyword arguments each time.
+    """
+    copy = _BLAKE2B_64.copy
+    parts = []
+    for token in tokens:
+        h = copy()
+        h.update(token.encode("utf-8"))
+        parts.append(h.digest())
+    return b"".join(parts)
+
+
 def token_hash64(token: str) -> int:
     """Stable 64-bit hash of a token; identical across runs and platforms."""
-    digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "little")
+    return int.from_bytes(digests64([token]), "little")

@@ -9,8 +9,6 @@ import threading
 import time
 from dataclasses import dataclass
 
-import requests
-
 from .errors import AuthError, ConfigError, HttpError, MalformedResponse
 
 logger = logging.getLogger(__name__)
@@ -126,6 +124,10 @@ def request_json(
     401/403 raise AuthError immediately and are never retried. A session
     made here (none passed) is closed before returning.
     """
+    # Imported here, not at module level: requests is most of the import
+    # time of taxotext.cli, and only commands that make requests need it.
+    import requests
+
     if session is None:
         with requests.Session() as own:
             return request_json(

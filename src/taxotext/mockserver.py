@@ -16,6 +16,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 
+class _Httpd(ThreadingHTTPServer):
+    # socketserver listens with a backlog of 5, which can drop part of a
+    # burst of simultaneous connects from a wide client pool.
+    request_queue_size = 64
+
+
 class _ServerBase:
     def __init__(self, handler_cls, latency: float = 0.0):
         self.latency = latency
@@ -24,7 +30,7 @@ class _ServerBase:
         self._in_flight = 0
         self._stats_lock = threading.Lock()
         self._fail_budget = 0
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler_cls)
+        self._httpd = _Httpd(("127.0.0.1", 0), handler_cls)
         self._httpd.owner = self
         self._thread = threading.Thread(target=self._httpd.serve_forever, daemon=True)
 

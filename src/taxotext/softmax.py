@@ -50,7 +50,6 @@ UPDATE_CHUNK_COLS = 2048
 class TrainConfig:
     epochs: int = 3
     batch_size: int = 8
-    eval_batch_size: int = 16  # read from [training]; nothing uses it
     # Default tuned for this backend; transformer-style rates (~5e-5) barely
     # move a linear model on unit-norm hashed features.
     learning_rate: float = 0.05
@@ -314,12 +313,8 @@ def predict_text(model: SoftmaxModel, text: str, entity_id: str | None = None) -
     return predict(model, featurize(text), entity_id=entity_id)
 
 
-def predict_instances(model: SoftmaxModel, instances, batch_size: int = 16) -> list[Prediction]:
-    """Predict a sequence of instances one at a time, in order.
-
-    ``batch_size`` has no effect; it stays so callers that pass it keep
-    working.
-    """
+def predict_instances(model: SoftmaxModel, instances) -> list[Prediction]:
+    """Predict a sequence of instances one at a time, in order."""
     return [predict_text(model, inst.input_text, entity_id=inst.entity_id) for inst in instances]
 
 

@@ -42,7 +42,6 @@ llama_model = llama-y
 [training]
 epochs = 7
 batch_size = 4
-eval_batch_size = 32
 learning_rate = 0.01
 warmup_steps = 100
 weight_decay = 0.0
@@ -90,7 +89,6 @@ def test_full_file_round_trip(tmp_path):
     assert config.llama_model == "llama-y"
     assert config.training.epochs == 7
     assert config.training.batch_size == 4
-    assert config.training.eval_batch_size == 32
     assert config.training.learning_rate == 0.01
     assert config.training.warmup_steps == 100
     assert config.training.weight_decay == 0.0
@@ -109,6 +107,7 @@ def test_missing_file_is_config_error(tmp_path):
     [
         ("[nonsense]\nx = 1\n", "unknown section"),
         ("[task]\ncolour = red\n", "unknown key"),
+        ("[training]\neval_batch_size = 16\n", "unknown key"),
         ("[task]\nname = zodiac\n", "unknown task"),
         ("[task]\nratios = 0.5, 0.5\n", "three values"),
         ("[task]\nratios = a, b, c\n", "bad float"),

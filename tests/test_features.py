@@ -1,11 +1,39 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxotext.features import N_BUCKETS, featurize, tokenize
-from taxotext.hashing import token_hash64
+from taxotext.features import N_BUCKETS, FeatureVector, featurize, tokenize
+from taxotext.hashing import digests64, token_hash64
+
+
+def _reference_featurize(text: str) -> FeatureVector:
+    """The per-ngram loop featurize replaced: the oracle it must match bit for bit."""
+    tokens = tokenize(text)
+    counts: dict[int, float] = {}
+    for tok in tokens:
+        bucket = token_hash64(tok) % N_BUCKETS
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    for left, right in zip(tokens, tokens[1:]):
+        bucket = token_hash64(f"{left} {right}") % N_BUCKETS
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    if not counts:
+        return FeatureVector(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices], dtype=np.float64)
+    values /= np.linalg.norm(values)
+    return FeatureVector(indices, values)
+
+
+def _assert_matches_reference(text: str) -> FeatureVector:
+    fv, ref = featurize(text), _reference_featurize(text)
+    assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
+    assert fv.indices.tobytes() == ref.indices.tobytes()
+    assert fv.values.tobytes() == ref.values.tobytes()
+    return fv
 
 
 def test_tokenize_lowercases_and_splits():
@@ -72,3 +100,61 @@ def test_featurize_norm_property(text):
         assert np.all(np.diff(fv.indices) > 0)
     else:
         assert tokenize(text) == []
+
+
+def test_token_hash64_is_pinned():
+    # blake2b with an 8-byte digest, read little-endian; bucket indices in
+    # saved models depend on these exact values
+    assert token_hash64("alpha") == 11099342189553124947
+    assert token_hash64("café") == 16417751708935026519
+    assert token_hash64("acme corp") == 9282487368440667551
+    assert token_hash64("") == 13020603013274838756
+
+
+def test_digests64_concatenates_in_order():
+    tokens = ["alpha", "café", "alpha beta", ""]
+    joined = digests64(tokens)
+    assert len(joined) == 8 * len(tokens)
+    assert [int.from_bytes(joined[i : i + 8], "little") for i in range(0, len(joined), 8)] == [
+        token_hash64(t) for t in tokens
+    ]
+    assert digests64([]) == b""
+
+
+_WORDS = ["alpha", "beta", "Café", "zürich", "x", "42", "classtoken"]
+_SEPARATORS = [" ", "_", ", ", "...", "\n", " - "]
+_word_runs = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=30
+).map(lambda parts: "".join(word + sep for word, sep in parts))
+_punctuation = st.text(alphabet=" .,;:!?-_()[]'\"\t\n", max_size=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.text(max_size=300), _word_runs, _punctuation))
+def test_featurize_matches_the_per_ngram_reference(text):
+    _assert_matches_reference(text)
+
+
+def test_featurize_matches_reference_on_edge_cases():
+    for text in ["", "   ", "...!?", "___", "a_b_c", "alpha alpha alpha alpha", "Ünïcödé テキスト 123"]:
+        _assert_matches_reference(text)
+
+
+def test_colliding_ngrams_count_twice():
+    # find two distinct tokens sharing a bucket; a few thousand suffice
+    # for 2^18 buckets
+    seen: dict[int, str] = {}
+    for i in itertools.count():
+        token = f"tok{i}"
+        bucket = token_hash64(token) % N_BUCKETS
+        if bucket in seen:
+            first = seen[bucket]
+            break
+        seen[bucket] = token
+    text = f"{first} {token}"
+    bigram = token_hash64(text) % N_BUCKETS
+    assert bigram != bucket
+    fv = _assert_matches_reference(text)
+    assert fv.indices.tolist() == sorted([bucket, bigram])
+    raw = np.array([2.0 if i == bucket else 1.0 for i in fv.indices])
+    assert fv.values.tobytes() == (raw / np.linalg.norm(raw)).tobytes()

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import requests
@@ -203,3 +207,20 @@ def test_request_without_session_closes_the_one_it_made(monkeypatch):
     monkeypatch.setattr(requests, "Session", ScriptedSession)
     assert request_json("GET", "http://unit.test/x") == {"ok": 7}
     assert len(closed) == 1
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # Offline commands (build, train, predict, eval, sweep, ablate) never
+    # make a request, so they should not pay for importing requests.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c", "import taxotext.cli"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+    assert "taxotext.cli" in imported
+    assert not [name for name in imported if name.split(".")[0] in ("requests", "urllib3")]

@@ -272,7 +272,7 @@ def test_predict_instances_preserves_order():
     scheme = load_sic_scheme()
     insts = _instances(scheme, ["20", "60"], per_class=3)
     model = SoftmaxModel(scheme)
-    preds = predict_instances(model, insts, batch_size=2)
+    preds = predict_instances(model, insts)
     assert [p.entity_id for p in preds] == [i.entity_id for i in insts]
 
 
