@@ -9,7 +9,6 @@ at several depths. Depth one misses the signal; deeper settings find it.
 import tempfile
 
 from taxotext import (
-    AcquiredText,
     Dataset,
     EntityRecord,
     Source,
@@ -17,10 +16,9 @@ from taxotext import (
     TextCache,
     TrainConfig,
     ablate_snippets,
-    aggregate_snippets,
     load_sic_scheme,
 )
-from taxotext.search import SearchResult
+from taxotext.acquire import snippet_text
 from taxotext.taxonomy import Split
 
 scheme = load_sic_scheme()
@@ -51,16 +49,7 @@ with tempfile.TemporaryDirectory() as root:
                 {"rank": rank, "title": f"t{rank}", "url": f"u{rank}",
                  "snippet": f"{marker} operations and {marker} services"}
             )
-        results = [SearchResult(p["rank"], p["title"], p["url"], p["snippet"])
-                   for p in provenance]
-        entry = AcquiredText(
-            entity_id=r.entity_id,
-            source=Source.GSNIP,
-            params={"k": DEPTH},
-            text=aggregate_snippets(results, DEPTH),
-            retrieved_at="2024-01-01T00:00:00Z",
-            provenance=provenance,
-        )
+        entry = snippet_text(r.entity_id, provenance, DEPTH, "2024-01-01T00:00:00Z")
         key = TextCache.key(TaskId.SIC, r.entity_id, Source.GSNIP, {"k": DEPTH})
         cache.store(key, entry, TaskId.SIC)
 

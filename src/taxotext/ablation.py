@@ -11,15 +11,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .acquire import SourceSpec, TextAcquirer
+from .acquire import SourceSpec, TextAcquirer, snippet_text
 from .cache import TextCache
 from .corpus import build_instances
 from .errors import InsufficientSnippets
-from .metrics import MacroReport, confusion, macro_report
-from .search import SearchResult, aggregate_snippets
+from .metrics import MacroReport, confusion, macro_report, write_csv
 from .softmax import TrainConfig, predict_instances, train
 from .taxonomy import Dataset, Split
-from .texts import AcquiredText, Source
+from .texts import Source
 
 logger = logging.getLogger(__name__)
 
@@ -72,20 +71,10 @@ def ablate_snippets(
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
     points = []
     for k in ks:
-        texts = {}
-        for entity_id, entry in full.items():
-            results = [
-                SearchResult(p["rank"], p["title"], p["url"], p["snippet"])
-                for p in entry.provenance
-            ]
-            texts[entity_id] = AcquiredText(
-                entity_id=entity_id,
-                source=Source.GSNIP,
-                params={"k": k},
-                text=aggregate_snippets(results, k),
-                retrieved_at=entry.retrieved_at,
-                provenance=entry.provenance[:k],
-            )
+        texts = {
+            entity_id: snippet_text(entity_id, entry.provenance, k, entry.retrieved_at)
+            for entity_id, entry in full.items()
+        }
         signature = f"gsnip{k}"
         train_build = build_instances(train_records, texts, signature)
         test_build = build_instances(test_records, texts, signature)
@@ -98,11 +87,5 @@ def ablate_snippets(
 
 
 def write_ablation_csv(points: Sequence[AblationPoint], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,macro_p,macro_r,macro_f1\n")
-        for point in points:
-            r = point.report
-            fh.write(f"{point.k},{r.macro_p!r},{r.macro_r!r},{r.macro_f1!r}\n")
-    return path
+    rows = ((p.k, p.report.macro_p, p.report.macro_r, p.report.macro_f1) for p in points)
+    return write_csv(path, "k,macro_p,macro_r,macro_f1", rows)

@@ -6,11 +6,11 @@ import logging
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .cache import TextCache
 from .errors import TaxotextError
-from .search import SearchClient, aggregate_snippets
+from .search import SearchClient, SearchResult, aggregate_snippets
 from .summarize import PROMPT_TEMPLATES, LlmClient, _utcnow, generate_summary
 from .taxonomy import EntityRecord, TaskId
 from .texts import _COMBINE_ORDER, AcquiredText, Source, combine_texts
@@ -95,6 +95,20 @@ def parse_source_signature(
     # always has one signature, however it was written
     specs.sort(key=lambda s: _COMBINE_ORDER[s.source])
     return SourceSpec(Source.COMBINED, components=tuple(specs))
+
+
+def snippet_text(entity_id: str, provenance: list[dict], k: int, retrieved_at: str) -> AcquiredText:
+    """The ``gsnip<k>`` text from the first k of an entity's search results, each
+    given as ``dataclasses.asdict`` of a ``SearchResult``, as cache entries hold them."""
+    kept = provenance[:k]
+    return AcquiredText(
+        entity_id=entity_id,
+        source=Source.GSNIP,
+        params={"k": k},
+        text=aggregate_snippets([SearchResult(**p) for p in kept], k),
+        retrieved_at=retrieved_at,
+        provenance=kept,
+    )
 
 
 class TextAcquirer:
@@ -201,17 +215,7 @@ class TextAcquirer:
                 raise ValueError("no search client configured for GSNIP acquisition")
             k = spec.params["k"]
             results = self.search_client.search_entity(record.name, k)
-            return AcquiredText(
-                entity_id=record.entity_id,
-                source=Source.GSNIP,
-                params={"k": k},
-                text=aggregate_snippets(results, k),
-                retrieved_at=_utcnow(),
-                provenance=[
-                    {"rank": r.rank, "title": r.title, "url": r.url, "snippet": r.snippet}
-                    for r in results
-                ],
-            )
+            return snippet_text(record.entity_id, [asdict(r) for r in results], k, _utcnow())
         if spec.source in (Source.GPTSUM, Source.LLAMASUM):
             if self.llm_client is None:
                 raise ValueError("no LLM client configured for summary acquisition")

@@ -2,9 +2,9 @@
 
 One JSON file per provider reply, named by the hex key hash; combined texts
 are derived from these, never stored. Each entry records the task, entity,
-source and params that key it. Writes go through a temp file and an atomic
-rename, so a crash never leaves a half-written entry, and distinct keys may
-be written concurrently from worker threads. The entry files are the whole
+source and params that key it. Entries are written by ``files.write_file``,
+so a crash never leaves a half-written entry, and distinct keys may be
+written concurrently from worker threads. The entry files are the whole
 cache: an ``index.json`` left by an older version is neither read nor
 written.
 """
@@ -12,11 +12,10 @@ written.
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from pathlib import Path
 
 from .errors import CacheCorrupt
+from .files import write_file
 from .hashing import fingerprint
 from .taxonomy import TaskId
 from .texts import AcquiredText, Source
@@ -56,9 +55,7 @@ class TextCache:
             raise CacheCorrupt(f"unreadable cache entry: {path}") from exc
 
     def store(self, key: str, text: AcquiredText, task_id: TaskId) -> Path:
-        path = self.path_for(key)
         payload = {**text.to_json(), "task": task_id.value}
-        tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
-        tmp.write_text(json.dumps(payload, ensure_ascii=False, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, path)
-        return path
+        return write_file(
+            self.path_for(key), [json.dumps(payload, ensure_ascii=False, sort_keys=True)]
+        )

@@ -30,8 +30,9 @@ from .corpus import (
 )
 from .errors import (
     AuthError, ConfigError, EmptyCompletion, HttpError, JobFailed, LengthMismatch,
-    MalformedResponse, MissingText, TaxotextError, UnknownLabel,
+    MalformedResponse, MissingText, ParseError, TaxotextError, UnknownLabel,
 )
+from .files import write_file
 from .hashing import fingerprint
 from .http import RetryPolicy, TokenBucket
 from .manifest import RunManifest, load_manifest, save_manifest
@@ -169,26 +170,26 @@ def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquir
 
 
 def write_predictions(predictions, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for p in predictions:
-            row = {"entity_id": p.entity_id, "label": p.label.id, "confidence": p.confidence}
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    return path
+    rows = (
+        {"entity_id": p.entity_id, "label": p.label.id, "confidence": p.confidence}
+        for p in predictions
+    )
+    return write_file(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
 def load_predictions(path: str | Path, scheme) -> list[Prediction]:
-    """Predictions from JSONL; a label outside the scheme, bar INVALID, is a data error."""
+    """Predictions from JSONL; a label outside the scheme (bar INVALID), or a
+    confidence neither null nor a number, is a data error."""
     by_id = {**scheme.by_id, INVALID: INVALID_LABEL}
     out = []
     for rownum, row in read_json_rows(path, ("entity_id", "label")):
         label = by_id.get(row["label"]) if isinstance(row["label"], str) else None
         if label is None:
             raise UnknownLabel(f"row {rownum}: unknown label {row['label']!r} in {path}")
-        out.append(
-            Prediction(entity_id=row["entity_id"], label=label, confidence=row.get("confidence"))
-        )
+        confidence = row.get("confidence")
+        if confidence is not None and type(confidence) not in (int, float):  # bool is no number
+            raise ParseError(f"confidence {confidence!r} is not a number in {path}", row=rownum)
+        out.append(Prediction(entity_id=row["entity_id"], label=label, confidence=confidence))
     return out
 
 
@@ -310,6 +311,8 @@ def cmd_predict(ctx: RunContext, args) -> int:
 
 def cmd_eval(ctx: RunContext, args) -> int:
     dataset, signature, split, pred_path, predictions, golds = _scored_predictions(ctx, args)
+    if args.compare:
+        earlier = load_report(_existing(args.compare, None, "report", "eval"), dataset.scheme)
     options = {"sources": signature, "split": split.value, "predictions": str(pred_path)}
     _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
     matrix = confusion(golds, [p.label for p in predictions], dataset.scheme)
@@ -327,7 +330,7 @@ def cmd_eval(ctx: RunContext, args) -> int:
         f"macro_f1={report.macro_f1:.4f} -> {report_path}"
     )
     if args.compare:
-        rows = per_category_table(load_report(args.compare, dataset.scheme), report)
+        rows = per_category_table(earlier, report)
         cmp_path = write_per_category_csv(rows, reports_dir / f"{stem}-compare.csv")
         print(f"per-category comparison -> {cmp_path}")
     return EXIT_OK

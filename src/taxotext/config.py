@@ -109,9 +109,9 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
         "ratios": ("ratios", _ratios),
     },
     "acquisition": {
-        "top_k": ("top_k", ConfigParser.getint),
+        "top_k": ("top_k", _positive_int),
         "max_parallel": ("max_parallel", ConfigParser.getint),
-        "max_attempts": ("max_attempts", ConfigParser.getint),
+        "max_attempts": ("max_attempts", _positive_int),
         "base_backoff": ("base_backoff", ConfigParser.getfloat),
         "rate_per_second": ("rate_per_second", ConfigParser.getfloat),
         "cache_dir": ("cache_dir", _optional),
@@ -122,7 +122,7 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
         "llama_model": ("llama_model", _required),
     },
     "training": {
-        "epochs": ("epochs", ConfigParser.getint),
+        "epochs": ("epochs", _positive_int),
         "batch_size": ("batch_size", _positive_int),
         "learning_rate": ("learning_rate", ConfigParser.getfloat),
         "warmup_steps": ("warmup_steps", ConfigParser.getint),

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingGold, MissingText, ParseError, UnknownLabel
+from .files import write_file
 from .hashing import sha256_hex
 from .taxonomy import CategoryLabel, EntityRecord, Split, TaxonomyScheme, _data_text
 from .texts import AcquiredText
@@ -120,13 +121,10 @@ def emit_chat_finetune(
     *,
     with_labels: bool,
 ) -> Path:
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        for inst in instances:
-            record = {"messages": chat_messages(inst, scheme, with_labels=with_labels)}
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
-    return out_path
+    messages = (chat_messages(inst, scheme, with_labels=with_labels) for inst in instances)
+    return write_file(
+        out_path, (json.dumps({"messages": m}, ensure_ascii=False) + "\n" for m in messages)
+    )
 
 
 def load_chat_finetune(path: str | Path) -> list[dict]:
@@ -135,16 +133,15 @@ def load_chat_finetune(path: str | Path) -> list[dict]:
 
 
 def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Path) -> Path:
-    out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+    def lines():
         for inst in instances:
             row: dict = {"entity_id": inst.entity_id, "input_text": inst.input_text}
             if inst.gold is not None:
                 row["gold"] = inst.gold.id
             row["source_signature"] = inst.source_signature
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-    return out_path
+            yield json.dumps(row, ensure_ascii=False) + "\n"
+
+    return write_file(out_path, lines())
 
 
 def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:

@@ -1,0 +1,26 @@
+"""The one way this package writes a file: to a temp file beside it, then an atomic rename."""
+
+from __future__ import annotations
+
+import os
+import uuid
+from pathlib import Path
+from typing import Iterable
+
+
+def write_file(path: str | Path, chunks: Iterable, *, binary: bool = False) -> Path:
+    """Write text chunks (as UTF-8, LF line endings) or byte chunks to path, making its parents.
+
+    A crash, or chunks that raise, leave an earlier file at path as it was and no temp file.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path

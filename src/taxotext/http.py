@@ -46,7 +46,9 @@ class TokenBucket:
         self._lock = threading.Lock()
 
     def acquire(self, tokens: float = 1.0) -> float:
-        """Block until `tokens` are available; return the seconds waited."""
+        """Block until `tokens` (at most the capacity) are available; return the seconds waited."""
+        if tokens > self.capacity:  # they would never be available: waiting would not end
+            raise ValueError(f"cannot acquire {tokens} tokens from a bucket of {self.capacity}")
         waited = 0.0
         while True:
             with self._lock:

@@ -2,19 +2,19 @@
 
 A manifest is written into the run directory before any artifact it
 describes, so a crashed run still leaves an accurate account of what was
-attempted. Timestamps live only here; report and corpus files stay
+attempted; ``files.write_file`` replaces it whole, so a crash never leaves
+it half-written. Timestamps live only here; report and corpus files stay
 byte-stable across reruns.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .files import write_file
 from .hashing import fingerprint
 
 MANIFEST_NAME = "manifest.json"
@@ -90,12 +90,6 @@ def load_manifest(run_dir: Path) -> RunManifest | None:
 
 
 def save_manifest(manifest: RunManifest, run_dir: Path):
-    run_dir = Path(run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    target = manifest_path(run_dir)
-    tmp = target.with_name(f".{target.name}.{uuid.uuid4().hex}.tmp")
-    tmp.write_text(
-        json.dumps(manifest.to_json(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+    write_file(
+        manifest_path(run_dir), [json.dumps(manifest.to_json(), indent=2, sort_keys=True), "\n"]
     )
-    os.replace(tmp, target)

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, MissingConfidence, SchemeMismatch, UnknownGold
+from .errors import LengthMismatch, MissingConfidence, ParseError, SchemeMismatch, UnknownGold
+from .files import write_file
 from .softmax import Prediction
 from .taxonomy import CategoryLabel, TaxonomyScheme
 
@@ -140,12 +142,15 @@ def report_to_json(report: MacroReport) -> dict:
 
 
 def write_report(report: MacroReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(report_to_json(report), fh, indent=2, sort_keys=True, ensure_ascii=False)
-        fh.write("\n")
-    return path
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, ensure_ascii=False)
+    return write_file(path, chain(encoder.iterencode(report_to_json(report)), ["\n"]))
+
+
+def write_csv(path: str | Path, header: str, rows: Iterable[Sequence]) -> Path:
+    """The header line, then a line per row: strings as they are, other values by
+    repr, so every float reads back exactly."""
+    lines = (",".join(v if isinstance(v, str) else repr(v) for v in row) + "\n" for row in rows)
+    return write_file(path, chain([header + "\n"], lines))
 
 
 def report_from_json(payload: dict, scheme: TaxonomyScheme) -> MacroReport:
@@ -183,18 +188,16 @@ def report_from_json(payload: dict, scheme: TaxonomyScheme) -> MacroReport:
 
 
 def load_report(path: str | Path, scheme: TaxonomyScheme) -> MacroReport:
+    """Read a report file; ParseError if it is not one, SchemeMismatch if under another scheme."""
     with open(path, encoding="utf-8") as fh:
-        return report_from_json(json.load(fh), scheme)
+        try:
+            return report_from_json(json.load(fh), scheme)
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ParseError(f"not a report: {path} ({type(exc).__name__}: {exc})") from None
 
 
 def write_class_scores_csv(report: MacroReport, path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("category_id,precision,recall,f1,support\n")
-        for s in report.per_class:
-            fh.write(f"{s.category_id},{s.precision!r},{s.recall!r},{s.f1!r},{s.support}\n")
-    return path
+    return write_csv(path, "category_id,precision,recall,f1,support", map(astuple, report.per_class))
 
 
 @dataclass(frozen=True)
@@ -267,13 +270,7 @@ def threshold_sweep(
 
 
 def write_sweep_csv(points: Sequence[ThresholdPoint], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("threshold,precision,recall,coverage,n_labeled\n")
-        for p in points:
-            fh.write(f"{p.threshold!r},{p.precision!r},{p.recall!r},{p.coverage!r},{p.n_labeled}\n")
-    return path
+    return write_csv(path, "threshold,precision,recall,coverage,n_labeled", map(astuple, points))
 
 
 def per_category_table(report_a: MacroReport, report_b: MacroReport) -> list[tuple]:
@@ -294,10 +291,4 @@ def per_category_table(report_a: MacroReport, report_b: MacroReport) -> list[tup
 
 
 def write_per_category_csv(rows: Sequence[tuple], path: str | Path) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("category_id,f1_a,f1_b,delta\n")
-        for cid, f1_a, f1_b, delta in rows:
-            fh.write(f"{cid},{f1_a!r},{f1_b!r},{delta!r}\n")
-    return path
+    return write_csv(path, "category_id,f1_a,f1_b,delta", rows)

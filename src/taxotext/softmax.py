@@ -24,6 +24,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from .errors import (
     UnknownLabel,
 )
 from .features import FEATURIZER_HASH, N_BUCKETS, FeatureVector, featurize
+from .files import write_file
 from .taxonomy import CategoryLabel, TaxonomyScheme
 
 logger = logging.getLogger(__name__)
@@ -324,8 +326,6 @@ def save_model(model: SoftmaxModel, path: str | Path) -> Path:
     Only columns with any nonzero weight are stored; bytes are identical
     across retrainings with the same data and seed.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     nonzero = np.any(model.block != 0.0, axis=0)
     cols = model.cols[nonzero]
     block = model.block[:, nonzero]
@@ -338,12 +338,12 @@ def save_model(model: SoftmaxModel, path: str | Path) -> Path:
         "scheme_fingerprint": model.scheme.fingerprint,
         "featurizer_hash": FEATURIZER_HASH,
     }
-    with open(path, "wb") as fh:
-        fh.write((json.dumps(header, sort_keys=True) + "\n").encode("utf-8"))
-        fh.write(cols.astype("<i8", copy=False).tobytes())
-        fh.write(block.astype("<f8", copy=False).tobytes())
-        fh.write(model.b.astype("<f8").tobytes())
-    return path
+    arrays = ((cols, "<i8"), (block, "<f8"), (model.b, "<f8"))
+    chunks = chain(
+        [(json.dumps(header, sort_keys=True) + "\n").encode("utf-8")],
+        (a.astype(dtype, copy=False).tobytes() for a, dtype in arrays),
+    )
+    return write_file(path, chunks, binary=True)
 
 
 def load_model(path: str | Path, scheme: TaxonomyScheme) -> SoftmaxModel:

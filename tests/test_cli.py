@@ -305,6 +305,25 @@ def test_eval_compare_emits_per_category_csv(workspace):
     assert all(line.endswith(",0.0") for line in lines[1:])
 
 
+@pytest.mark.parametrize(
+    "content",
+    ["{not json", json.dumps({"task": "SIC"}), json.dumps({"task": "HC"}), "[]"],
+    ids=["not-json", "no-confusion", "other-task", "not-an-object"],
+)
+def test_eval_compare_with_a_file_that_is_not_a_report_exits_4(workspace, capsys, content):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    earlier = tmp_path / "earlier.json"
+    earlier.write_text(content)
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = ["eval", "--predictions", str(predictions), "--compare", str(earlier)]
+    runs = tmp_path / "runs"
+    assert _run(argv, runs, config=config) == 4
+    assert "Traceback" not in capsys.readouterr().err
+    assert load_manifest(runs / "r1") is None
+    assert not (runs / "r1" / "reports").exists()
+
+
 def test_ablate_command_writes_csv(workspace):
     tmp_path, entities, snippets = workspace
     runs = tmp_path / "runs"
@@ -387,6 +406,7 @@ def _test_split_predictions(path):
         ["acquire", "--sources", "gptsum"],
         ["baseline"],
         ["build", "--dataset", "{missing}"],
+        ["eval", "--predictions", "{predictions}", "--compare", "{missing}"],
     ],
     ids=[
         "predict-no-model",
@@ -401,6 +421,7 @@ def _test_split_predictions(path):
         "acquire-gptsum-no-llm-url",
         "baseline-no-llm-key",
         "missing-dataset",
+        "eval-compare-missing",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
@@ -435,6 +456,22 @@ def test_prediction_label_outside_the_scheme_exits_4(workspace, capsys, command,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "row 2" in err and repr(label) in err and str(predictions) in err
+
+
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize("confidence", ["high", True, [0.9]], ids=["string", "bool", "list"])
+def test_prediction_confidence_not_a_number_exits_4(workspace, capsys, command, confidence):
+    tmp_path, entities, _ = workspace
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    rows = predictions.read_text().splitlines()
+    rows[1] = json.dumps({"entity_id": "e006", "label": "20", "confidence": confidence})
+    predictions.write_text("\n".join(rows) + "\n")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = [command, "--predictions", str(predictions)]
+    assert _run(argv, tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "row 2" in err and repr(confidence) in err and str(predictions) in err
 
 
 def test_reserved_invalid_prediction_label_is_scored(workspace):

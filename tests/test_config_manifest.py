@@ -114,6 +114,9 @@ def test_missing_file_is_config_error(tmp_path):
         ("[training]\nepochs = many\n", "invalid literal"),
         ("[acquisition]\ngpt_model =\n", "must not be empty"),
         ("[training]\nbatch_size = 0\n", "batch_size must be >= 1"),
+        ("[training]\nepochs = 0\n", "epochs must be >= 1"),
+        ("[acquisition]\ntop_k = 0\n", "top_k must be >= 1"),
+        ("[acquisition]\nmax_attempts = 0\n", "max_attempts must be >= 1"),
         ("[task]\nratios = -1, 1.5, 0.5\n", "non-negative numbers summing to 1"),
         ("[task]\nratios = 0.5, 0.5, 0.5\n", "non-negative numbers summing to 1"),
         ("[task]\nratios = nan, 0.5, 0.5\n", "non-negative numbers summing to 1"),

@@ -52,6 +52,24 @@ def test_token_bucket_rejects_nonpositive_rate():
         TokenBucket(rate=0.0)
 
 
+@pytest.mark.parametrize("rate,capacity,tokens", [(1.0, 0.5, 1.0), (2.0, None, 3.0)])
+def test_token_bucket_rejects_more_tokens_than_it_holds(rate, capacity, tokens):
+    clock = FakeClock()
+    sleeps = []
+
+    def bounded_sleep(seconds):
+        # a bucket that waits for tokens it can never hold would sleep forever
+        sleeps.append(seconds)
+        if len(sleeps) > 100:
+            raise RuntimeError("still waiting for tokens after 100 sleeps")
+        clock.sleep(seconds)
+
+    bucket = TokenBucket(rate=rate, capacity=capacity, clock=clock, sleep=bounded_sleep)
+    with pytest.raises(ValueError, match="cannot acquire"):
+        bucket.acquire(tokens)
+    assert sleeps == []
+
+
 class StubResponse:
     def __init__(self, status, payload=None, text="boom"):
         self.status_code = status
