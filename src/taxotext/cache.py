@@ -4,7 +4,8 @@ One JSON file per provider reply, named by the hex key hash; combined texts
 are derived from these, never stored. Each entry records the task, entity,
 source and params that key it. Entries are written by ``files.write_file``,
 so a crash never leaves a half-written entry, and distinct keys may be
-written concurrently from worker threads. The entry files are the whole
+written concurrently from worker threads. The directory is made by the
+first store; until then every load is a miss. The entry files are the whole
 cache: an ``index.json`` left by an older version is neither read nor
 written.
 """
@@ -24,7 +25,6 @@ from .texts import AcquiredText, Source
 class TextCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
 
     @staticmethod
     def key(task_id: TaskId, entity_id: str, source: Source, params: dict) -> str:
@@ -46,11 +46,11 @@ class TextCache:
     def load(self, key: str) -> AcquiredText | None:
         path = self.path_for(key)
         try:
-            raw = path.read_text(encoding="utf-8")
+            raw = path.read_bytes()
         except FileNotFoundError:
             return None
         try:
-            return AcquiredText.from_json(json.loads(raw))
+            return AcquiredText.from_json(json.loads(raw.decode("utf-8")))
         except (ValueError, KeyError, TypeError) as exc:
             raise CacheCorrupt(f"unreadable cache entry: {path}") from exc
 

@@ -107,10 +107,10 @@ def _parse_list(raw: str, cast, what: str) -> tuple:
 
 
 def _existing(explicit: str | None, default: Path, what: str, producer: str) -> Path:
-    """The explicit path, else the run-directory default; it must exist."""
+    """The explicit path, else the run-directory default; it must be a file."""
     path = Path(explicit) if explicit else default
-    if not path.exists():
-        raise ConfigError(f"{what} not found: {path}; run '{producer}' first")
+    if not path.is_file():
+        raise ConfigError(f"no {what} file at {path}; run '{producer}' first")
     return path
 
 

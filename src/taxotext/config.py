@@ -163,12 +163,12 @@ def load_config(path: str | Path | None) -> PipelineConfig:
     if path is None:
         return PipelineConfig()
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
     parser = ConfigParser(interpolation=None)  # values are read verbatim, % included
     try:
         parser.read(path, encoding="utf-8")
-    except IniError as exc:
+    except (IniError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     values: dict = {}
     training: dict = {}

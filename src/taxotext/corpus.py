@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import logging
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from .errors import MissingGold, MissingText, ParseError, UnknownLabel
-from .files import write_file
+from .files import read_lines, write_file
 from .hashing import sha256_hex
 from .taxonomy import CategoryLabel, EntityRecord, Split, TaxonomyScheme, _data_text
 from .texts import AcquiredText
@@ -148,10 +149,11 @@ def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[in
     """The JSON objects of a JSONL file with their line numbers, skipping blank lines.
 
     A line that is not JSON, not an object, or lacks one of `fields` raises
-    ParseError naming the line number, the field and the file.
+    ParseError naming the line number, the field and the file; so does a file
+    that is not UTF-8, naming the file.
     """
-    with open(path, encoding="utf-8") as fh:
-        for rownum, line in enumerate(fh, 1):
+    with closing(read_lines(path)) as lines:
+        for rownum, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:

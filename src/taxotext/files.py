@@ -1,11 +1,14 @@
-"""The one way this package writes a file: to a temp file beside it, then an atomic rename."""
+"""How this package writes a file (to a temp file beside it, then an atomic rename) and
+streams the lines of one it reads."""
 
 from __future__ import annotations
 
 import os
 import uuid
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
+
+from .errors import ParseError
 
 
 def write_file(path: str | Path, chunks: Iterable, *, binary: bool = False) -> Path:
@@ -24,3 +27,12 @@ def write_file(path: str | Path, chunks: Iterable, *, binary: bool = False) -> P
         tmp.unlink(missing_ok=True)
         raise
     return path
+
+
+def read_lines(path: str | Path, *, newline: str | None = None) -> Iterator[str]:
+    """The lines of a UTF-8 text file, read lazily; ParseError naming the file if not UTF-8."""
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError:
+            raise ParseError(f"not UTF-8 text: {path}") from None

@@ -10,10 +10,11 @@ byte-stable across reruns.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
+from .errors import ParseError
 from .files import write_file
 from .hashing import fingerprint
 
@@ -53,29 +54,22 @@ class RunManifest:
             self.source_signatures.append(signature)
 
     def to_json(self) -> dict:
-        return {
-            "run_id": self.run_id,
-            "created_at": self.created_at,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "config_fingerprint": self.config_fingerprint,
-            "dataset_fingerprint": self.dataset_fingerprint,
-            "source_signatures": self.source_signatures,
-            "commands": self.commands,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     @classmethod
     def from_json(cls, payload: dict) -> "RunManifest":
-        return cls(
-            run_id=payload["run_id"],
-            created_at=payload["created_at"],
-            tool_version=payload.get("tool_version", TOOL_VERSION),
-            config=payload.get("config", {}),
-            config_fingerprint=payload.get("config_fingerprint", ""),
-            dataset_fingerprint=payload.get("dataset_fingerprint"),
-            source_signatures=list(payload.get("source_signatures", [])),
-            commands=list(payload.get("commands", [])),
-        )
+        """Fields with defaults may be absent (older manifests); other keys are ignored.
+
+        A list or dict field that holds another JSON type is a TypeError.
+        """
+        manifest = cls(**{f.name: payload[f.name] for f in fields(cls) if f.name in payload})
+        for f in fields(cls):
+            # the factories here are the container types themselves
+            if f.default_factory in (list, dict) and not isinstance(
+                getattr(manifest, f.name), f.default_factory
+            ):
+                raise TypeError(f"{f.name!r} is not a {f.default_factory.__name__}")
+        return manifest
 
 
 def manifest_path(run_dir: Path) -> Path:
@@ -86,7 +80,10 @@ def load_manifest(run_dir: Path) -> RunManifest | None:
     path = manifest_path(run_dir)
     if not path.exists():
         return None
-    return RunManifest.from_json(json.loads(path.read_text(encoding="utf-8")))
+    try:
+        return RunManifest.from_json(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"not a manifest: {path} ({type(exc).__name__}: {exc})") from None
 
 
 def save_manifest(manifest: RunManifest, run_dir: Path):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -123,16 +123,7 @@ def report_to_json(report: MacroReport) -> dict:
         "macro_p": report.macro_p,
         "macro_r": report.macro_r,
         "macro_f1": report.macro_f1,
-        "per_class": [
-            {
-                "category_id": s.category_id,
-                "precision": s.precision,
-                "recall": s.recall,
-                "f1": s.f1,
-                "support": s.support,
-            }
-            for s in report.per_class
-        ],
+        "per_class": [asdict(s) for s in report.per_class],
         "confusion": {
             "rows": list(report.scheme.ids),
             "columns": list(report.scheme.ids) + [INVALID_COLUMN],
@@ -164,13 +155,7 @@ def report_from_json(payload: dict, scheme: TaxonomyScheme) -> MacroReport:
     if counts.shape != expected:
         raise SchemeMismatch(f"confusion shape {counts.shape} does not match scheme {expected}")
     per_class = tuple(
-        ClassScore(
-            category_id=row["category_id"],
-            precision=row["precision"],
-            recall=row["recall"],
-            f1=row["f1"],
-            support=row["support"],
-        )
+        ClassScore(**{f.name: row[f.name] for f in fields(ClassScore)})
         for row in payload["per_class"]
     )
     if tuple(s.category_id for s in per_class) != scheme.ids:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
 from importlib import resources
@@ -25,6 +26,7 @@ from .errors import (
     UnknownCategory,
     UnknownCode,
 )
+from .files import read_lines
 from .hashing import fingerprint
 
 DEFAULT_RATIOS = (0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -198,8 +200,8 @@ def load_dataset(path: str | Path, scheme: TaxonomyScheme) -> Dataset:
     row does.  An optional trailing ``label`` column is cross-checked
     against the label derived from ``raw_code``.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with closing(read_lines(path, newline="")) as lines:
+        reader = csv.reader(lines)
         try:
             header = next(reader)
         except StopIteration:

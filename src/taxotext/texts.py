@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .errors import MixedEntities
@@ -43,27 +43,16 @@ class AcquiredText:
             raise ValueError("refusal texts must be empty")
 
     def to_json(self) -> dict:
-        return {
-            "entity_id": self.entity_id,
-            "source": self.source.value,
-            "params": self.params,
-            "text": self.text,
-            "retrieved_at": self.retrieved_at,
-            "provenance": self.provenance,
-            "refusal": self.refusal,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["source"] = self.source.value
+        return payload
 
     @classmethod
     def from_json(cls, payload: dict) -> "AcquiredText":
-        return cls(
-            entity_id=payload["entity_id"],
-            source=Source(payload["source"]),
-            params=payload["params"],
-            text=payload["text"],
-            retrieved_at=payload["retrieved_at"],
-            provenance=payload["provenance"],
-            refusal=payload["refusal"],
-        )
+        """Every field is required; other keys (a cache entry's task) are ignored."""
+        values = {f.name: payload[f.name] for f in fields(cls)}
+        values["source"] = Source(values["source"])
+        return cls(**values)
 
 
 def combine_texts(parts: list[AcquiredText]) -> AcquiredText:

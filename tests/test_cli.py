@@ -12,6 +12,7 @@ from taxotext.errors import CacheCorrupt, HttpError
 from taxotext.manifest import load_manifest
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.taxonomy import TaskId, load_dataset, load_sic_scheme
+from taxotext.texts import AcquiredText
 
 CIDS = ("20", "58", "73")
 
@@ -407,6 +408,10 @@ def _test_split_predictions(path):
         ["baseline"],
         ["build", "--dataset", "{missing}"],
         ["eval", "--predictions", "{predictions}", "--compare", "{missing}"],
+        ["eval", "--predictions", "{directory}"],
+        ["train", "--corpus", "{directory}"],
+        ["predict", "--corpus", "{entities}", "--model", "{directory}"],
+        ["eval", "--predictions", "{predictions}", "--compare", "{directory}"],
     ],
     ids=[
         "predict-no-model",
@@ -422,13 +427,22 @@ def _test_split_predictions(path):
         "baseline-no-llm-key",
         "missing-dataset",
         "eval-compare-missing",
+        "predictions-directory",
+        "corpus-directory",
+        "model-directory",
+        "compare-directory",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
     tmp_path, entities, _ = workspace
     predictions = _test_split_predictions(tmp_path / "preds.jsonl")
     missing = tmp_path / "nope.csv"
-    argv = [a.format(entities=entities, predictions=predictions, missing=missing) for a in argv]
+    directory = tmp_path / "a-directory"
+    directory.mkdir()
+    argv = [
+        a.format(entities=entities, predictions=predictions, missing=missing, directory=directory)
+        for a in argv
+    ]
     llm_url = None
     if argv[0] == "baseline":
         llm_url = "http://x"
@@ -439,6 +453,68 @@ def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch,
     runs = tmp_path / "runs"
     assert _run(argv, runs, config=config) == 2
     assert load_manifest(runs / "r1") is None
+    assert not (runs / "r1" / "cache").exists()
+
+
+def _latin1(path, text):
+    """Write text as Latin-1: a file valid in all but its encoding."""
+    path.write_bytes(text.encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case,code",
+    [("dataset", 4), ("corpus", 4), ("predictions", 4), ("cache-entry", 4), ("config", 2)],
+)
+def test_input_that_is_not_utf8_exits_with_its_code(workspace, capsys, case, code):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = ["build", "--sources", "gsnip3"]
+    if case == "dataset":
+        bad = _latin1(tmp_path / "e.csv", entities.read_text().replace("Entity 001", "Entité 001"))
+        argv += ["--dataset", str(bad)]
+    elif case == "corpus":
+        row = {"entity_id": "e001", "input_text": "café", "source_signature": "gsnip3"}
+        bad = _latin1(tmp_path / "train.jsonl", json.dumps(row, ensure_ascii=False) + "\n")
+        argv = ["train", "--corpus", str(bad)]
+    elif case == "predictions":
+        rows = _test_split_predictions(tmp_path / "preds.jsonl").read_text()
+        rows = rows.replace('"confidence"', '"note": "café", "confidence"', 1)
+        bad = _latin1(tmp_path / "p.jsonl", rows)
+        argv = ["eval", "--predictions", str(bad)]
+    elif case == "cache-entry":
+        spec = parse_source_signature("gsnip3", TaskId.SIC)
+        key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
+        text = AcquiredText("e001", spec.source, spec.params, "café", "2026-01-01T00:00:00+00:00")
+        bad = TextCache(runs / "r1" / "cache").store(key, text, TaskId.SIC)
+        _latin1(bad, bad.read_text(encoding="utf-8"))
+    else:
+        config = bad = _latin1(tmp_path / "l.ini", config.read_text() + "# café\n")
+    assert _run(argv, runs, config=config) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(bad) in err
+    assert load_manifest(runs / "r1") is None
+
+
+@pytest.mark.parametrize(
+    "content", ["{trunc", '{"run_id": "r1"}'], ids=["truncated", "no-created_at"]
+)
+def test_malformed_manifest_exits_4_and_is_left_as_it_was(workspace, capsys, content):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    manifest = runs / "r1" / "manifest.json"
+    manifest.parent.mkdir(parents=True)
+    manifest.write_text(content)
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    predictions = _test_split_predictions(tmp_path / "preds.jsonl")
+    assert _run(["eval", "--predictions", str(predictions)], runs, config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(manifest) in err
+    assert manifest.read_text() == content
+    assert sorted(p.name for p in manifest.parent.iterdir()) == ["manifest.json"]
 
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from taxotext.config import KEYS, PipelineConfig, load_config, snapshot
-from taxotext.errors import ConfigError
+from taxotext.errors import ConfigError, ParseError
 from taxotext.hashing import fingerprint
 from taxotext.manifest import (
     MANIFEST_NAME,
@@ -249,3 +249,47 @@ def test_manifest_with_old_deviations_key_still_loads(tmp_path):
     manifest = load_manifest(tmp_path)
     assert manifest.run_id == "run-6"
     assert "deviations" not in manifest.to_json()
+
+
+def test_manifest_without_its_defaulted_fields_loads(tmp_path):
+    manifest_path(tmp_path).write_text(json.dumps({"run_id": "run-7", "created_at": "t"}))
+    manifest = load_manifest(tmp_path)
+    assert manifest.to_json() == RunManifest(run_id="run-7", created_at="t").to_json()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"{trunc",
+        b'{"run_id": "run-8"}',
+        b"[]",
+        b'"run_id"',
+        b"null",
+        b'{"run_id": "\xff"}',
+        b'{"run_id": "run-8", "created_at": "t", "commands": {}}',
+        b'{"run_id": "run-8", "created_at": "t", "config": []}',
+    ],
+    ids=[
+        "truncated", "no-created_at", "list", "string", "null", "not-utf8",
+        "commands-not-a-list", "config-not-a-dict",
+    ],
+)
+def test_malformed_manifest_is_a_parse_error_naming_the_file(tmp_path, content):
+    manifest_path(tmp_path).write_bytes(content)
+    with pytest.raises(ParseError) as err:
+        load_manifest(tmp_path)
+    assert str(manifest_path(tmp_path)) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "content", [None, b"[task]\nname = sic \xff\n"], ids=["directory", "not-utf8"]
+)
+def test_config_that_is_not_a_utf8_file_is_a_config_error(tmp_path, content):
+    path = tmp_path / "c.ini"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as err:
+        load_config(path)
+    assert str(path) in str(err.value)

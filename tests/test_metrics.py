@@ -8,6 +8,7 @@ import pytest
 from taxotext.errors import (
     LengthMismatch,
     MissingConfidence,
+    ParseError,
     SchemeMismatch,
     UnknownGold,
 )
@@ -223,6 +224,27 @@ def test_report_json_rejects_other_scheme(tmp_path):
     hc_like = dict(payload, task="HEALTHCARE")
     with pytest.raises(SchemeMismatch):
         report_from_json(hc_like, scheme)
+
+
+def test_report_rows_ignore_extra_keys():
+    scheme = _scheme(3)
+    report = _report(scheme)
+    payload = report_to_json(report)
+    for row in payload["per_class"]:
+        row["note"] = "added by a later version"
+    assert report_from_json(payload, scheme).per_class == report.per_class
+
+
+@pytest.mark.parametrize("missing", ["category_id", "precision", "recall", "f1", "support"])
+def test_report_row_without_a_field_is_a_parse_error(tmp_path, missing):
+    scheme = _scheme(3)
+    payload = report_to_json(_report(scheme))
+    del payload["per_class"][1][missing]
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        load_report(path, scheme)
+    assert str(path) in str(err.value)
 
 
 def test_write_report_is_deterministic(tmp_path):

@@ -112,8 +112,33 @@ def test_cache_loads_an_entry_without_a_task_field(tmp_path):
     # entries written before the task was recorded in them must still load
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    cache.root.mkdir(parents=True)
     cache.path_for(key).write_text(json.dumps(_text().to_json()), encoding="utf-8")
     assert cache.load(key) == _text()
+
+
+def test_cache_directory_is_made_by_the_first_store(tmp_path):
+    cache = TextCache(tmp_path / "cache")
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    assert not cache.root.exists()
+    assert cache.load(key) is None
+    assert not cache.contains(key)
+    cache.store(key, _text(), TaskId.SIC)
+    assert cache.load(key) == _text()
+
+
+@pytest.mark.parametrize(
+    "missing", ["entity_id", "source", "params", "text", "retrieved_at", "provenance", "refusal"]
+)
+def test_cache_entry_without_a_field_is_corrupt(tmp_path, missing):
+    cache = TextCache(tmp_path / "cache")
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    path = cache.store(key, _text(), TaskId.SIC)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload[missing]
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(CacheCorrupt):
+        cache.load(key)
 
 
 def test_cache_corrupt_entry_names_file(tmp_path):
