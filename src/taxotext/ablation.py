@@ -31,6 +31,11 @@ class AblationPoint:
     report: MacroReport
 
 
+def default_ks(cached_depth: int) -> tuple[int, ...]:
+    """The DEFAULT_KS entries that a cache filled at cached_depth covers."""
+    return tuple(k for k in DEFAULT_KS if k <= cached_depth)
+
+
 def require_depth(ks: Sequence[int], cached_depth: int) -> None:
     """Raise InsufficientSnippets unless the cached depth covers every k."""
     if max(ks) > cached_depth:
@@ -42,7 +47,7 @@ def require_depth(ks: Sequence[int], cached_depth: int) -> None:
 def ablate_snippets(
     dataset: Dataset,
     cache: TextCache,
-    ks: Sequence[int] = DEFAULT_KS,
+    ks: Sequence[int] | None = None,
     *,
     cached_depth: int,
     train_config: TrainConfig | None = None,
@@ -50,8 +55,11 @@ def ablate_snippets(
     """Evaluate test macro scores while varying the snippet count.
 
     cached_depth is the k the cache was populated at; it must cover
-    max(ks). Points come back in ascending k.
+    max(ks). ks defaults to ``default_ks(cached_depth)``. Points come back
+    in ascending k.
     """
+    if ks is None:
+        ks = default_ks(cached_depth)
     ks = sorted(set(int(k) for k in ks))
     if not ks:
         raise ValueError("ks must be non-empty")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .ablation import DEFAULT_KS, ablate_snippets, require_depth, write_ablation_csv
+from .ablation import ablate_snippets, default_ks, require_depth, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .config import PipelineConfig, load_config, parse_list, snapshot
@@ -361,12 +361,12 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 
 def cmd_ablate(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
-    ks = _parse_list(args.ks, int, "k") if args.ks else DEFAULT_KS
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}")
     if args.cached_depth is not None and args.cached_depth < 1:
         raise ConfigError(f"--cached-depth must be >= 1, got {args.cached_depth}")
     cached_depth = args.cached_depth or ctx.config.top_k
+    ks = _parse_list(args.ks, int, "k") if args.ks else default_ks(cached_depth)
+    if not ks or min(ks) < 1:
+        raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}")
     require_depth(ks, cached_depth)
     _write_manifest(ctx, args, {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset)
     points = ablate_snippets(
@@ -459,7 +459,7 @@ _COMMANDS = {
     ]),
     "ablate": (cmd_ablate, "retrain and score at several snippet depths", [
         _DATASET,
-        ("--ks", {"help": "comma-separated snippet counts"}),
+        ("--ks", {"help": "comma-separated snippet counts (default: 1,5,10,15,20 up to the depth)"}),
         ("--cached-depth", {"type": int, "default": None, "help": "depth the cache was filled at"}),
     ]),
     "baseline": (cmd_baseline, "zero-shot classification by prompting a hosted model", [
@@ -496,6 +496,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             training = replace(config.training, seed=args.seed)
             config = replace(config, split_seed=args.seed, training=training)
         run_id = args.run_id or _generate_run_id()

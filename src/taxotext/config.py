@@ -56,11 +56,16 @@ def parse_list(raw: str, cast) -> tuple:
 _Parser = Callable[[ConfigParser, str, str], object]
 
 
-def _positive_int(ini: ConfigParser, section: str, key: str) -> int:
-    value = ini.getint(section, key)
-    if value < 1:
-        raise ValueError(f"{key} must be >= 1, got {value}")
-    return value
+def _at_least(minimum, get=ConfigParser.getint) -> _Parser:
+    """A parser that reads a number through get and rejects one below minimum."""
+
+    def parse(ini: ConfigParser, section: str, key: str):
+        value = get(ini, section, key)
+        if not value >= minimum:  # a NaN fails this too
+            raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _optional(ini: ConfigParser, section: str, key: str) -> str | None:
@@ -109,25 +114,25 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
         "ratios": ("ratios", _ratios),
     },
     "acquisition": {
-        "top_k": ("top_k", _positive_int),
+        "top_k": ("top_k", _at_least(1)),
         "max_parallel": ("max_parallel", ConfigParser.getint),
-        "max_attempts": ("max_attempts", _positive_int),
-        "base_backoff": ("base_backoff", ConfigParser.getfloat),
+        "max_attempts": ("max_attempts", _at_least(1)),
+        "base_backoff": ("base_backoff", _at_least(0, ConfigParser.getfloat)),
         "rate_per_second": ("rate_per_second", ConfigParser.getfloat),
         "cache_dir": ("cache_dir", _optional),
-        "summary_max_tokens": ("summary_max_tokens", ConfigParser.getint),
+        "summary_max_tokens": ("summary_max_tokens", _at_least(1)),
         "search_base_url": ("search_base_url", _optional),
         "llm_base_url": ("llm_base_url", _optional),
         "gpt_model": ("gpt_model", _required),
         "llama_model": ("llama_model", _required),
     },
     "training": {
-        "epochs": ("epochs", _positive_int),
-        "batch_size": ("batch_size", _positive_int),
+        "epochs": ("epochs", _at_least(1)),
+        "batch_size": ("batch_size", _at_least(1)),
         "learning_rate": ("learning_rate", ConfigParser.getfloat),
         "warmup_steps": ("warmup_steps", ConfigParser.getint),
         "weight_decay": ("weight_decay", ConfigParser.getfloat),
-        "seed": ("seed", ConfigParser.getint),
+        "seed": ("seed", _at_least(0)),
     },
     "eval": {
         "thresholds": ("thresholds", _floats),

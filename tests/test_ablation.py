@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from taxotext.ablation import AblationPoint, ablate_snippets, write_ablation_csv
+from taxotext.ablation import AblationPoint, ablate_snippets, default_ks, write_ablation_csv
 from taxotext.cache import TextCache
 from taxotext.errors import InsufficientSnippets
 from taxotext.metrics import MacroReport, confusion, macro_report
@@ -116,6 +116,17 @@ def test_missing_cache_entry_is_rejected(tmp_path, sic_scheme):
     # the first missing entity in record order is named
     assert "e0001" in str(exc_info.value)
     assert "e0005" not in str(exc_info.value)
+
+
+def test_default_ks_are_the_depths_the_cache_covers(tmp_path, sic_scheme):
+    assert default_ks(1) == (1,)
+    assert default_ks(12) == (1, 5, 10)
+    assert default_ks(20) == (1, 5, 10, 15, 20)
+    dataset = _dataset(sic_scheme, n_train_per=3, n_test_per=1)
+    cache = TextCache(tmp_path)
+    _seed_cache(cache, dataset)
+    points = ablate_snippets(dataset, cache, cached_depth=DEPTH, train_config=CONFIG)
+    assert [p.k for p in points] == [1, 5]
 
 
 def test_bad_ks_rejected(tmp_path, sic_scheme):

@@ -265,8 +265,14 @@ def test_manifest_written_before_outputs(workspace):
     [
         (["train"], "batch_size = 4", "batch_size = 0"),
         (["build"], "[task]", "[task]\nratios = -1, 1.5, 0.5"),
+        (["train"], "batch_size = 4", "batch_size = 4\nseed = -3"),
+        (["build"], "top_k = 3", "top_k = 3\nbase_backoff = -1"),
+        (["build"], "top_k = 3", "top_k = 3\nsummary_max_tokens = 0"),
     ],
-    ids=["zero-batch-size", "negative-ratio"],
+    ids=[
+        "zero-batch-size", "negative-ratio", "negative-training-seed", "negative-backoff",
+        "zero-summary-max-tokens",
+    ],
 )
 def test_bad_config_value_exits_2_and_leaves_manifest_unchanged(workspace, argv, line, bad_line):
     tmp_path, entities, _ = workspace
@@ -337,6 +343,23 @@ def test_ablate_command_writes_csv(workspace):
     lines = (runs / "r1/reports/ablation.csv").read_text().splitlines()
     assert lines[0] == "k,macro_p,macro_r,macro_f1"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
+def test_ablate_without_ks_runs_the_default_depths_the_cache_holds(workspace):
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as server:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=server.base_url
+        )
+        assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
+        assert _run(["ablate"], runs, config=config) == 0
+    # the cache was filled at top_k = 3, which covers only k=1 of DEFAULT_KS
+    lines = (runs / "r1/reports/ablation.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["1"]
+    ablate = load_manifest(runs / "r1").commands[-1]
+    assert ablate["command"] == "ablate"
+    assert ablate["options"]["ks"] == [1]
 
 
 def test_ablate_beyond_cached_depth_exits_4(workspace):
@@ -412,6 +435,7 @@ def _test_split_predictions(path):
         ["train", "--corpus", "{directory}"],
         ["predict", "--corpus", "{entities}", "--model", "{directory}"],
         ["eval", "--predictions", "{predictions}", "--compare", "{directory}"],
+        ["--seed", "-1", "build"],
     ],
     ids=[
         "predict-no-model",
@@ -431,6 +455,7 @@ def _test_split_predictions(path):
         "corpus-directory",
         "model-directory",
         "compare-directory",
+        "negative-seed",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):

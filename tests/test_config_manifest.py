@@ -120,6 +120,10 @@ def test_missing_file_is_config_error(tmp_path):
         ("[task]\nratios = -1, 1.5, 0.5\n", "non-negative numbers summing to 1"),
         ("[task]\nratios = 0.5, 0.5, 0.5\n", "non-negative numbers summing to 1"),
         ("[task]\nratios = nan, 0.5, 0.5\n", "non-negative numbers summing to 1"),
+        ("[training]\nseed = -3\n", "seed must be >= 0"),
+        ("[acquisition]\nbase_backoff = -1\n", "base_backoff must be >= 0"),
+        ("[acquisition]\nbase_backoff = nan\n", "base_backoff must be >= 0"),
+        ("[acquisition]\nsummary_max_tokens = 0\n", "summary_max_tokens must be >= 1"),
     ],
 )
 def test_bad_files_raise_config_error(tmp_path, body, fragment):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import http.client
+import json
 import time
 
 import pytest
@@ -52,3 +54,78 @@ def test_handler_that_raises_stops_counting(capsys):
     assert server.request_count == 1
     assert server._in_flight == 0
     capsys.readouterr()  # the server thread's traceback
+
+
+CHAT = json.dumps({"messages": [{"role": "user", "content": "hi"}], "model": "m"}).encode()
+
+
+def _send(server, method, path, key):
+    """One request straight over http.client, with no client retry; its status."""
+    host, port = server.base_url.removeprefix("http://").split(":")
+    headers = {}
+    if isinstance(server, MockSearchServer):
+        path += f"&api_key={key}"
+    else:
+        headers["Authorization"] = f"Bearer {key}"
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request(method, path, body=CHAT if method == "POST" else None, headers=headers)
+        response = conn.getresponse()
+        response.read()
+        return response.status
+    finally:
+        conn.close()
+
+
+@pytest.fixture(scope="module")
+def wire_servers():
+    search = MockSearchServer({"Acme": ["a", "b"]}, api_key="k")
+    llm = MockLlmServer(lambda messages, model: "A summary.", api_key="k")
+    llm.jobs["ftjob-1"] = {"polls": 0, "request": {}}
+    with search, llm:
+        yield {"search": search, "llm": llm}
+
+
+@pytest.mark.parametrize(
+    "kind,method,path,key,fail,latency,status",
+    [
+        ("search", "GET", "/search?q=Acme&num=2", "k", False, 0.0, 200),
+        ("llm", "POST", "/chat/completions", "k", False, 0.0, 200),
+        ("llm", "POST", "/files", "k", False, 0.0, 200),
+        ("llm", "POST", "/fine_tuning/jobs", "k", False, 0.0, 200),
+        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", False, 0.0, 200),
+        ("search", "GET", "/search?q=Acme&num=2", "wrong", False, 0.0, 401),
+        ("llm", "POST", "/chat/completions", "wrong", False, 0.0, 401),
+        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "wrong", False, 0.0, 401),
+        ("search", "GET", "/search?q=Acme&num=2", "k", True, 0.0, 500),
+        ("llm", "POST", "/chat/completions", "k", True, 0.0, 500),
+        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", True, 0.0, 500),
+        ("llm", "POST", "/nowhere", "k", False, 0.0, 404),
+        ("llm", "GET", "/nowhere", "k", False, 0.0, 404),
+        ("llm", "GET", "/fine_tuning/jobs/ftjob-9", "k", False, 0.0, 404),
+        ("search", "POST", "/search?q=Acme", "k", False, 0.0, 404),
+        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", False, 0.2, 200),
+    ],
+    ids=[
+        "search-get", "llm-chat", "llm-files", "llm-job-create", "llm-job-poll",
+        "search-bad-key", "llm-post-bad-key", "llm-get-bad-key",
+        "search-injected-500", "llm-post-injected-500", "llm-get-injected-500",
+        "llm-post-unknown-path", "llm-get-unknown-path", "llm-unknown-job",
+        "search-post", "llm-get-sleeps-latency",
+    ],
+)
+def test_wire_status_and_counting(wire_servers, kind, method, path, key, fail, latency, status):
+    server = wire_servers[kind]
+    server.latency = latency
+    before = server.request_count
+    if fail:
+        server.fail_next(1)
+    started = time.perf_counter()
+    try:
+        assert _send(server, method, path, key) == status
+    finally:
+        server.latency = 0.0
+    elapsed = time.perf_counter() - started
+    assert server.request_count == before + 1
+    assert server._in_flight == 0
+    assert elapsed >= latency
