@@ -37,13 +37,7 @@ from .metrics import (
     write_report,
     write_sweep_csv,
 )
-from .remote import (
-    FineTuneClient,
-    build_classify_prompt,
-    parse_code_response,
-    prompt_baseline,
-    remote_infer,
-)
+from .remote import build_classify_prompt, parse_code_response, prompt_baseline
 from .search import SearchClient, SearchResult, aggregate_snippets
 from .softmax import Prediction, SoftmaxModel, TrainConfig, load_model, predict, predict_instances, predict_text, save_model, train
 from .summarize import LlmClient, PromptTemplate, detect_refusal, generate_summary, truncate_at_sentence
@@ -77,7 +71,6 @@ __all__ = [
     "Dataset",
     "EntityRecord",
     "FeatureVector",
-    "FineTuneClient",
     "LlmClient",
     "MacroReport",
     "PipelineConfig",
@@ -126,7 +119,6 @@ __all__ = [
     "predict_instances",
     "predict_text",
     "prompt_baseline",
-    "remote_infer",
     "save_model",
     "split_dataset",
     "system_instruction",

@@ -29,7 +29,7 @@ from .corpus import (
     build_instances, emit_chat_finetune, emit_tabular, load_tabular, read_json_rows,
 )
 from .errors import (
-    AuthError, ConfigError, EmptyCompletion, HttpError, JobFailed, LengthMismatch,
+    AuthError, ConfigError, EmptyCompletion, HttpError, LengthMismatch,
     MalformedResponse, MissingText, ParseError, TaxotextError, UnknownLabel,
 )
 from .files import write_file
@@ -54,7 +54,7 @@ EXIT_CONFIG = 2
 EXIT_NETWORK = 3
 EXIT_DATA = 4
 
-_NETWORK_ERRORS = (HttpError, AuthError, MalformedResponse, EmptyCompletion, JobFailed)
+_NETWORK_ERRORS = (HttpError, AuthError, MalformedResponse, EmptyCompletion)
 
 
 @dataclass
@@ -388,7 +388,7 @@ def cmd_baseline(ctx: RunContext, args) -> int:
     contexts = None
     if args.context_sources:
         spec = _parse_signature(ctx, args.context_sources)
-        texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, spec)
+        texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(records, spec)
         missing = [r.entity_id for r in records if r.entity_id not in texts]
         if missing and args.strict:
             raise MissingText(f"no cached text for {len(missing)} entities (first: {missing[0]})")

@@ -129,8 +129,8 @@ def emit_chat_finetune(
 
 
 def load_chat_finetune(path: str | Path) -> list[dict]:
-    with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+    """Inverse of emit_chat_finetune; a malformed file raises ParseError, as in read_json_rows."""
+    return [row for _, row in read_json_rows(path, ("messages",))]
 
 
 def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Path) -> Path:

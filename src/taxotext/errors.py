@@ -95,14 +95,6 @@ class FingerprintMismatch(TaxotextError):
     """Model file was produced under a different scheme or featurizer."""
 
 
-class JobFailed(TaxotextError):
-    """Remote fine-tune job ended in a failure status."""
-
-    def __init__(self, message: str, provider_status: str | None = None):
-        super().__init__(message)
-        self.provider_status = provider_status
-
-
 # --- evaluation -----------------------------------------------------------
 
 class LengthMismatch(TaxotextError):

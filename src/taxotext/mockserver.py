@@ -1,7 +1,7 @@
 """In-process fixture servers speaking the provider wire formats.
 
-Deterministic stand-ins for the search endpoint and the chat/fine-tune
-endpoints, used by the test suite and the demo scripts. Servers record
+Deterministic stand-ins for the search endpoint and the chat-completions
+endpoint, used by the test suite and the demo scripts. Servers record
 request counts and peak concurrency so callers can assert cache hits and
 parallelism bounds. Not a general-purpose HTTP mock.
 
@@ -149,28 +149,15 @@ class MockSearchServer(_ServerBase):
 
 
 class MockLlmServer(_ServerBase):
-    """Serves /chat/completions, /files, and /fine_tuning/jobs.
+    """Serves /chat/completions.
 
-    reply: callable(messages, model) -> completion string. Fine-tune jobs
-    walk through ``job_statuses`` one status per poll, ending with a
-    ``fine_tuned_model`` id when they succeed.
+    reply: callable(messages, model) -> completion string. Every chat
+    request body is kept in ``chat_requests``.
     """
 
-    def __init__(
-        self,
-        reply,
-        *,
-        api_key: str | None = None,
-        job_statuses: tuple[str, ...] = ("running", "succeeded"),
-        fine_tuned_model: str = "ft:mock:1",
-        latency: float = 0.0,
-    ):
+    def __init__(self, reply, *, api_key: str | None = None, latency: float = 0.0):
         self.reply = reply
         self.api_key = api_key
-        self.job_statuses = job_statuses
-        self.fine_tuned_model = fine_tuned_model
-        self.uploads: list[bytes] = []
-        self.jobs: dict[str, dict] = {}
         self.chat_requests: list[dict] = []
         super().__init__(latency)
 
@@ -183,22 +170,4 @@ class MockLlmServer(_ServerBase):
             self.chat_requests.append(payload)
             content = self.reply(payload["messages"], payload.get("model", ""))
             return {"choices": [{"message": {"role": "assistant", "content": content}}]}, 200
-        if method == "POST" and path == "/files":
-            self.uploads.append(body)
-            return {"id": f"file-{len(self.uploads)}"}, 200
-        if method == "POST" and path == "/fine_tuning/jobs":
-            job_id = f"ftjob-{len(self.jobs) + 1}"
-            self.jobs[job_id] = {"polls": 0, "request": json.loads(body)}
-            return {"id": job_id, "status": "queued"}, 200
-        if method == "GET" and path.startswith("/fine_tuning/jobs/"):
-            job_id = path.rsplit("/", 1)[1]
-            job = self.jobs.get(job_id)
-            if job is None:
-                return {"error": "unknown job"}, 404
-            state = self.job_statuses[min(job["polls"], len(self.job_statuses) - 1)]
-            job["polls"] += 1
-            payload = {"id": job_id, "status": state}
-            if state == "succeeded":
-                payload["fine_tuned_model"] = self.fine_tuned_model
-            return payload, 200
         return {"error": "not found"}, 404

@@ -1,21 +1,14 @@
-"""Provider-hosted backends: zero/with-context prompting and chat fine-tunes."""
+"""Classify entities by prompting a hosted chat model, zero-shot or with acquired text."""
 
 from __future__ import annotations
 
-import logging
 import re
-from pathlib import Path
 from typing import Sequence
 
-from .corpus import ClassificationInstance, chat_messages
-from .errors import JobFailed, MalformedResponse
-from .http import request_json
 from .metrics import INVALID_COLUMN as INVALID
 from .softmax import Prediction
 from .summarize import LlmClient
 from .taxonomy import CategoryLabel, EntityRecord, TaskId, TaxonomyScheme
-
-logger = logging.getLogger(__name__)
 
 INVALID_LABEL = CategoryLabel(id=INVALID, display_name="unparseable response")
 
@@ -84,21 +77,6 @@ def build_classify_prompt(scheme: TaxonomyScheme, name: str, context: str | None
     return body
 
 
-def _classify_remote(queries, scheme: TaxonomyScheme, ask) -> list[Prediction]:
-    """Send each ``(entity_id, query)`` pair through `ask` and parse the completion.
-
-    Unparseable completions predict INVALID_LABEL; none carries a confidence.
-    """
-    by_id = scheme.by_id
-    predictions = []
-    for entity_id, query in queries:
-        parsed = parse_code_response(ask(query), scheme.ids, scheme)
-        predictions.append(
-            Prediction(entity_id=entity_id, label=by_id.get(parsed, INVALID_LABEL), confidence=None)
-        )
-    return predictions
-
-
 def prompt_baseline(
     records: Sequence[EntityRecord],
     scheme: TaxonomyScheme,
@@ -115,78 +93,13 @@ def prompt_baseline(
     confidence, so threshold sweeps reject them.
     """
     contexts = contexts or {}
-    queries = [
-        (r.entity_id, build_classify_prompt(scheme, r.name, contexts.get(r.entity_id)))
-        for r in sorted(records, key=lambda r: r.entity_id)
-    ]
-    return _classify_remote(
-        queries, scheme, lambda prompt: client.complete(prompt, model=model_id, max_tokens=max_tokens)
-    )
-
-
-class FineTuneClient(LlmClient):
-    """Adapter for a provider's file-upload and fine-tune job endpoints."""
-
-    def _create(self, path: str, **kwargs) -> str:
-        """POST to a creation endpoint and return the new object's id."""
-        payload = self._request(
-            request_json, "POST", f"{self.base_url}{path}", headers=self._headers(), **kwargs
+    by_id = scheme.by_id
+    predictions = []
+    for record in sorted(records, key=lambda r: r.entity_id):
+        prompt = build_classify_prompt(scheme, record.name, contexts.get(record.entity_id))
+        reply = client.complete(prompt, model=model_id, max_tokens=max_tokens)
+        parsed = parse_code_response(reply, scheme.ids, scheme)
+        predictions.append(
+            Prediction(entity_id=record.entity_id, label=by_id.get(parsed, INVALID_LABEL), confidence=None)
         )
-        new_id = payload.get("id")
-        if not isinstance(new_id, str):
-            raise MalformedResponse(f"{self.base_url}{path}: response missing id")
-        return new_id
-
-    def upload_file(self, path: str | Path) -> str:
-        with open(path, "rb") as fh:
-            return self._create(
-                "/files", data={"purpose": "fine-tune"}, files={"file": (Path(path).name, fh)}
-            )
-
-    def submit(
-        self,
-        train_path: str | Path,
-        *,
-        model_id: str,
-        dev_path: str | Path | None = None,
-    ) -> str:
-        """Upload corpus files and create a fine-tune job; returns the job id."""
-        body: dict = {"model": model_id, "training_file": self.upload_file(train_path)}
-        if dev_path is not None:
-            body["validation_file"] = self.upload_file(dev_path)
-        return self._create("/fine_tuning/jobs", json=body)
-
-    def status(self, job_id: str) -> dict:
-        return self._request(
-            request_json, "GET", f"{self.base_url}/fine_tuning/jobs/{job_id}", headers=self._headers()
-        )
-
-    def wait(self, job_id: str, *, poll_seconds: float = 5.0, max_polls: int = 720) -> str:
-        """Poll until the job succeeds; returns the fine-tuned model id."""
-        for _ in range(max_polls):
-            payload = self.status(job_id)
-            state = payload.get("status")
-            if state == "succeeded":
-                model = payload.get("fine_tuned_model")
-                if not isinstance(model, str):
-                    raise MalformedResponse("job succeeded without a fine_tuned_model")
-                return model
-            if state in ("failed", "cancelled"):
-                raise JobFailed(f"fine-tune job {job_id} ended as {state}", provider_status=state)
-            self._sleep(poll_seconds)
-        raise JobFailed(f"fine-tune job {job_id} did not finish", provider_status="timeout")
-
-
-def remote_infer(
-    instances: Sequence[ClassificationInstance],
-    scheme: TaxonomyScheme,
-    client: LlmClient,
-    *,
-    model_id: str,
-    max_tokens: int = 16,
-) -> list[Prediction]:
-    """Run inference-form chat requests against a fine-tuned model."""
-    queries = [(inst.entity_id, chat_messages(inst, scheme, with_labels=False)) for inst in instances]
-    return _classify_remote(
-        queries, scheme, lambda messages: client.chat(messages, model=model_id, max_tokens=max_tokens)
-    )
+    return predictions

@@ -393,6 +393,32 @@ def test_baseline_without_llm_url_exits_2(workspace):
     assert _run(["baseline"], tmp_path / "runs", config=config) == 2
 
 
+def test_baseline_context_reads_only_the_split_cache_entries(workspace):
+    # a corrupt cache entry of a train entity does not concern a test-split baseline
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    cache = TextCache(tmp_path / "cache")
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        reply=lambda m, _: "58", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini",
+            dataset=entities,
+            search_url=search.base_url,
+            llm_url=llm.base_url,
+            cache_dir=cache.root,
+        )
+        assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
+        spec = parse_source_signature("gsnip3", TaskId.SIC)
+        train_key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
+        cache.path_for(train_key).write_text("{not json", encoding="utf-8")
+        argv = ["baseline", "--split", "test", "--context-sources", "gsnip3"]
+        assert _run(argv, runs, config=config) == 0
+        prompts = [req["messages"][-1]["content"] for req in llm.chat_requests]
+    assert len(prompts) == 6  # test split size
+    assert all("classmarker" in p for p in prompts)
+
+
 @pytest.mark.parametrize("http_id,data_id", [("e001", "e002"), ("e002", "e001")])
 def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
     workspace, monkeypatch, http_id, data_id

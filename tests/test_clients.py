@@ -1,4 +1,4 @@
-"""The constructor the search, chat and fine-tune clients share."""
+"""The constructor the search and chat clients share."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from taxotext.errors import ConfigError
 from taxotext.http import RetryPolicy
-from taxotext.remote import FineTuneClient
 from taxotext.search import SearchClient
 from taxotext.summarize import LlmClient
 
@@ -14,7 +13,6 @@ from taxotext.summarize import LlmClient
 REPLY = {
     "organic_results": [],
     "choices": [{"message": {"content": "ok"}}],
-    "id": "obj-1",
 }
 
 
@@ -47,18 +45,12 @@ class Bucket:
         return 0.0
 
 
-def _search(client, tmp_path):
+def _search(client):
     client.search_entity("Acme Mining", 3)
 
 
-def _chat(client, tmp_path):
+def _chat(client):
     client.complete("Summarize Acme Mining.", model="m", max_tokens=8)
-
-
-def _fine_tune(client, tmp_path):
-    train = tmp_path / "train.jsonl"
-    train.write_text("{}\n")
-    client.submit(train, model_id="base")  # one upload, one job creation
 
 
 @pytest.mark.parametrize(
@@ -66,25 +58,24 @@ def _fine_tune(client, tmp_path):
     [
         (SearchClient, "SEARCH_API_KEY", _search, 1),
         (LlmClient, "LLM_API_KEY", _chat, 1),
-        (FineTuneClient, "LLM_API_KEY", _fine_tune, 2),
     ],
-    ids=["search", "chat", "fine_tune"],
+    ids=["search", "chat"],
 )
-def test_client_shares_key_rate_limit_and_sleep(cls, key_env, call, requests, tmp_path, monkeypatch):
+def test_client_shares_key_rate_limit_and_sleep(cls, key_env, call, requests, monkeypatch):
     for name in ("SEARCH_API_KEY", "LLM_API_KEY"):
         monkeypatch.delenv(name, raising=False)
     with pytest.raises(ConfigError, match=f"^{key_env} is not set and no api_key was given$"):
         cls("http://unit.test")
 
     bucket, session = Bucket(), Session()
-    call(cls("http://unit.test", "k", rate_limit=bucket, session=session), tmp_path)
+    call(cls("http://unit.test", "k", rate_limit=bucket, session=session))
     assert session.requests == requests
     assert bucket.acquired == requests
 
     sleeps = []
     policy = RetryPolicy(max_attempts=2, base_backoff=1.0)
     session = Session(failures=1)
-    call(cls("http://unit.test", "k", policy=policy, session=session, sleep=sleeps.append), tmp_path)
+    call(cls("http://unit.test", "k", policy=policy, session=session, sleep=sleeps.append))
     assert session.requests == requests + 1
     assert len(sleeps) == 1
     assert 1.0 <= sleeps[0] <= 2.0  # base backoff times (1 + jitter)

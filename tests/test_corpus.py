@@ -14,7 +14,7 @@ from taxotext.corpus import (
     system_instruction,
     system_instruction_meta,
 )
-from taxotext.errors import MissingGold, MissingText, UnknownLabel
+from taxotext.errors import MissingGold, MissingText, ParseError, UnknownLabel
 from taxotext.taxonomy import Split
 from taxotext.texts import AcquiredText, Source
 
@@ -138,6 +138,24 @@ def test_chat_jsonl_roundtrip(tmp_path, sic_scheme, split_records):
     rows = load_chat_finetune(path)
     assert len(rows) == len(train)
     assert all(len(r["messages"]) == 3 for r in rows)
+
+
+@pytest.mark.parametrize(
+    "second_line,row",
+    [
+        (b"\xff\xfe not utf-8\n", None),
+        (b"{not json\n", 2),
+        (b'{"prompt": "no messages"}\n', 2),
+    ],
+    ids=["not-utf8", "not-json", "missing-messages"],
+)
+def test_chat_jsonl_malformed_file_is_a_parse_error(tmp_path, second_line, row):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(b'{"messages": []}\n' + second_line)
+    with pytest.raises(ParseError) as err:
+        load_chat_finetune(path)
+    assert str(path) in str(err.value)
+    assert err.value.row == row
 
 
 def test_tabular_roundtrip(tmp_path, sic_scheme, split_records):

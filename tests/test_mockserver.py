@@ -81,7 +81,6 @@ def _send(server, method, path, key):
 def wire_servers():
     search = MockSearchServer({"Acme": ["a", "b"]}, api_key="k")
     llm = MockLlmServer(lambda messages, model: "A summary.", api_key="k")
-    llm.jobs["ftjob-1"] = {"polls": 0, "request": {}}
     with search, llm:
         yield {"search": search, "llm": llm}
 
@@ -91,26 +90,22 @@ def wire_servers():
     [
         ("search", "GET", "/search?q=Acme&num=2", "k", False, 0.0, 200),
         ("llm", "POST", "/chat/completions", "k", False, 0.0, 200),
-        ("llm", "POST", "/files", "k", False, 0.0, 200),
-        ("llm", "POST", "/fine_tuning/jobs", "k", False, 0.0, 200),
-        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", False, 0.0, 200),
         ("search", "GET", "/search?q=Acme&num=2", "wrong", False, 0.0, 401),
         ("llm", "POST", "/chat/completions", "wrong", False, 0.0, 401),
-        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "wrong", False, 0.0, 401),
+        ("llm", "GET", "/nowhere", "wrong", False, 0.0, 401),
         ("search", "GET", "/search?q=Acme&num=2", "k", True, 0.0, 500),
         ("llm", "POST", "/chat/completions", "k", True, 0.0, 500),
-        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", True, 0.0, 500),
+        ("llm", "GET", "/nowhere", "k", True, 0.0, 500),
         ("llm", "POST", "/nowhere", "k", False, 0.0, 404),
         ("llm", "GET", "/nowhere", "k", False, 0.0, 404),
-        ("llm", "GET", "/fine_tuning/jobs/ftjob-9", "k", False, 0.0, 404),
         ("search", "POST", "/search?q=Acme", "k", False, 0.0, 404),
-        ("llm", "GET", "/fine_tuning/jobs/ftjob-1", "k", False, 0.2, 200),
+        ("llm", "GET", "/nowhere", "k", False, 0.2, 404),
     ],
     ids=[
-        "search-get", "llm-chat", "llm-files", "llm-job-create", "llm-job-poll",
+        "search-get", "llm-chat",
         "search-bad-key", "llm-post-bad-key", "llm-get-bad-key",
         "search-injected-500", "llm-post-injected-500", "llm-get-injected-500",
-        "llm-post-unknown-path", "llm-get-unknown-path", "llm-unknown-job",
+        "llm-post-unknown-path", "llm-get-unknown-path",
         "search-post", "llm-get-sleeps-latency",
     ],
 )

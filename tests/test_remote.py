@@ -5,18 +5,14 @@ import string
 
 import pytest
 
-from taxotext.corpus import ClassificationInstance
-from taxotext.errors import JobFailed
 from taxotext.http import RetryPolicy
 from taxotext.mockserver import MockLlmServer
 from taxotext.remote import (
     INVALID,
     INVALID_LABEL,
-    FineTuneClient,
     build_classify_prompt,
     parse_code_response,
     prompt_baseline,
-    remote_infer,
 )
 from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, load_healthcare_scheme, load_sic_scheme
@@ -160,82 +156,3 @@ def test_prompt_baseline_passes_context():
         )
     assert "sells groceries" in seen[0]
 
-
-# --- remote inference over built instances --------------------------------------
-
-
-def _instances(scheme, n=2):
-    return [
-        ClassificationInstance(
-            entity_id=f"e{i}",
-            input_text=f"Entity {i}\nsome text",
-            gold=None,
-            source_signature="gsnip10",
-        )
-        for i in range(n)
-    ]
-
-
-def test_remote_infer_sends_chat_instances():
-    scheme = load_sic_scheme()
-    with MockLlmServer(reply=lambda m, _: "13") as server:
-        preds = remote_infer(
-            _instances(scheme), scheme, _client(server), model_id="ft:x"
-        )
-        sent = server.chat_requests
-    assert [p.label.id for p in preds] == ["13", "13"]
-    assert all(len(req["messages"]) == 2 for req in sent)
-    assert all(req["model"] == "ft:x" for req in sent)
-    assert sent[0]["messages"][0]["role"] == "system"
-
-
-# --- fine-tune job client -------------------------------------------------------
-
-
-def _ft_client(server):
-    return FineTuneClient(server.base_url, api_key="k", policy=POLICY, sleep=NO_SLEEP)
-
-
-def test_fine_tune_submit_and_wait(tmp_path):
-    train = tmp_path / "train.jsonl"
-    train.write_text('{"messages": []}\n')
-    statuses = ("validating_files", "running", "succeeded")
-    with MockLlmServer(reply=lambda m, _: "", job_statuses=statuses) as server:
-        client = _ft_client(server)
-        job_id = client.submit(train, model_id="base-model")
-        assert job_id.startswith("ftjob-")
-        model = client.wait(job_id, poll_seconds=0.0)
-        assert model == "ft:mock:1"
-        assert len(server.uploads) == 1
-        assert b"messages" in server.uploads[0]
-
-
-def test_fine_tune_uploads_dev_file_too(tmp_path):
-    train = tmp_path / "train.jsonl"
-    dev = tmp_path / "dev.jsonl"
-    train.write_text("{}\n")
-    dev.write_text("{}\n")
-    with MockLlmServer(reply=lambda m, _: "") as server:
-        _ft_client(server).submit(train, model_id="base", dev_path=dev)
-        assert len(server.uploads) == 2
-
-
-def test_fine_tune_wait_raises_on_failed_job(tmp_path):
-    train = tmp_path / "train.jsonl"
-    train.write_text("{}\n")
-    with MockLlmServer(reply=lambda m, _: "", job_statuses=("running", "failed")) as server:
-        client = _ft_client(server)
-        job_id = client.submit(train, model_id="base")
-        with pytest.raises(JobFailed) as exc_info:
-            client.wait(job_id, poll_seconds=0.0)
-    assert exc_info.value.provider_status == "failed"
-
-
-def test_fine_tune_wait_times_out(tmp_path):
-    train = tmp_path / "train.jsonl"
-    train.write_text("{}\n")
-    with MockLlmServer(reply=lambda m, _: "", job_statuses=("running",)) as server:
-        client = _ft_client(server)
-        job_id = client.submit(train, model_id="base")
-        with pytest.raises(JobFailed):
-            client.wait(job_id, poll_seconds=0.0, max_polls=3)
