@@ -36,12 +36,21 @@ def default_ks(cached_depth: int) -> tuple[int, ...]:
     return tuple(k for k in DEFAULT_KS if k <= cached_depth)
 
 
-def require_depth(ks: Sequence[int], cached_depth: int) -> None:
-    """Raise InsufficientSnippets unless the cached depth covers every k."""
-    if max(ks) > cached_depth:
+def snippet_depths(ks: Sequence[int] | None, cached_depth: int) -> list[int]:
+    """The snippet counts to score, ascending and without repeats.
+
+    ks defaults to ``default_ks(cached_depth)``. An empty or non-positive
+    list is a ValueError; a k beyond cached_depth, the depth the cache was
+    filled at, is InsufficientSnippets.
+    """
+    ks = sorted(set(int(k) for k in (default_ks(cached_depth) if ks is None else ks)))
+    if not ks or ks[0] < 1:
+        raise ValueError(f"ks must be positive snippet counts, got {ks}")
+    if ks[-1] > cached_depth:
         raise InsufficientSnippets(
-            f"cache holds snippets at depth {cached_depth}, but k={max(ks)} was requested"
+            f"cache holds snippets at depth {cached_depth}, but k={ks[-1]} was requested"
         )
+    return ks
 
 
 def ablate_snippets(
@@ -54,18 +63,11 @@ def ablate_snippets(
 ) -> list[AblationPoint]:
     """Evaluate test macro scores while varying the snippet count.
 
-    cached_depth is the k the cache was populated at; it must cover
-    max(ks). ks defaults to ``default_ks(cached_depth)``. Points come back
-    in ascending k.
+    Every k is cut from the ``gsnip<cached_depth>`` entries, the depth the
+    cache was filled at; ``snippet_depths`` checks and orders ks first, so
+    points come back in ascending k.
     """
-    if ks is None:
-        ks = default_ks(cached_depth)
-    ks = sorted(set(int(k) for k in ks))
-    if not ks:
-        raise ValueError("ks must be non-empty")
-    if ks[0] < 1:
-        raise ValueError("ks must be positive")
-    require_depth(ks, cached_depth)
+    ks = snippet_depths(ks, cached_depth)
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
     spec = SourceSpec(Source.GSNIP, {"k": cached_depth})
     full = TextAcquirer(dataset.scheme.task_id, cache).cached_texts(scored, spec)

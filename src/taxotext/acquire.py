@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from .cache import TextCache
+from .config import PipelineConfig
 from .errors import TaxotextError
 from .search import SearchClient, SearchResult, aggregate_snippets
 from .summarize import PROMPT_TEMPLATES, LlmClient, _utcnow, generate_summary
@@ -34,26 +35,32 @@ class SourceSpec:
             return "+".join(c.signature for c in self.components)
         if self.source is Source.GSNIP:
             return f"gsnip{self.params['k']}"
-        return {Source.GPTSUM: "gptsum", Source.LLAMASUM: "llamasum"}[self.source]
+        return self.source.value.lower()
 
 
 _GSNIP_SIG = re.compile(r"gsnip(\d*)$")
+_DEFAULTS = PipelineConfig()
 
 
 def parse_source_signature(
     signature: str,
     task_id: TaskId,
     *,
-    top_k: int = 10,
-    gpt_model: str = "gpt-4o-mini-2024-07-18",
-    llama_model: str = "llama-3.1-8b-instruct",
-    summary_max_tokens: int = 400,
+    top_k: int = _DEFAULTS.top_k,
+    gpt_model: str = _DEFAULTS.gpt_model,
+    llama_model: str = _DEFAULTS.llama_model,
+    summary_max_tokens: int = _DEFAULTS.summary_max_tokens,
 ) -> SourceSpec:
     """Parse a signature like ``gsnip10``, ``gptsum``, or ``gsnip10+llamasum``."""
     parts = [p.strip() for p in signature.split("+") if p.strip()]
     if not parts:
         raise ValueError(f"empty source signature: {signature!r}")
     task_suffix = "SIC" if task_id is TaskId.SIC else "HC"
+    # summary signature (the source's lower-cased name) -> (source, template family, model)
+    summaries = {
+        "gptsum": (Source.GPTSUM, "GPT", gpt_model),
+        "llamasum": (Source.LLAMASUM, "LLAMA", llama_model),
+    }
     specs = []
     for part in parts:
         m = _GSNIP_SIG.match(part)
@@ -62,28 +69,14 @@ def parse_source_signature(
             if k < 1:
                 raise ValueError(f"snippet count must be >= 1 in {part!r}")
             specs.append(SourceSpec(Source.GSNIP, {"k": k}))
-        elif part == "gptsum":
-            specs.append(
-                SourceSpec(
-                    Source.GPTSUM,
-                    {
-                        "template_id": f"GPT_{task_suffix}",
-                        "model_id": gpt_model,
-                        "max_tokens": summary_max_tokens,
-                    },
-                )
-            )
-        elif part == "llamasum":
-            specs.append(
-                SourceSpec(
-                    Source.LLAMASUM,
-                    {
-                        "template_id": f"LLAMA_{task_suffix}",
-                        "model_id": llama_model,
-                        "max_tokens": summary_max_tokens,
-                    },
-                )
-            )
+        elif part in summaries:
+            source, family, model = summaries[part]
+            params = {
+                "template_id": f"{family}_{task_suffix}",
+                "model_id": model,
+                "max_tokens": summary_max_tokens,
+            }
+            specs.append(SourceSpec(source, params))
         else:
             raise ValueError(f"unknown source {part!r} in signature {signature!r}")
     if len(specs) == 1:

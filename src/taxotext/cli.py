@@ -21,10 +21,10 @@ from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .ablation import ablate_snippets, default_ks, require_depth, write_ablation_csv
+from .ablation import ablate_snippets, snippet_depths, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
-from .config import PipelineConfig, load_config, parse_list, snapshot
+from .config import PipelineConfig, finite_float, load_config, parse_list, snapshot
 from .corpus import (
     build_instances, emit_chat_finetune, emit_tabular, load_tabular, read_json_rows,
 )
@@ -46,8 +46,6 @@ from .softmax import Prediction, load_model, predict_instances, save_model, trai
 from .summarize import LlmClient
 from .taxonomy import Dataset, Split, load_dataset, load_scheme, split_dataset
 from .texts import Source
-
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -154,7 +152,7 @@ def _client(ctx: RunContext, cls, url_key: str):
     return cls(
         base_url,
         policy=RetryPolicy(max_attempts=cfg.max_attempts, base_backoff=cfg.base_backoff),
-        rate_limit=TokenBucket(rate) if rate and rate > 0 else None,
+        rate_limit=TokenBucket(rate) if rate > 0 else None,
     )
 
 
@@ -340,7 +338,7 @@ def cmd_sweep(ctx: RunContext, args) -> int:
     dataset, signature, split, _, predictions, golds = _scored_predictions(ctx, args)
     thresholds = ctx.config.thresholds
     if args.thresholds:
-        thresholds = _parse_list(args.thresholds, float, "threshold")
+        thresholds = _parse_list(args.thresholds, finite_float, "threshold")
     inclusive = bool(args.inclusive) or ctx.config.inclusive_thresholds
     options = {
         "sources": signature, "split": split.value,
@@ -361,16 +359,16 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 
 def cmd_ablate(ctx: RunContext, args) -> int:
     dataset = _load_split_dataset(ctx, args)
-    if args.cached_depth is not None and args.cached_depth < 1:
-        raise ConfigError(f"--cached-depth must be >= 1, got {args.cached_depth}")
-    cached_depth = args.cached_depth or ctx.config.top_k
-    ks = _parse_list(args.ks, int, "k") if args.ks else default_ks(cached_depth)
-    if not ks or min(ks) < 1:
-        raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}")
-    require_depth(ks, cached_depth)
-    _write_manifest(ctx, args, {"ks": list(ks), "cached_depth": cached_depth}, dataset=dataset)
+    top_k = ctx.config.top_k  # the depth 'acquire --sources gsnip' fills the cache at
+    if args.cached_depth not in (None, top_k):
+        raise ConfigError(f"--cached-depth must equal top_k ({top_k}), got {args.cached_depth}")
+    try:
+        ks = snippet_depths(_parse_list(args.ks, int, "k") if args.ks else None, top_k)
+    except ValueError as exc:
+        raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}") from exc
+    _write_manifest(ctx, args, {"ks": ks}, dataset=dataset)
     points = ablate_snippets(
-        dataset, ctx.cache, ks, cached_depth=cached_depth, train_config=ctx.config.training
+        dataset, ctx.cache, ks, cached_depth=top_k, train_config=ctx.config.training
     )
     out_path = write_ablation_csv(points, ctx.run_dir / "reports" / "ablation.csv")
     for point in points:
@@ -460,7 +458,7 @@ _COMMANDS = {
     "ablate": (cmd_ablate, "retrain and score at several snippet depths", [
         _DATASET,
         ("--ks", {"help": "comma-separated snippet counts (default: 1,5,10,15,20 up to the depth)"}),
-        ("--cached-depth", {"type": int, "default": None, "help": "depth the cache was filled at"}),
+        ("--cached-depth", {"type": int, "help": "cache fill depth; must equal top_k if given"}),
     ]),
     "baseline": (cmd_baseline, "zero-shot classification by prompting a hosted model", [
         _DATASET,

@@ -9,9 +9,11 @@ checks and the manifest snapshot.
 
 from __future__ import annotations
 
+import math
 from configparser import ConfigParser, Error as IniError
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -56,16 +58,30 @@ def parse_list(raw: str, cast) -> tuple:
 _Parser = Callable[[ConfigParser, str, str], object]
 
 
-def _at_least(minimum, get=ConfigParser.getint) -> _Parser:
-    """A parser that reads a number through get and rejects one below minimum."""
+def _number(rule: str, ok: Callable[[float], bool], get=ConfigParser.getfloat) -> _Parser:
+    """A parser that reads a number through get and rejects one that is not
+    finite or fails ok, saying '<key> must be <rule>'."""
 
     def parse(ini: ConfigParser, section: str, key: str):
         value = get(ini, section, key)
-        if not value >= minimum:  # a NaN fails this too
-            raise ValueError(f"{key} must be >= {minimum}, got {value}")
+        if not (math.isfinite(value) and ok(value)):
+            raise ValueError(f"{key} must be {rule}, got {value}")
         return value
 
     return parse
+
+
+def _at_least(minimum: int) -> _Parser:
+    """A parser for an integer no less than minimum."""
+    return _number(f">= {minimum}", lambda value: value >= minimum, ConfigParser.getint)
+
+
+def finite_float(raw: str) -> float:
+    """float(raw), with NaN and infinity refused as a ValueError."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"{raw!r} is not a finite number")
+    return value
 
 
 def _optional(ini: ConfigParser, section: str, key: str) -> str | None:
@@ -87,10 +103,10 @@ def _task(ini: ConfigParser, section: str, key: str) -> TaskId:
         raise ValueError(f"unknown task name {raw!r}") from None
 
 
-def _floats(ini: ConfigParser, section: str, key: str) -> tuple[float, ...]:
+def _floats(ini: ConfigParser, section: str, key: str, cast=float) -> tuple[float, ...]:
     raw = ini.get(section, key)
     try:
-        return parse_list(raw, float)
+        return parse_list(raw, cast)
     except ValueError:
         raise ValueError(f"bad float list for '{key}': {raw!r}") from None
 
@@ -115,10 +131,10 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
     },
     "acquisition": {
         "top_k": ("top_k", _at_least(1)),
-        "max_parallel": ("max_parallel", ConfigParser.getint),
+        "max_parallel": ("max_parallel", _at_least(1)),
         "max_attempts": ("max_attempts", _at_least(1)),
-        "base_backoff": ("base_backoff", _at_least(0, ConfigParser.getfloat)),
-        "rate_per_second": ("rate_per_second", ConfigParser.getfloat),
+        "base_backoff": ("base_backoff", _number(">= 0 and finite", lambda v: v >= 0)),
+        "rate_per_second": ("rate_per_second", _number(">= 0 and finite", lambda v: v >= 0)),
         "cache_dir": ("cache_dir", _optional),
         "summary_max_tokens": ("summary_max_tokens", _at_least(1)),
         "search_base_url": ("search_base_url", _optional),
@@ -129,13 +145,14 @@ KEYS: dict[str, dict[str, tuple[str, _Parser]]] = {
     "training": {
         "epochs": ("epochs", _at_least(1)),
         "batch_size": ("batch_size", _at_least(1)),
-        "learning_rate": ("learning_rate", ConfigParser.getfloat),
-        "warmup_steps": ("warmup_steps", ConfigParser.getint),
-        "weight_decay": ("weight_decay", ConfigParser.getfloat),
+        "learning_rate": ("learning_rate", _number("> 0 and finite", lambda v: v > 0)),
+        "warmup_steps": ("warmup_steps", _at_least(0)),
+        # softmax.train's decay multiplier 1 - mult * weight_decay must stay positive
+        "weight_decay": ("weight_decay", _number(">= 0 and < 1", lambda v: 0 <= v < 1)),
         "seed": ("seed", _at_least(0)),
     },
     "eval": {
-        "thresholds": ("thresholds", _floats),
+        "thresholds": ("thresholds", partial(_floats, cast=finite_float)),
         "inclusive": ("inclusive_thresholds", ConfigParser.getboolean),
     },
 }

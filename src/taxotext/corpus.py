@@ -7,6 +7,7 @@ UTF-8 with LF line endings and deterministic field order.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from contextlib import closing
@@ -77,6 +78,7 @@ def build_instances(
     return BuildResult(tuple(instances), empty)
 
 
+@functools.cache  # read once per process; callers only read the dict
 def _instruction_table() -> dict:
     return json.loads(_data_text("system_instructions.json"))
 

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import MalformedResponse
 from .http import ProviderClient, request_json
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

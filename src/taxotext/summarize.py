@@ -3,15 +3,12 @@
 from __future__ import annotations
 
 import datetime as _dt
-import logging
 from dataclasses import dataclass
 
 from .errors import EmptyCompletion, MalformedResponse
 from .hashing import sha256_hex
 from .http import ProviderClient, request_json
 from .texts import AcquiredText, Source
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import re
 
@@ -9,6 +10,7 @@ import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
 from taxotext.cache import TextCache
+from taxotext.config import PipelineConfig
 from taxotext.errors import AuthError, InsufficientSnippets
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.search import SearchClient
@@ -61,6 +63,22 @@ def test_parse_signature_templates_follow_task():
     hc = parse_source_signature("gptsum", TaskId.HEALTHCARE)
     assert sic.params["template_id"] == "GPT_SIC"
     assert hc.params["template_id"] == "GPT_HC"
+
+
+@pytest.mark.parametrize(
+    "task,template", [(TaskId.SIC, "LLAMA_SIC"), (TaskId.HEALTHCARE, "LLAMA_HC")]
+)
+def test_parse_llamasum_uses_the_llama_templates_and_model(task, template):
+    spec = parse_source_signature("llamasum", task, llama_model="llama-x")
+    assert spec.source is Source.LLAMASUM
+    assert spec.params == {"template_id": template, "model_id": "llama-x", "max_tokens": 400}
+
+
+def test_parse_signature_defaults_are_the_config_defaults():
+    params = inspect.signature(parse_source_signature).parameters.values()
+    defaults = {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+    assert defaults == {name: getattr(PipelineConfig(), name) for name in defaults}
+    assert len(defaults) == 4
 
 
 @pytest.mark.parametrize("raw", ["", "+", "nonsense", "gsnip0", "gsnipx"])

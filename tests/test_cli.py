@@ -268,10 +268,12 @@ def test_manifest_written_before_outputs(workspace):
         (["train"], "batch_size = 4", "batch_size = 4\nseed = -3"),
         (["build"], "top_k = 3", "top_k = 3\nbase_backoff = -1"),
         (["build"], "top_k = 3", "top_k = 3\nsummary_max_tokens = 0"),
+        (["train"], "batch_size = 4", "batch_size = 4\nlearning_rate = nan"),
+        (["build"], "top_k = 3", "top_k = 3\nmax_parallel = 0"),
     ],
     ids=[
         "zero-batch-size", "negative-ratio", "negative-training-seed", "negative-backoff",
-        "zero-summary-max-tokens",
+        "zero-summary-max-tokens", "nan-learning-rate", "zero-max-parallel",
     ],
 )
 def test_bad_config_value_exits_2_and_leaves_manifest_unchanged(workspace, argv, line, bad_line):
@@ -343,6 +345,24 @@ def test_ablate_command_writes_csv(workspace):
     lines = (runs / "r1/reports/ablation.csv").read_text().splitlines()
     assert lines[0] == "k,macro_p,macro_r,macro_f1"
     assert [line.split(",")[0] for line in lines[1:]] == ["1", "3"]
+
+
+def test_ablate_cached_depth_equal_to_top_k_changes_nothing(workspace):
+    # the form the benchmark uses: --cached-depth repeats [acquisition] top_k
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as server:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=server.base_url
+        )
+        assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
+        assert _run(["ablate", "--ks", "1,3"], runs, config=config) == 0
+        without = (runs / "r1/reports/ablation.csv").read_bytes()
+        argv = ["ablate", "--cached-depth", "3", "--ks", "3,1,3"]
+        assert _run(argv, runs, config=config) == 0
+    assert (runs / "r1/reports/ablation.csv").read_bytes() == without
+    ablate = load_manifest(runs / "r1").commands[-1]
+    assert ablate["options"] == {"ks": [1, 3]}  # normalized; top_k is in the config
 
 
 def test_ablate_without_ks_runs_the_default_depths_the_cache_holds(workspace):
@@ -462,6 +482,8 @@ def _test_split_predictions(path):
         ["predict", "--corpus", "{entities}", "--model", "{directory}"],
         ["eval", "--predictions", "{predictions}", "--compare", "{directory}"],
         ["--seed", "-1", "build"],
+        ["sweep", "--predictions", "{predictions}", "--thresholds", "nan"],
+        ["ablate", "--cached-depth", "4"],
     ],
     ids=[
         "predict-no-model",
@@ -482,6 +504,8 @@ def _test_split_predictions(path):
         "model-directory",
         "compare-directory",
         "negative-seed",
+        "nan-threshold",
+        "cached-depth-not-top-k",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):

@@ -124,6 +124,18 @@ def test_missing_file_is_config_error(tmp_path):
         ("[acquisition]\nbase_backoff = -1\n", "base_backoff must be >= 0"),
         ("[acquisition]\nbase_backoff = nan\n", "base_backoff must be >= 0"),
         ("[acquisition]\nsummary_max_tokens = 0\n", "summary_max_tokens must be >= 1"),
+        ("[acquisition]\nbase_backoff = inf\n", "base_backoff must be >= 0"),
+        ("[acquisition]\nmax_parallel = 0\n", "max_parallel must be >= 1"),
+        ("[acquisition]\nmax_parallel = -3\n", "max_parallel must be >= 1"),
+        ("[acquisition]\nrate_per_second = -1\n", "rate_per_second must be >= 0"),
+        ("[acquisition]\nrate_per_second = nan\n", "rate_per_second must be >= 0"),
+        ("[training]\nlearning_rate = nan\n", "learning_rate must be > 0"),
+        ("[training]\nlearning_rate = 0\n", "learning_rate must be > 0"),
+        ("[training]\nweight_decay = nan\n", "weight_decay must be >= 0 and < 1"),
+        ("[training]\nweight_decay = 2\n", "weight_decay must be >= 0 and < 1"),
+        ("[training]\nwarmup_steps = -5\n", "warmup_steps must be >= 0"),
+        ("[eval]\nthresholds = nan, 0.5\n", "bad float list"),
+        ("[eval]\nthresholds = 0.5, inf\n", "bad float list"),
     ],
 )
 def test_bad_files_raise_config_error(tmp_path, body, fragment):

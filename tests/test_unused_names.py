@@ -1,0 +1,59 @@
+"""Every module-level import and logger in the package is used.
+
+No linter ships with the project, so this scan stands in for one: a name
+bound at module level by an ``import`` (``__future__`` aside) or by
+``logging.getLogger(...)`` must be read somewhere in its module.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "taxotext"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _is_get_logger(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "getLogger"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "logging"
+    )
+
+
+def _bound_names(tree: ast.Module) -> list[str]:
+    """Names bound at module level by an import or a getLogger call."""
+    names = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.Import):
+            names += [(a.asname or a.name).split(".")[0] for a in stmt.names]
+        elif isinstance(stmt, ast.ImportFrom) and stmt.module != "__future__":
+            names += [a.asname or a.name for a in stmt.names]
+        elif isinstance(stmt, ast.Assign) and _is_get_logger(stmt.value):
+            names += [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+    return names
+
+
+def _loaded_names(tree: ast.Module) -> set[str]:
+    return {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_level_imports_and_loggers_are_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    loaded = _loaded_names(tree)
+    unused = [name for name in _bound_names(tree) if name not in loaded]
+    assert not unused, f"{path.stem} binds names it never reads: {', '.join(unused)}"
+
+
+def test_the_scan_sees_every_module():
+    assert len(MODULES) > 10
