@@ -7,15 +7,16 @@ multiplicatively, a feature column stays exactly zero until a gradient first
 touches it. Every feature vector is known before the first step and every
 instance appears in the first epoch, so each used bucket gets a compact slot,
 numbered in order of first appearance under the first epoch's shuffle. The
-columns touched so far are then always the prefix ``[:n_active]`` of
-classes x slots arrays, and decay, moments and update are in-place slice
-operations on that prefix. Each weight, moment and logit sees the same
-floating-point operations in the same order as in a dense update over all
-2^18 columns (logits gather a vector's weights in its bucket order, gradients
-accumulate in instance order), so the weights are bit-identical to it (see
-the dense-oracle tests). At the end the slots are put in bucket order once,
-and the model keeps only those columns: no path builds the classes x 2^18
-matrix except the on-demand ``SoftmaxModel.W``.
+weights and moments are slots x classes arrays, so the slots touched so far
+are always the contiguous leading rows ``[:n_active]``, and decay, moments
+and update are in-place operations on that one block. Each weight, moment and
+logit sees the same floating-point operations in the same order as in a dense
+update over all 2^18 columns (logits gather a vector's weights in its bucket
+order, gradients accumulate in instance order), so the weights are
+bit-identical to it (see the dense-oracle tests). At the end the slots are
+put in bucket order once, as the classes x buckets columns the model keeps:
+no path builds the classes x 2^18 matrix except the on-demand
+``SoftmaxModel.W``.
 """
 
 from __future__ import annotations
@@ -44,7 +45,8 @@ logger = logging.getLogger(__name__)
 
 MODEL_FORMAT = "taxotext-softmax/1"
 
-# Column width of the buffer through which each Adam step writes its update.
+# Slots per chunk of the Adam update and of the final copy into model columns:
+# a chunk is UPDATE_CHUNK_COLS contiguous rows of the slots x classes arrays.
 UPDATE_CHUNK_COLS = 2048
 
 
@@ -180,42 +182,49 @@ def _slot_layout(feats: list[FeatureVector], first_order):
 
 
 def _batch_grad(W, b, feats, slots, targets, batch_ids):
-    """Gradient restricted to the union of the batch's slots."""
+    """Gradient rows of the union of the batch's slots, for slots x classes ``W``.
+
+    The logits use the transposed gather ``W[slots].T``: like the dense
+    ``W[:, indices]`` it is classes x n in Fortran order, so the product sums
+    in the same order. A C-contiguous copy would change the order and the
+    last bits of the weights.
+    """
     cols = np.unique(np.concatenate([slots[i] for i in batch_ids]))
-    grad_cols = np.zeros((W.shape[0], cols.size))
-    grad_b = np.zeros(W.shape[0])
+    grad_rows = np.zeros((cols.size, b.size))
+    grad_b = np.zeros(b.size)
     loss = 0.0
     for i in batch_ids:
         fv, y = feats[i], targets[i]
-        z = b + (W[:, slots[i]] @ fv.values if fv.nnz else 0.0)
+        z = b + (W[slots[i]].T @ fv.values if fv.nnz else 0.0)
         shifted = z - z.max()
         e = np.exp(shifted)
         loss += math.log(e.sum()) - shifted[y]
         g = e / e.sum()
         g[y] -= 1.0
         if fv.nnz:
-            grad_cols[:, np.searchsorted(cols, slots[i])] += np.outer(g, fv.values)
+            grad_rows[np.searchsorted(cols, slots[i])] += np.outer(fv.values, g)
         grad_b += g
     n = len(batch_ids)
-    return cols, grad_cols / n, grad_b / n, loss / n
+    return cols, grad_rows / n, grad_b / n, loss / n
 
 
 def _adam_step(W, mW, vW, n_active, decay, scale, sqrt_bc2, eps, buf):
-    """``W[:, :n_active] = W * decay - scale * (mW / (sqrt(vW) / sqrt_bc2 + eps))``.
+    """``W[:n_active] = W * decay - scale * (mW / (sqrt(vW) / sqrt_bc2 + eps))``.
 
-    In place, through ``buf`` one column chunk at a time: the same IEEE
-    operations in the same order as the whole-prefix expression, without its
-    classes x n_active temporaries. ``decay`` None skips the multiplication.
+    In place on the slots x classes arrays, through ``buf`` one contiguous
+    block of rows at a time: the same IEEE operations in the same order as
+    the whole-prefix expression, without its n_active x classes temporaries.
+    ``decay`` None skips the multiplication.
     """
-    for start in range(0, n_active, buf.shape[1]):
-        stop = min(start + buf.shape[1], n_active)
-        w, step = W[:, start:stop], buf[:, : stop - start]
+    for start in range(0, n_active, buf.shape[0]):
+        stop = min(start + buf.shape[0], n_active)
+        w, step = W[start:stop], buf[: stop - start]
         if decay is not None:
             w *= decay
-        np.sqrt(vW[:, start:stop], out=step)
+        np.sqrt(vW[start:stop], out=step)
         step /= sqrt_bc2
         step += eps
-        np.divide(mW[:, start:stop], step, out=step)
+        np.divide(mW[start:stop], step, out=step)
         step *= scale
         w -= step
 
@@ -246,8 +255,8 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
     buckets, slot_of, slots = _slot_layout(feats, orders[0] if orders else range(len(feats)))
 
     n_classes = len(scheme.categories)
-    W = np.zeros((n_classes, buckets.size))
-    buf = np.empty((n_classes, max(1, min(UPDATE_CHUNK_COLS, buckets.size))))
+    W = np.zeros((buckets.size, n_classes))
+    buf = np.empty((max(1, min(UPDATE_CHUNK_COLS, buckets.size)), n_classes))
     b = np.zeros(n_classes)
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)
@@ -263,15 +272,15 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
         for start in range(0, len(order), config.batch_size):
             batch_ids = order[start : start + config.batch_size]
             step += 1
-            cols, grad_cols, grad_b, batch_loss = _batch_grad(W, b, feats, slots, targets, batch_ids)
+            cols, grad_rows, grad_b, batch_loss = _batch_grad(W, b, feats, slots, targets, batch_ids)
             if cols.size:
                 n_active = max(n_active, int(cols[-1]) + 1)
 
             mult = min(step / config.warmup_steps, 1.0) if config.warmup_steps > 0 else 1.0
-            mW[:, :n_active] *= beta1
-            vW[:, :n_active] *= beta2
-            mW[:, cols] += (1.0 - beta1) * grad_cols
-            vW[:, cols] += (1.0 - beta2) * (grad_cols * grad_cols)
+            mW[:n_active] *= beta1
+            vW[:n_active] *= beta2
+            mW[cols] += (1.0 - beta1) * grad_rows
+            vW[cols] += (1.0 - beta2) * (grad_rows * grad_rows)
             mb = beta1 * mb + (1.0 - beta1) * grad_b
             vb = beta2 * vb + (1.0 - beta2) * (grad_b * grad_b)
 
@@ -286,13 +295,14 @@ def train(instances, scheme: TaxonomyScheme, config: TrainConfig | None = None) 
         logger.info("epoch %d: mean batch loss %.4f", epoch + 1, epoch_loss / max(1, n_batches))
 
     # Free the moments, then copy the slots into bucket order in chunks, so at
-    # most two classes x U arrays (W and the model's block) are ever alive here.
+    # most two arrays of U x classes weights (W and the model's block) are ever
+    # alive here.
     del mW, vW
     model = SoftmaxModel(scheme, buckets, b=b)
     block = model.block
     for start in range(0, buckets.size, UPDATE_CHUNK_COLS):
         stop = start + UPDATE_CHUNK_COLS
-        block[:, start:stop] = W[:, slot_of[start:stop]]
+        block[:, start:stop] = W[slot_of[start:stop]].T
     return model
 
 

@@ -18,6 +18,7 @@ from taxotext.errors import (
     ParseError,
     UnknownLabel,
 )
+from taxotext import softmax
 from taxotext.features import N_BUCKETS, FeatureVector, featurize
 from taxotext.softmax import (
     UPDATE_CHUNK_COLS,
@@ -144,8 +145,8 @@ def test_train_matches_dense_oracle():
     model = train(instances, scheme, config)
     W, b = _dense_oracle(instances, scheme, config)
     nz = np.flatnonzero(np.any(W != 0.0, axis=0))
-    assert np.allclose(model.W[:, nz], W[:, nz], rtol=0, atol=1e-14)
-    assert np.allclose(model.b, b, rtol=0, atol=1e-14)
+    assert np.array_equal(model.W[:, nz], W[:, nz])
+    assert np.array_equal(model.b, b)
     # untouched columns are exactly zero in both
     untouched = np.setdiff1d(np.arange(0, 2000), nz)
     assert not np.any(model.W[:, untouched])
@@ -171,11 +172,26 @@ def test_train_matches_dense_oracle_with_empty_texts_and_short_last_batch():
         model = train(instances, scheme, config)
         W, b = _dense_oracle(instances, scheme, config)
         nz = np.flatnonzero(np.any(W != 0.0, axis=0))
-        assert np.allclose(model.W[:, nz], W[:, nz], rtol=0, atol=1e-14)
-        assert np.allclose(model.b, b, rtol=0, atol=1e-14)
+        assert np.array_equal(model.W[:, nz], W[:, nz])
+        assert np.array_equal(model.b, b)
         # untouched columns are exactly zero
         untouched = np.setdiff1d(np.arange(N_BUCKETS), nz)
         assert not np.any(model.W[:, untouched])
+
+
+@pytest.mark.parametrize("batch_size", [1, 4])
+def test_train_matches_dense_oracle_across_narrow_update_chunks(monkeypatch, batch_size):
+    # 7-slot chunks split the corpus's columns into several update chunks,
+    # the last one short
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 7)
+    scheme = load_sic_scheme()
+    instances = _instances(scheme, ["20", "60", "73"], per_class=6)
+    config = TrainConfig(epochs=2, batch_size=batch_size, warmup_steps=5, weight_decay=0.02, seed=3)
+    model = train(instances, scheme, config)
+    assert model.cols.size > 2 * 7 and model.cols.size % 7 != 0
+    W, b = _dense_oracle(instances, scheme, config)
+    assert np.array_equal(model.W, W)
+    assert np.array_equal(model.b, b)
 
 
 def test_warmup_scales_early_updates_linearly():
@@ -290,7 +306,7 @@ def test_train_on_an_empty_vocabulary_gives_a_bias_only_model(tmp_path):
     model = train(instances, scheme, config)
     assert model.cols.size == 0 and model.block.shape == (len(scheme.categories), 0)
     _, b = _dense_oracle(instances, scheme, config)
-    assert np.allclose(model.b, b, rtol=0, atol=1e-14)
+    assert np.array_equal(model.b, b)
 
     loaded = load_model(save_model(model, tmp_path / "m.model"), scheme)
     assert np.array_equal(loaded.b, model.b) and loaded.cols.size == 0
