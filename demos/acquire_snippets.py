@@ -40,8 +40,8 @@ fixtures = {
 }
 
 with MockSearchServer(fixtures, api_key="demo-key") as server, \
-        tempfile.TemporaryDirectory() as cache_dir:
-    client = SearchClient(server.base_url, api_key="demo-key", policy=RetryPolicy())
+        tempfile.TemporaryDirectory() as cache_dir, \
+        SearchClient(server.base_url, api_key="demo-key", policy=RetryPolicy()) as client:
     cache = TextCache(cache_dir)
     acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
 

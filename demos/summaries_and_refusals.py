@@ -32,8 +32,8 @@ def reply(messages, model):
     return ""
 
 
-with MockLlmServer(reply=reply, api_key="demo-key") as server:
-    client = LlmClient(server.base_url, api_key="demo-key", policy=RetryPolicy())
+with MockLlmServer(reply=reply, api_key="demo-key") as server, \
+        LlmClient(server.base_url, api_key="demo-key", policy=RetryPolicy()) as client:
     for n, name in enumerate(REPLIES):
         summary = generate_summary(
             f"e{n}", name, template, client, model_id="demo-model"

@@ -234,9 +234,14 @@ def cmd_acquire(ctx: RunContext, args) -> int:
     options = {"sources": [s.signature for s in specs], "refresh": bool(args.refresh)}
     _write_manifest(ctx, args, options, dataset=dataset)
     all_errors: dict[str, Exception] = {}
-    for spec in specs:
-        _, errors = acquirer.acquire_all(dataset.records, spec, refresh=args.refresh)
-        all_errors.update(errors)
+    try:
+        for spec in specs:
+            _, errors = acquirer.acquire_all(dataset.records, spec, refresh=args.refresh)
+            all_errors.update(errors)
+    finally:
+        for client in (acquirer.search_client, acquirer.llm_client):
+            if client is not None:
+                client.close()
     stats = acquirer.stats
     print(
         f"acquired: fetched={stats['fetched']} cache_hits={stats['hits']} "
@@ -398,9 +403,10 @@ def cmd_baseline(ctx: RunContext, args) -> int:
     model_id = args.model or ctx.config.gpt_model
     options = {"split": split.value, "model": model_id, "context_sources": args.context_sources}
     _write_manifest(ctx, args, options, dataset=dataset)
-    predictions = prompt_baseline(
-        records, dataset.scheme, client, model_id=model_id, contexts=contexts
-    )
+    with client:
+        predictions = prompt_baseline(
+            records, dataset.scheme, client, model_id=model_id, contexts=contexts
+        )
     out_path = write_predictions(
         predictions, ctx.run_dir / "predictions" / f"baseline-{split.value}.jsonl"
     )

@@ -1,22 +1,24 @@
 """In-process fixture servers speaking the provider wire formats.
 
 Deterministic stand-ins for the search endpoint and the chat-completions
-endpoint, used by the test suite and the demo scripts. Servers record
-request counts and peak concurrency so callers can assert cache hits and
-parallelism bounds. Not a general-purpose HTTP mock.
+endpoint, used by the test suite and the demo scripts. Both answer over
+HTTP/1.1 keep-alive. Servers record request counts, peak concurrency and
+the connections they accept, so callers can assert cache hits,
+parallelism bounds and connection reuse. Not a general-purpose HTTP mock.
 
 Every request to either server, GET or POST, takes one path: it is
-counted, sleeps ``latency``, answers 500 while a ``fail_next`` budget
-lasts, 401 when ``authorized(headers, query)`` rejects its key, and
-otherwise the ``(payload, status)`` that ``respond(method, path, query,
-body)`` returns. A server class defines only those two methods. The
-request stops counting as in flight once its reply is ready, before it
-is written, and also when ``respond`` raises.
+counted, its body is read, it sleeps ``latency``, and it answers 500
+while a ``fail_next`` budget lasts, 401 when ``authorized(headers,
+query)`` rejects its key, and otherwise the ``(payload, status)`` that
+``respond(method, path, query, body)`` returns. A server class defines
+only those two methods. The request stops counting as in flight once its
+reply is ready, before it is written, and also when ``respond`` raises.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -24,13 +26,32 @@ from urllib.parse import parse_qs, urlparse
 
 
 class _Handler(BaseHTTPRequestHandler):
+    # Keep-alive, as real providers speak it. Without TCP_NODELAY the
+    # headers and body, written apart, wait about 40 ms on a delayed ACK.
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
     def log_message(self, *args):  # keep test output quiet
         pass
+
+    def setup(self):
+        super().setup()
+        self.server.owner._connected(self.connection, True)
+
+    def finish(self):
+        try:
+            super().finish()
+        finally:
+            self.server.owner._connected(self.connection, False)
 
     def _serve(self):
         owner = self.server.owner
         fail = owner._enter_request()
         try:
+            # Read the body on every path: left in a kept-alive socket, it
+            # would be taken for the start of the next request.
+            length = int(self.headers.get("Content-Length", 0))
+            body = self.rfile.read(length) if length else b""
             if owner.latency:
                 time.sleep(owner.latency)
             url = urlparse(self.path)
@@ -40,8 +61,6 @@ class _Handler(BaseHTTPRequestHandler):
             elif not owner.authorized(self.headers, query):
                 payload, status = {"error": "bad key"}, 401
             else:
-                length = int(self.headers.get("Content-Length", 0))
-                body = self.rfile.read(length) if length else b""
                 payload, status = owner.respond(self.command, url.path, query, body)
             reply = json.dumps(payload).encode("utf-8")
         finally:
@@ -69,6 +88,8 @@ class _ServerBase:
     def __init__(self, latency: float = 0.0):
         self.latency = latency
         self.request_count = 0
+        self.connection_count = 0  # connections accepted
+        self._open: set[socket.socket] = set()
         self.peak_in_flight = 0
         self._in_flight = 0
         self._stats_lock = threading.Lock()
@@ -86,9 +107,22 @@ class _ServerBase:
         self._thread.start()
         return self
 
+    @property
+    def open_connections(self) -> int:
+        """Connections accepted and not yet closed."""
+        with self._stats_lock:
+            return len(self._open)
+
     def stop(self):
         self._httpd.shutdown()
         self._httpd.server_close()
+        with self._stats_lock:
+            still_open = list(self._open)
+        for sock in still_open:  # end the handler threads that wait on idle clients
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def __enter__(self):
         return self.start()
@@ -115,6 +149,14 @@ class _ServerBase:
     def _exit_request(self):
         with self._stats_lock:
             self._in_flight -= 1
+
+    def _connected(self, sock, is_open: bool):
+        with self._stats_lock:
+            if is_open:
+                self.connection_count += 1
+                self._open.add(sock)
+            else:
+                self._open.discard(sock)
 
 
 class MockSearchServer(_ServerBase):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import time
 
 import pytest
 
@@ -82,3 +83,12 @@ def with_splits(records, n_train, n_dev):
 
 def make_dataset(scheme, spec, n_train, n_dev):
     return Dataset(scheme=scheme, records=tuple(with_splits(make_records(scheme, spec), n_train, n_dev)))
+
+
+def wait_until(condition, timeout=5.0):
+    """Poll until a server-side effect of a client action shows; a handler
+    thread notices a closed connection a moment after the client closes it."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition not met in time"
+        time.sleep(0.01)

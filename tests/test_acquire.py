@@ -338,18 +338,30 @@ def test_an_old_index_json_is_ignored_and_left_in_place(tmp_path):
 # --- HTTP connections -------------------------------------------------------------
 
 
-def test_wide_pool_logs_no_connection_pool_warnings(tmp_path, caplog):
-    # urllib3 keeps 10 connections per host in a pool; 16 workers sharing one
-    # pool would discard connections with a "Connection pool is full" warning
+def test_parallel_requests_reuse_at_most_one_connection_per_worker(tmp_path):
+    records = _records(50)
+    with MockSearchServer(_snippet_table(records), api_key="k", latency=0.005) as server:
+        with SearchClient(server.base_url, api_key="k") as client:
+            acquirer = TextAcquirer(
+                TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=4
+            )
+            _, errors = acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
+    assert not errors
+    assert server.request_count == 50
+    assert 1 <= server.connection_count <= 4
+
+
+def test_wide_pool_stays_within_one_connection_per_worker(tmp_path):
+    # 16 workers share the client's one pool: every request in flight has a
+    # connection of its own, and no worker opens a second one
     records = _records(64)
     with MockSearchServer(_snippet_table(records), api_key="k", latency=0.1) as server:
-        client = SearchClient(server.base_url, api_key="k")
-        acquirer = TextAcquirer(
-            TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=16
-        )
-        spec = parse_source_signature("gsnip10", TaskId.SIC)
-        with caplog.at_level("WARNING", logger="urllib3"):
+        with SearchClient(server.base_url, api_key="k") as client:
+            acquirer = TextAcquirer(
+                TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=16
+            )
+            spec = parse_source_signature("gsnip10", TaskId.SIC)
             _, errors = acquirer.acquire_all(records, spec)
     assert not errors
     assert server.peak_in_flight > 10
-    assert not [r for r in caplog.records if r.name.startswith("urllib3")]
+    assert server.connection_count <= 16

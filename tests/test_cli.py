@@ -2,17 +2,25 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
 from taxotext.cache import TextCache
+from taxotext import cli
 from taxotext.cli import main
+from taxotext.config import PipelineConfig
 from taxotext.errors import CacheCorrupt, HttpError
 from taxotext.manifest import load_manifest
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.taxonomy import TaskId, load_dataset, load_sic_scheme
 from taxotext.texts import AcquiredText
+
+from conftest import wait_until
 
 CIDS = ("20", "58", "73")
 
@@ -151,6 +159,76 @@ def test_server_errors_exhaust_retries_exit_3(workspace):
         )
         code = _run(["acquire", "--sources", "gsnip3"], tmp_path / "runs", config=config)
     assert code == 3
+
+
+def test_acquire_and_baseline_close_their_connections(workspace, monkeypatch):
+    tmp_path, entities, snippets = workspace
+    # hold every client the commands make, so only their close() can end a connection
+    clients = []
+    make_client = cli._client
+
+    def kept_client(*args):
+        clients.append(make_client(*args))
+        return clients[-1]
+
+    monkeypatch.setattr(cli, "_client", kept_client)
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "58", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        assert _run(["acquire", "--sources", "gsnip3,gptsum"], runs, config=config) == 0
+        wait_until(lambda: search.open_connections == llm.open_connections == 0)
+        assert search.request_count == llm.request_count == len(snippets)
+        # one pool per client: at most one connection per worker
+        assert 1 <= search.connection_count <= PipelineConfig().max_parallel
+        assert 1 <= llm.connection_count <= PipelineConfig().max_parallel
+        after_acquire = llm.connection_count
+        assert _run(["baseline", "--split", "test"], runs, config=config) == 0
+        wait_until(lambda: llm.open_connections == 0)
+    assert llm.connection_count == after_acquire + 1  # the baseline asks one prompt at a time
+    assert len(clients) == 3
+
+
+_BLOCK_REQUESTS = """
+import sys
+
+class Blocker:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] in ("requests", "urllib3"):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+sys.meta_path.insert(0, Blocker())
+from taxotext import cli
+from taxotext.cli import main
+from taxotext.config import PipelineConfig
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_acquire_runs_without_requests_or_urllib3(workspace):
+    tmp_path, entities, snippets = workspace
+    src = Path(__file__).resolve().parents[1] / "src"
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "A summary.", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        argv = ["--runs-dir", str(tmp_path / "runs"), "--run-id", "r1", "--config", str(config),
+                "acquire", "--sources", "gsnip3,gptsum"]
+        proc = subprocess.run(
+            [sys.executable, "-c", _BLOCK_REQUESTS, *argv],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=120,
+        )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert f"fetched={2 * len(snippets)}" in proc.stdout
 
 
 def _run_steps(config, runs_dir, run_id="r1"):

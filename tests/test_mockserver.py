@@ -124,3 +124,27 @@ def test_wire_status_and_counting(wire_servers, kind, method, path, key, fail, l
     assert server.request_count == before + 1
     assert server._in_flight == 0
     assert elapsed >= latency
+
+
+@pytest.mark.parametrize("first_key,first_status", [("k", 500), ("wrong", 401)])
+def test_refused_post_leaves_no_body_behind_on_a_kept_alive_connection(first_key, first_status):
+    # a refused request's body, left unread in the socket, would be parsed
+    # as the start of the next request on the same connection
+    with MockLlmServer(lambda messages, model: "A summary.", api_key="k") as server:
+        if first_status == 500:
+            server.fail_next(1)
+        host, port = server.base_url.removeprefix("http://").split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=10)
+        statuses = []
+        try:
+            for key in (first_key, "k"):
+                headers = {"Authorization": f"Bearer {key}"}
+                conn.request("POST", "/chat/completions", body=CHAT, headers=headers)
+                response = conn.getresponse()
+                response.read()
+                statuses.append(response.status)
+        finally:
+            conn.close()
+    assert statuses == [first_status, 200]
+    assert server.request_count == 2
+    assert server.connection_count == 1
