@@ -7,6 +7,14 @@ confidence-threshold sweeps, and snippet-depth ablations. A CLI drives the
 same steps end to end; see the README for a tour.
 """
 
+import os
+
+# Before anything imports NumPy: one OpenBLAS thread. Each training logit is
+# a small matrix-vector product above OpenBLAS's threading threshold, so a
+# second thread would wake for every one and then spin, doubling CPU time
+# for no gain in wall time. A value the user set is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .ablation import AblationPoint, ablate_snippets, write_ablation_csv
 from .acquire import SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache

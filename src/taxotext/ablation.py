@@ -15,6 +15,7 @@ from .acquire import SourceSpec, TextAcquirer, snippet_text
 from .cache import TextCache
 from .corpus import build_instances
 from .errors import InsufficientSnippets
+from .features import FeatureVector, PrefixFeaturizer
 from .metrics import MacroReport, confusion, macro_report, write_csv
 from .softmax import TrainConfig, predict_instances, train
 from .taxonomy import Dataset, Split
@@ -53,6 +54,10 @@ def snippet_depths(ks: Sequence[int] | None, cached_depth: int) -> list[int]:
     return ks
 
 
+def _prefix_features(hashed: dict[str, PrefixFeaturizer], instances) -> list[FeatureVector]:
+    return [hashed[inst.entity_id].vector(inst.input_text) for inst in instances]
+
+
 def ablate_snippets(
     dataset: Dataset,
     cache: TextCache,
@@ -66,6 +71,11 @@ def ablate_snippets(
     Every k is cut from the ``gsnip<cached_depth>`` entries, the depth the
     cache was filled at; ``snippet_depths`` checks and orders ks first, so
     points come back in ascending k.
+
+    Each entity's text is hashed once, at the deepest k: a shallower
+    ``gsnip<k>`` instance text is a prefix of it that ends before the space
+    joining the next snippet (or with the name's newline), so its features
+    are cut from that one hash pass (``PrefixFeaturizer``).
     """
     ks = snippet_depths(ks, cached_depth)
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
@@ -79,8 +89,9 @@ def ablate_snippets(
 
     train_records = dataset.by_split(Split.TRAIN)
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
+    hashed: dict[str, PrefixFeaturizer] = {}
     points = []
-    for k in ks:
+    for k in reversed(ks):  # deepest first: its texts are the ones hashed
         texts = {
             entity_id: snippet_text(entity_id, entry.provenance, k, entry.retrieved_at)
             for entity_id, entry in full.items()
@@ -88,12 +99,23 @@ def ablate_snippets(
         signature = f"gsnip{k}"
         train_build = build_instances(train_records, texts, signature)
         test_build = build_instances(test_records, texts, signature)
-        model = train(train_build.instances, dataset.scheme, train_config)
-        preds = predict_instances(model, test_build.instances)
+        if k == ks[-1]:
+            hashed = {
+                inst.entity_id: PrefixFeaturizer(inst.input_text)
+                for inst in (*train_build.instances, *test_build.instances)
+            }
+        # A k's vectors are cut only while it is scored.
+        model = train(
+            train_build.instances, dataset.scheme, train_config,
+            features=_prefix_features(hashed, train_build.instances),
+        )
+        preds = predict_instances(
+            model, test_build.instances, features=_prefix_features(hashed, test_build.instances)
+        )
         matrix = confusion([r.label for r in test_records], [p.label for p in preds], dataset.scheme)
         points.append(AblationPoint(k=k, report=macro_report(matrix)))
         logger.info("ablation k=%d: macro F1 %.3f", k, points[-1].report.macro_f1)
-    return points
+    return points[::-1]
 
 
 def write_ablation_csv(points: Sequence[AblationPoint], path: str | Path) -> Path:

@@ -3,11 +3,13 @@ from __future__ import annotations
 import pytest
 
 from taxotext.ablation import AblationPoint, ablate_snippets, default_ks, write_ablation_csv
+from taxotext.acquire import snippet_text
 from taxotext.cache import TextCache
+from taxotext.corpus import build_instances
 from taxotext.errors import InsufficientSnippets
 from taxotext.metrics import MacroReport, confusion, macro_report
 from taxotext.search import SearchResult, aggregate_snippets
-from taxotext.softmax import TrainConfig
+from taxotext.softmax import TrainConfig, predict_instances, train
 from taxotext.taxonomy import Dataset, EntityRecord, Split
 from taxotext.texts import AcquiredText, Source
 
@@ -79,6 +81,45 @@ def test_deeper_snippets_recover_the_signal(tmp_path, sic_scheme):
     # averages over every category in the scheme, present or not
     assert f1[5] == pytest.approx(3 / len(sic_scheme.ids))
     assert f1[1] < f1[5]
+
+
+def test_reports_equal_a_per_depth_retrain_that_featurizes_each_text(tmp_path, sic_scheme):
+    dataset = _dataset(sic_scheme)
+    cache = TextCache(tmp_path)
+    _seed_cache(cache, dataset)
+    ks = (1, 2, 3, 5)
+    points = ablate_snippets(dataset, cache, ks=ks, cached_depth=DEPTH, train_config=CONFIG)
+
+    entries = {
+        r.entity_id: cache.load(
+            TextCache.key(sic_scheme.task_id, r.entity_id, Source.GSNIP, {"k": DEPTH})
+        )
+        for r in dataset.records
+    }
+    train_records = dataset.by_split(Split.TRAIN)
+    test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
+    for point, k in zip(points, ks, strict=True):
+        texts = {
+            eid: snippet_text(eid, entry.provenance, k, entry.retrieved_at)
+            for eid, entry in entries.items()
+        }
+        signature = f"gsnip{k}"
+        model = train(build_instances(train_records, texts, signature).instances, sic_scheme, CONFIG)
+        preds = predict_instances(model, build_instances(test_records, texts, signature).instances)
+        golds = [r.label for r in test_records]
+        expected = macro_report(confusion(golds, [p.label for p in preds], sic_scheme))
+        assert point.k == k
+        assert _fields(point.report) == _fields(expected)
+
+
+def _fields(report: MacroReport):
+    return (
+        report.per_class,
+        report.macro_p,
+        report.macro_r,
+        report.macro_f1,
+        report.confusion.counts.tolist(),
+    )
 
 
 def test_points_come_back_sorted_and_deduped(tmp_path, sic_scheme):

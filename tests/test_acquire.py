@@ -92,8 +92,10 @@ def test_parse_rejects_bad_signatures(raw):
 
 def test_acquire_fetches_then_hits_cache(tmp_path):
     records = _records(4)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         cache = TextCache(tmp_path / "cache")
         acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
@@ -113,8 +115,10 @@ def test_acquire_fetches_then_hits_cache(tmp_path):
 
 def test_acquire_refresh_refetches(tmp_path):
     records = _records(2)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
         acquirer.acquire_all(records, spec)
@@ -124,8 +128,10 @@ def test_acquire_refresh_refetches(tmp_path):
 
 def test_acquire_snippet_text_and_provenance(tmp_path):
     records = _records(1)
-    with MockSearchServer(_snippet_table(records, per=3), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records, per=3), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip3", TaskId.SIC)
         text = acquirer.acquire(records[0], spec)
@@ -137,8 +143,10 @@ def test_acquire_snippet_text_and_provenance(tmp_path):
 
 def test_acquire_bounds_parallelism(tmp_path):
     records = _records(12)
-    with MockSearchServer(_snippet_table(records), api_key="k", latency=0.05) as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k", latency=0.05) as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         acquirer = TextAcquirer(
             TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=3
         )
@@ -150,9 +158,11 @@ def test_acquire_bounds_parallelism(tmp_path):
 
 def test_acquire_retries_transient_failures(tmp_path):
     records = _records(1)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         server.fail_next(2)
-        client = SearchClient(server.base_url, api_key="k")
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
         text = acquirer.acquire(records[0], spec)
@@ -162,8 +172,10 @@ def test_acquire_retries_transient_failures(tmp_path):
 
 def test_acquire_collects_auth_errors(tmp_path):
     records = _records(3)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="wrong")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="wrong") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
         results, errors = acquirer.acquire_all(records, spec)
@@ -185,8 +197,10 @@ def test_acquire_summary_counts_refusals(tmp_path):
             return "I don't have any information about that organization."
         return "Makes industrial glue. Sells to factories."
 
-    with MockLlmServer(reply, api_key="sk") as server:
-        client = LlmClient(server.base_url, api_key="sk")
+    with (
+        MockLlmServer(reply, api_key="sk") as server,
+        LlmClient(server.base_url, api_key="sk") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), llm_client=client)
         spec = parse_source_signature("gptsum", TaskId.SIC)
         results, errors = acquirer.acquire_all(records, spec)
@@ -201,11 +215,12 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
     records = _records(2)
     snippets = _snippet_table(records)
 
-    with MockSearchServer(snippets, api_key="k") as search_srv, MockLlmServer(
-        lambda m, mo: "A summary sentence.", api_key="sk"
-    ) as llm_srv:
-        search = SearchClient(search_srv.base_url, api_key="k")
-        llm = LlmClient(llm_srv.base_url, api_key="sk")
+    with (
+        MockSearchServer(snippets, api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="k") as search,
+        LlmClient(llm_srv.base_url, api_key="sk") as llm,
+    ):
         cache = TextCache(tmp_path / "c")
         acquirer = TextAcquirer(TaskId.SIC, cache, search_client=search, llm_client=llm)
         spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
@@ -226,14 +241,14 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
 
 
 def _acquire_combined(tmp_path, records, llm_key):
-    with MockSearchServer(_snippet_table(records), api_key="k") as search_srv, MockLlmServer(
-        lambda m, mo: "A summary sentence.", api_key="sk"
-    ) as llm_srv:
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="k") as search,
+        LlmClient(llm_srv.base_url, api_key=llm_key) as llm,
+    ):
         acquirer = TextAcquirer(
-            TaskId.SIC,
-            TextCache(tmp_path / "c"),
-            search_client=SearchClient(search_srv.base_url, api_key="k"),
-            llm_client=LlmClient(llm_srv.base_url, api_key=llm_key),
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
         )
         spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
         results, errors = acquirer.acquire_all(records, spec)
@@ -274,8 +289,10 @@ def test_combined_acquire_caches_only_provider_replies(tmp_path):
 
 def test_combined_text_is_none_when_a_component_is_missing(tmp_path):
     records = _records(2)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
     spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
@@ -318,8 +335,10 @@ def test_cold_acquire_all_leaves_one_entry_file_per_provider_reply(tmp_path):
 
 def test_an_old_index_json_is_ignored_and_left_in_place(tmp_path):
     records = _records(3)
-    with MockSearchServer(_snippet_table(records), api_key="k") as server:
-        client = SearchClient(server.base_url, api_key="k")
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+    ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
         results, _ = acquirer.acquire_all(records, spec)

@@ -6,8 +6,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taxotext.features import N_BUCKETS, FeatureVector, featurize, tokenize
+from taxotext.acquire import snippet_text
+from taxotext.corpus import build_instances
+from taxotext.features import N_BUCKETS, FeatureVector, PrefixFeaturizer, featurize, tokenize
 from taxotext.hashing import digests64, token_hash64
+from taxotext.search import SearchResult
+from taxotext.taxonomy import EntityRecord, Split, load_sic_scheme
 
 
 def _reference_featurize(text: str) -> FeatureVector:
@@ -158,3 +162,80 @@ def test_colliding_ngrams_count_twice():
     assert fv.indices.tolist() == sorted([bucket, bigram])
     raw = np.array([2.0 if i == bucket else 1.0 for i in fv.indices])
     assert fv.values.tobytes() == (raw / np.linalg.norm(raw)).tobytes()
+
+
+# --- one hash pass for every snippet depth -----------------------------------------
+
+_LABEL = load_sic_scheme().by_id["20"]
+
+
+def _gsnip_instance_texts(name: str, snippets: list[str], ks) -> dict[int, str]:
+    """Each k's instance text, built as ablation builds it from a cached search reply."""
+    record = EntityRecord("e1", name, "2010", _LABEL, Split.TRAIN)
+    provenance = [vars(SearchResult(i + 1, f"t{i}", f"u{i}", s)) for i, s in enumerate(snippets)]
+    texts = {}
+    for k in ks:
+        acquired = snippet_text("e1", provenance, k, "2024-01-01T00:00:00Z")
+        texts[k] = build_instances([record], {"e1": acquired}, f"gsnip{k}").instances[0].input_text
+    return texts
+
+
+def _assert_prefixes_match_featurize(name: str, snippets: list[str], ks=(1, 2, 3, 5, 8)):
+    texts = _gsnip_instance_texts(name, snippets, ks)
+    hashed = PrefixFeaturizer(texts[max(ks)])
+    for k in ks:
+        fv, ref = hashed.vector(texts[k]), featurize(texts[k])
+        assert fv.indices.dtype == np.int64 and fv.values.dtype == np.float64
+        assert fv.indices.tobytes() == ref.indices.tobytes(), k
+        assert fv.values.tobytes() == ref.values.tobytes(), k
+
+
+def test_prefix_vectors_of_an_entity_with_no_snippets():
+    _assert_prefixes_match_featurize("Acme Corp", [])
+    _assert_prefixes_match_featurize("", [])
+    _assert_prefixes_match_featurize("...", ["", " "])
+
+
+def test_prefix_vectors_skip_empty_and_punctuation_only_snippets():
+    _assert_prefixes_match_featurize(
+        "Acme Corp", ["", "  makes glue  ", "...", " ", "!?", "sells glue", "--", "glue glue"]
+    )
+    # the first non-empty snippet comes only after k=1
+    _assert_prefixes_match_featurize("Acme", ["   ", "glue works", "", "glue"])
+
+
+def test_prefix_vectors_split_words_at_underscores():
+    _assert_prefixes_match_featurize("snake_case Ltd", ["a_b c_", "_d_ e", "f__g", "classtoken_7"])
+
+
+def test_prefix_vectors_keep_a_word_final_sigma():
+    # lower() maps a word-final capital sigma to final ς, anywhere else to σ;
+    # the space joining the next snippet ends the word in both texts
+    assert "ΤΕΛΟΣ ΑΡΧΗ".lower() == "τελος αρχη"
+    _assert_prefixes_match_featurize("ΟΔΟΣ", ["ΤΕΛΟΣ", "ΑΡΧΗ ΣΑΣ", "ΤΕΛΟΣ.", "ΣΑ", "Σ"])
+    _assert_prefixes_match_featurize("ΘΕΟΣ'", ["ΛΟΓΟΣ'", "ΑΣ'Α"])
+
+
+def test_prefix_vectors_of_a_letter_that_lowercases_to_two_code_points():
+    assert len("İ".lower()) == 2
+    _assert_prefixes_match_featurize("İstanbul İİ", ["İzmir", "İ", "KİM İN", "istanbul"])
+
+
+def test_prefix_vectors_at_depths_beyond_the_entitys_results():
+    _assert_prefixes_match_featurize("Acme Corp", ["makes glue", "sells glue"], ks=(1, 2, 5, 10, 20))
+
+
+_snippet = st.text(alphabet="aAbΣσςİiı_ .,'-\t\n", max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="aΣİ_ .'", max_size=8), st.lists(_snippet, max_size=8))
+def test_prefix_vectors_match_featurize_per_depth(name, snippets):
+    _assert_prefixes_match_featurize(name, snippets)
+
+
+def test_whole_text_vector_matches_featurize():
+    for text in ["", "...", "alpha beta alpha", "ΟΔΟΣ İ_x"]:
+        fv, ref = PrefixFeaturizer(text).vector(text), featurize(text)
+        assert fv.indices.tobytes() == ref.indices.tobytes()
+        assert fv.values.tobytes() == ref.values.tobytes()

@@ -28,13 +28,17 @@ def test_sequential_client_peaks_at_one_in_flight(monkeypatch, kind):
 
         monkeypatch.setattr(cls, "_exit_request", slow_exit)
     if kind == "search":
-        with MockSearchServer({"Acme": ["a", "b"]}, api_key="k") as server:
-            client = SearchClient(server.base_url, api_key="k")
+        with (
+            MockSearchServer({"Acme": ["a", "b"]}, api_key="k") as server,
+            SearchClient(server.base_url, api_key="k") as client,
+        ):
             for _ in range(4):
                 client.search_entity("Acme", 2)
     else:
-        with MockLlmServer(lambda messages, model: "A summary.", api_key="k") as server:
-            client = LlmClient(server.base_url, api_key="k")
+        with (
+            MockLlmServer(lambda messages, model: "A summary.", api_key="k") as server,
+            LlmClient(server.base_url, api_key="k") as client,
+        ):
             for _ in range(4):
                 client.complete("hi", model="m", max_tokens=5)
     assert server.request_count == 4

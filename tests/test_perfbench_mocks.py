@@ -31,9 +31,14 @@ def test_reset_reports_and_zeroes_each_servers_counts(monkeypatch):
     reset = _load_mocks(monkeypatch)._reset
     search = MockSearchServer({"Acme": ["a", "b"]}, api_key="k")
     llm = MockLlmServer(lambda messages, model: "A summary.", api_key="k")
-    with search, llm:
-        SearchClient(search.base_url, api_key="k").search_entity("Acme", 2)
-        LlmClient(llm.base_url, api_key="k").complete("hi", model="m", max_tokens=5)
+    with (
+        search,
+        llm,
+        SearchClient(search.base_url, api_key="k") as search_client,
+        LlmClient(llm.base_url, api_key="k") as llm_client,
+    ):
+        search_client.search_entity("Acme", 2)
+        llm_client.complete("hi", model="m", max_tokens=5)
         assert len(llm.chat_requests) == 1
         assert reset(search) == {"requests": 1, "peak_in_flight": 1}
         assert reset(llm) == {"requests": 1, "peak_in_flight": 1}

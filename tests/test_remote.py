@@ -119,10 +119,8 @@ def _records(scheme, n=3):
 
 def test_prompt_baseline_parses_replies():
     scheme = load_sic_scheme()
-    with MockLlmServer(reply=lambda m, _: "58", api_key="k") as server:
-        preds = prompt_baseline(
-            _records(scheme, 3), scheme, _client(server), model_id="m"
-        )
+    with MockLlmServer(reply=lambda m, _: "58", api_key="k") as server, _client(server) as client:
+        preds = prompt_baseline(_records(scheme, 3), scheme, client, model_id="m")
     assert [p.entity_id for p in preds] == ["e0", "e1", "e2"]
     assert all(p.label.id == "58" for p in preds)
     assert all(p.confidence is None for p in preds)
@@ -131,10 +129,8 @@ def test_prompt_baseline_parses_replies():
 
 def test_prompt_baseline_invalid_reply_maps_to_invalid_label():
     scheme = load_sic_scheme()
-    with MockLlmServer(reply=lambda m, _: "no idea, sorry") as server:
-        preds = prompt_baseline(
-            _records(scheme, 1), scheme, _client(server), model_id="m"
-        )
+    with MockLlmServer(reply=lambda m, _: "no idea, sorry") as server, _client(server) as client:
+        preds = prompt_baseline(_records(scheme, 1), scheme, client, model_id="m")
     assert preds[0].label is INVALID_LABEL
 
 
@@ -146,11 +142,11 @@ def test_prompt_baseline_passes_context():
         seen.append(messages[-1]["content"])
         return "20"
 
-    with MockLlmServer(reply=reply) as server:
+    with MockLlmServer(reply=reply) as server, _client(server) as client:
         prompt_baseline(
             _records(scheme, 1),
             scheme,
-            _client(server),
+            client,
             model_id="m",
             contexts={"e0": "sells groceries"},
         )

@@ -17,23 +17,23 @@ def server():
 
 
 def test_search_returns_ranked_results(server):
-    client = SearchClient(server.base_url, api_key="good-key")
-    results = client.search_entity("Gold Hills Mining Ltd", k=4)
+    with SearchClient(server.base_url, api_key="good-key") as client:
+        results = client.search_entity("Gold Hills Mining Ltd", k=4)
     assert [r.rank for r in results] == [1, 2, 3, 4]
     assert [r.snippet for r in results] == ["snippet 0", "snippet 1", "snippet 2", "snippet 3"]
     assert results[0].url.startswith("https://")
 
 
 def test_search_clamps_to_available(server):
-    client = SearchClient(server.base_url, api_key="good-key")
-    assert len(client.search_entity("Gold Hills Mining Ltd", k=25)) == 10
-    assert client.search_entity("Nobody Knows This Name", k=5) == []
+    with SearchClient(server.base_url, api_key="good-key") as client:
+        assert len(client.search_entity("Gold Hills Mining Ltd", k=25)) == 10
+        assert client.search_entity("Nobody Knows This Name", k=5) == []
 
 
 def test_search_auth_failure(server):
-    client = SearchClient(server.base_url, api_key="wrong-key")
-    with pytest.raises(AuthError):
-        client.search_entity("Gold Hills Mining Ltd", k=3)
+    with SearchClient(server.base_url, api_key="wrong-key") as client:
+        with pytest.raises(AuthError):
+            client.search_entity("Gold Hills Mining Ltd", k=3)
     assert server.request_count == 1  # no retry on a rejected credential
 
 
@@ -42,16 +42,16 @@ def test_search_key_from_env(server, monkeypatch):
     with pytest.raises(ConfigError):
         SearchClient(server.base_url)
     monkeypatch.setenv("SEARCH_API_KEY", "good-key")
-    client = SearchClient(server.base_url)
-    assert len(client.search_entity("Gold Hills Mining Ltd", k=1)) == 1
+    with SearchClient(server.base_url) as client:
+        assert len(client.search_entity("Gold Hills Mining Ltd", k=1)) == 1
 
 
 def test_search_rejects_bad_args(server):
-    client = SearchClient(server.base_url, api_key="good-key")
-    with pytest.raises(ValueError):
-        client.search_entity("", k=3)
-    with pytest.raises(ValueError):
-        client.search_entity("x", k=0)
+    with SearchClient(server.base_url, api_key="good-key") as client:
+        with pytest.raises(ValueError):
+            client.search_entity("", k=3)
+        with pytest.raises(ValueError):
+            client.search_entity("x", k=0)
 
 
 def test_missing_organic_results_is_malformed(monkeypatch):

@@ -179,16 +179,29 @@ def test_train_matches_dense_oracle_with_empty_texts_and_short_last_batch():
         assert not np.any(model.W[:, untouched])
 
 
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_train_matches_dense_oracle_across_narrow_update_chunks(monkeypatch, batch_size):
-    # 7-slot chunks split the corpus's columns into several update chunks,
-    # the last one short
-    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 7)
+@pytest.mark.parametrize(
+    "batch_size, chunk",
+    [
+        pytest.param(1, 7, id="1"),
+        pytest.param(4, 7, id="4"),
+        pytest.param(1, 1, id="1-chunk1"),
+        pytest.param(4, 1, id="4-chunk1"),
+    ],
+)
+def test_train_matches_dense_oracle_across_narrow_update_chunks(monkeypatch, batch_size, chunk):
+    # narrow chunks split the corpus's columns into several update chunks
+    # (7-slot ones leave the last one short), and the moment updates of the
+    # first batch's slots fall on both sides of a chunk boundary
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", chunk)
     scheme = load_sic_scheme()
     instances = _instances(scheme, ["20", "60", "73"], per_class=6)
     config = TrainConfig(epochs=2, batch_size=batch_size, warmup_steps=5, weight_decay=0.02, seed=3)
     model = train(instances, scheme, config)
-    assert model.cols.size > 2 * 7 and model.cols.size % 7 != 0
+    assert model.cols.size > 2 * chunk and (chunk == 1 or model.cols.size % chunk != 0)
+    order = np.random.default_rng(config.seed).permutation(len(instances))
+    _, _, slots = softmax._slot_layout([featurize(i.input_text) for i in instances], order)
+    first_batch = np.concatenate([slots[i] for i in order[:batch_size]])
+    assert first_batch.min() // chunk < first_batch.max() // chunk
     W, b = _dense_oracle(instances, scheme, config)
     assert np.array_equal(model.W, W)
     assert np.array_equal(model.b, b)

@@ -99,8 +99,10 @@ def test_prompt_hash_is_stable():
 
 def test_generate_summary_roundtrip():
     reply = lambda messages, model: "Acme Corp makes fasteners. It sells to builders."
-    with MockLlmServer(reply, api_key="sk-test") as server:
-        client = LlmClient(server.base_url, api_key="sk-test")
+    with (
+        MockLlmServer(reply, api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
         text = generate_summary(
             "e1", "Acme Corp", PROMPT_TEMPLATES["GPT_SIC"], client, model_id="m1"
         )
@@ -113,8 +115,10 @@ def test_generate_summary_roundtrip():
 
 def test_generate_summary_trims_dangling_sentence():
     reply = lambda messages, model: "First sentence. Second half got cut of"
-    with MockLlmServer(reply, api_key="sk-test") as server:
-        client = LlmClient(server.base_url, api_key="sk-test")
+    with (
+        MockLlmServer(reply, api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
         text = generate_summary(
             "e1", "Acme", PROMPT_TEMPLATES["LLAMA_SIC"], client, model_id="m1"
         )
@@ -124,8 +128,10 @@ def test_generate_summary_trims_dangling_sentence():
 
 def test_generate_summary_refusal_yields_empty_text():
     reply = lambda messages, model: "I don’t have access to information about this entity."
-    with MockLlmServer(reply, api_key="sk-test") as server:
-        client = LlmClient(server.base_url, api_key="sk-test")
+    with (
+        MockLlmServer(reply, api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
         text = generate_summary(
             "e9", "Mystery LLC", PROMPT_TEMPLATES["GPT_SIC"], client, model_id="m1"
         )
@@ -134,8 +140,10 @@ def test_generate_summary_refusal_yields_empty_text():
 
 
 def test_generate_summary_empty_completion_raises():
-    with MockLlmServer(lambda m, mo: "", api_key="sk-test") as server:
-        client = LlmClient(server.base_url, api_key="sk-test")
+    with (
+        MockLlmServer(lambda m, mo: "", api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
         with pytest.raises(EmptyCompletion):
             generate_summary("e1", "Acme", PROMPT_TEMPLATES["GPT_SIC"], client, model_id="m1")
 
@@ -145,17 +153,12 @@ def test_client_auth_and_key_sources(monkeypatch):
         monkeypatch.delenv("LLM_API_KEY", raising=False)
         with pytest.raises(ConfigError):
             LlmClient(server.base_url)
-        with pytest.raises(AuthError):
-            LlmClient(server.base_url, api_key="wrong").chat(
-                [{"role": "user", "content": "hi"}], model="m", max_tokens=5
-            )
+        hi = [{"role": "user", "content": "hi"}]
+        with LlmClient(server.base_url, api_key="wrong") as client, pytest.raises(AuthError):
+            client.chat(hi, model="m", max_tokens=5)
         monkeypatch.setenv("LLM_API_KEY", "sk-test")
-        assert (
-            LlmClient(server.base_url).chat(
-                [{"role": "user", "content": "hi"}], model="m", max_tokens=5
-            )
-            == "ok."
-        )
+        with LlmClient(server.base_url) as client:
+            assert client.chat(hi, model="m", max_tokens=5) == "ok."
 
 
 def test_chat_sends_model_and_messages():
@@ -166,8 +169,10 @@ def test_chat_sends_model_and_messages():
         seen["model"] = model
         return "fine."
 
-    with MockLlmServer(reply, api_key="sk-test") as server:
-        client = LlmClient(server.base_url, api_key="sk-test")
+    with (
+        MockLlmServer(reply, api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
         client.complete("what is this", model="special-model", max_tokens=7)
     assert seen["model"] == "special-model"
     assert seen["messages"] == [{"role": "user", "content": "what is this"}]
