@@ -12,9 +12,9 @@ from .cache import TextCache
 from .config import PipelineConfig
 from .errors import TaxotextError
 from .search import SearchClient, SearchResult, aggregate_snippets
-from .summarize import PROMPT_TEMPLATES, LlmClient, _utcnow, generate_summary
+from .summarize import PROMPT_TEMPLATES, LlmClient, generate_summary
 from .taxonomy import EntityRecord, TaskId
-from .texts import _COMBINE_ORDER, AcquiredText, Source, combine_texts
+from .texts import _COMBINE_ORDER, AcquiredText, Source, combine_texts, utcnow
 
 logger = logging.getLogger(__name__)
 
@@ -208,7 +208,7 @@ class TextAcquirer:
                 raise ValueError("no search client configured for GSNIP acquisition")
             k = spec.params["k"]
             results = self.search_client.search_entity(record.name, k)
-            return snippet_text(record.entity_id, [asdict(r) for r in results], k, _utcnow())
+            return snippet_text(record.entity_id, [asdict(r) for r in results], k, utcnow())
         if spec.source in (Source.GPTSUM, Source.LLAMASUM):
             if self.llm_client is None:
                 raise ValueError("no LLM client configured for summary acquisition")

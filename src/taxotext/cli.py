@@ -2,7 +2,8 @@
 
 Every invocation works inside a run directory (runs/<run-id>/ by default)
 holding the cache, corpora, model, predictions, and reports for one
-experiment. A manifest is written before any artifact, and report files are
+experiment. `main` resolves the inputs the commands share; each handler checks
+its own, then records its manifest entry before any artifact. Report files are
 byte-identical across reruns with the same run id, seed, and cache.
 
 Exit codes: 0 success, 2 configuration problems, 3 provider/network
@@ -44,7 +45,7 @@ from .remote import INVALID, INVALID_LABEL, prompt_baseline
 from .search import SearchClient
 from .softmax import Prediction, load_model, predict_instances, save_model, train
 from .summarize import LlmClient
-from .taxonomy import Dataset, Split, load_dataset, load_scheme, split_dataset
+from .taxonomy import Dataset, Split, TaxonomyScheme, load_dataset, load_scheme, split_dataset
 from .texts import Source
 
 EXIT_OK = 0
@@ -57,10 +58,41 @@ _NETWORK_ERRORS = (HttpError, AuthError, MalformedResponse, EmptyCompletion)
 
 @dataclass
 class RunContext:
+    """One command's run directory and the inputs `main` resolved from its flags.
+
+    `dataset`, `spec` and `split` are set where the command takes `--dataset`,
+    one `--sources` signature, or `--split`. The handler checks its own inputs,
+    then calls `record` once, before its first output.
+    """
+
     config: PipelineConfig
     run_id: str
     run_dir: Path
     cache: TextCache
+    command: str
+    scheme: TaxonomyScheme
+    dataset: Dataset | None = None
+    spec: SourceSpec | None = None
+    split: Split | None = None
+
+    def record(self, options: dict):
+        """Append this command to the manifest, naming the dataset, signature and split it read."""
+        manifest = load_manifest(self.run_dir)
+        if manifest is None:
+            manifest = RunManifest.new(self.run_id, snapshot(self.config))
+        else:
+            manifest.config = snapshot(self.config)
+            manifest.config_fingerprint = fingerprint(manifest.config)
+        resolved = {}
+        if self.dataset is not None:
+            manifest.dataset_fingerprint = self.dataset.fingerprint
+        if self.spec is not None:
+            manifest.note_signature(self.spec.signature)
+            resolved["sources"] = self.spec.signature
+        if self.split is not None:
+            resolved["split"] = self.split.value
+        manifest.record_command(self.command, {**resolved, **options})
+        save_manifest(manifest, self.run_dir)
 
 
 # --- plumbing ---------------------------------------------------------------
@@ -93,10 +125,6 @@ def _parse_split(raw: str) -> Split:
         raise ConfigError(f"unknown split {raw!r}; expected train, dev, or test") from exc
 
 
-def _signature_and_split(ctx: RunContext, args) -> tuple[str, Split]:
-    return _parse_signature(ctx, args.sources).signature, _parse_split(args.split)
-
-
 def _parse_list(raw: str, cast, what: str) -> tuple:
     try:
         return parse_list(raw, cast)
@@ -112,34 +140,14 @@ def _existing(explicit: str | None, default: Path, what: str, producer: str) -> 
     return path
 
 
-def _load_split_dataset(ctx: RunContext, args) -> Dataset:
-    path = args.dataset or ctx.config.dataset
+def _load_split_dataset(ctx: RunContext, explicit: str | None) -> Dataset:
+    path = explicit or ctx.config.dataset
     if not path:
         raise ConfigError("no dataset given; pass --dataset or set [task] dataset in the config")
     if not Path(path).is_file():
         raise ConfigError(f"dataset not found: {path}")
-    scheme = load_scheme(ctx.config.task)
-    dataset = load_dataset(path, scheme)
+    dataset = load_dataset(path, ctx.scheme)
     return split_dataset(dataset, ctx.config.ratios, seed=ctx.config.split_seed)
-
-
-def _write_manifest(
-    ctx: RunContext, args, options: dict, *, dataset: Dataset | None = None,
-    signature: str | None = None,
-):
-    """Record the invocation before any artifact it produces exists."""
-    manifest = load_manifest(ctx.run_dir)
-    if manifest is None:
-        manifest = RunManifest.new(ctx.run_id, snapshot(ctx.config))
-    else:
-        manifest.config = snapshot(ctx.config)
-        manifest.config_fingerprint = fingerprint(manifest.config)
-    if dataset is not None:
-        manifest.dataset_fingerprint = dataset.fingerprint
-    if signature is not None:
-        manifest.note_signature(signature)
-    manifest.record_command(args.command, options)
-    save_manifest(manifest, ctx.run_dir)
 
 
 def _client(ctx: RunContext, cls, url_key: str):
@@ -191,52 +199,42 @@ def load_predictions(path: str | Path, scheme) -> list[Prediction]:
     return out
 
 
-def _aligned_golds(predictions, dataset: Dataset, split: Split):
-    """Gold labels in prediction order; ids must match the split exactly."""
-    by_id = {r.entity_id: r.label for r in dataset.by_split(split)}
+def _scored_predictions(ctx: RunContext, args):
+    """The eval/sweep inputs: predictions path and rows, and the gold labels in
+    prediction order; the ids must match the split's exactly."""
+    pred_path = _existing(args.predictions, _predictions_path(ctx), "predictions", "predict")
+    predictions = load_predictions(pred_path, ctx.scheme)
+    by_id = {r.entity_id: r.label for r in ctx.dataset.by_split(ctx.split)}
     pred_ids = [p.entity_id for p in predictions]
     if set(pred_ids) != set(by_id) or len(pred_ids) != len(by_id):
         raise LengthMismatch(
-            f"predictions cover {len(set(pred_ids))} entities, split {split.value} has {len(by_id)}"
+            f"predictions cover {len(set(pred_ids))} entities, "
+            f"split {ctx.split.value} has {len(by_id)}"
         )
-    return [by_id[i] for i in pred_ids]
+    return pred_path, predictions, [by_id[i] for i in pred_ids]
 
 
-def _scored_predictions(ctx: RunContext, args):
-    """The eval/sweep inputs: dataset, signature, split, predictions path and rows, golds."""
-    dataset = _load_split_dataset(ctx, args)
-    signature, split = _signature_and_split(ctx, args)
-    pred_path = _existing(
-        args.predictions, _predictions_path(ctx, signature, split), "predictions", "predict"
-    )
-    predictions = load_predictions(pred_path, dataset.scheme)
-    golds = _aligned_golds(predictions, dataset, split)
-    return dataset, signature, split, pred_path, predictions, golds
+def _corpus_path(ctx: RunContext, split: Split) -> Path:
+    return ctx.run_dir / "corpus" / ctx.spec.signature / f"{split.value}.jsonl"
 
 
-def _corpus_path(ctx: RunContext, signature: str, split: Split) -> Path:
-    return ctx.run_dir / "corpus" / signature / f"{split.value}.jsonl"
-
-
-def _predictions_path(ctx: RunContext, signature: str, split: Split) -> Path:
-    return ctx.run_dir / "predictions" / f"{signature}-{split.value}.jsonl"
+def _predictions_path(ctx: RunContext) -> Path:
+    return ctx.run_dir / "predictions" / f"{ctx.spec.signature}-{ctx.split.value}.jsonl"
 
 
 # --- commands ---------------------------------------------------------------
 
 
 def cmd_acquire(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
-    specs = _parse_list(args.sources, lambda s: _parse_signature(ctx, s), "source")
+    specs = _parse_list(args.signatures, lambda s: _parse_signature(ctx, s), "source")
     if not specs:
         raise ConfigError("no source signatures given")
     acquirer = _make_acquirer(ctx, specs)
-    options = {"sources": [s.signature for s in specs], "refresh": bool(args.refresh)}
-    _write_manifest(ctx, args, options, dataset=dataset)
+    ctx.record({"sources": [s.signature for s in specs], "refresh": bool(args.refresh)})
     all_errors: dict[str, Exception] = {}
     try:
         for spec in specs:
-            _, errors = acquirer.acquire_all(dataset.records, spec, refresh=args.refresh)
+            _, errors = acquirer.acquire_all(ctx.dataset.records, spec, refresh=args.refresh)
             all_errors.update(errors)
     finally:
         for client in (acquirer.search_client, acquirer.llm_client):
@@ -258,18 +256,15 @@ def cmd_acquire(ctx: RunContext, args) -> int:
 
 
 def cmd_build(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
-    spec = _parse_signature(ctx, args.sources)
-    signature = spec.signature
-    texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, spec)
-    options = {"sources": signature, "strict": bool(args.strict)}
-    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
+    dataset, signature = ctx.dataset, ctx.spec.signature
+    texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, ctx.spec)
+    ctx.record({"strict": bool(args.strict)})
     for split in Split:
         result = build_instances(dataset.by_split(split), texts, signature, strict=args.strict)
-        tab_path = emit_tabular(result.instances, _corpus_path(ctx, signature, split))
+        tab_path = emit_tabular(result.instances, _corpus_path(ctx, split))
         chat_path = emit_chat_finetune(
             result.instances,
-            dataset.scheme,
+            ctx.scheme,
             ctx.run_dir / "finetune" / signature / f"{split.value}.jsonl",
             with_labels=split is not Split.TEST,
         )
@@ -281,51 +276,42 @@ def cmd_build(ctx: RunContext, args) -> int:
 
 
 def cmd_train(ctx: RunContext, args) -> int:
-    signature = _parse_signature(ctx, args.sources).signature
-    scheme = load_scheme(ctx.config.task)
-    corpus_path = _existing(
-        args.corpus, _corpus_path(ctx, signature, Split.TRAIN), "training corpus", "build"
-    )
-    instances = load_tabular(corpus_path, scheme)
-    options = {"sources": signature, "corpus": str(corpus_path)}
-    _write_manifest(ctx, args, options, signature=signature)
-    model = train(instances, scheme, ctx.config.training)
-    model_path = save_model(model, ctx.run_dir / "model" / f"{signature}.model")
+    corpus_path = _existing(args.corpus, _corpus_path(ctx, Split.TRAIN), "training corpus", "build")
+    instances = load_tabular(corpus_path, ctx.scheme)
+    ctx.record({"corpus": str(corpus_path)})
+    model = train(instances, ctx.scheme, ctx.config.training)
+    model_path = save_model(model, ctx.run_dir / "model" / f"{ctx.spec.signature}.model")
     print(f"trained on {len(instances)} instances -> {model_path}")
     return EXIT_OK
 
 
 def cmd_predict(ctx: RunContext, args) -> int:
-    signature, split = _signature_and_split(ctx, args)
-    scheme = load_scheme(ctx.config.task)
-    corpus_path = _existing(args.corpus, _corpus_path(ctx, signature, split), "corpus", "build")
+    corpus_path = _existing(args.corpus, _corpus_path(ctx, ctx.split), "corpus", "build")
     model_path = _existing(
-        args.model, ctx.run_dir / "model" / f"{signature}.model", "model", "train"
+        args.model, ctx.run_dir / "model" / f"{ctx.spec.signature}.model", "model", "train"
     )
-    instances = load_tabular(corpus_path, scheme)
-    model = load_model(model_path, scheme)
-    options = {"sources": signature, "split": split.value, "model": str(model_path)}
-    _write_manifest(ctx, args, options, signature=signature)
+    instances = load_tabular(corpus_path, ctx.scheme)
+    model = load_model(model_path, ctx.scheme)
+    ctx.record({"corpus": str(corpus_path), "model": str(model_path)})
     predictions = predict_instances(model, instances)
-    out_path = write_predictions(predictions, _predictions_path(ctx, signature, split))
+    out_path = write_predictions(predictions, _predictions_path(ctx))
     print(f"predicted {len(predictions)} instances -> {out_path}")
     return EXIT_OK
 
 
 def cmd_eval(ctx: RunContext, args) -> int:
-    dataset, signature, split, pred_path, predictions, golds = _scored_predictions(ctx, args)
+    pred_path, predictions, golds = _scored_predictions(ctx, args)
     if args.compare:
-        earlier = load_report(_existing(args.compare, None, "report", "eval"), dataset.scheme)
-    options = {"sources": signature, "split": split.value, "predictions": str(pred_path)}
-    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
-    matrix = confusion(golds, [p.label for p in predictions], dataset.scheme)
+        earlier = load_report(_existing(args.compare, None, "report", "eval"), ctx.scheme)
+    ctx.record({"predictions": str(pred_path), "compare": args.compare})
+    matrix = confusion(golds, [p.label for p in predictions], ctx.scheme)
     report = macro_report(
         matrix,
         config_fingerprint=fingerprint(snapshot(ctx.config)),
         run_id=ctx.run_id,
     )
     reports_dir = ctx.run_dir / "reports"
-    stem = f"{signature}-{split.value}"
+    stem = f"{ctx.spec.signature}-{ctx.split.value}"
     report_path = write_report(report, reports_dir / f"{stem}-eval.json")
     write_class_scores_csv(report, reports_dir / f"{stem}-class_scores.csv")
     print(
@@ -340,18 +326,15 @@ def cmd_eval(ctx: RunContext, args) -> int:
 
 
 def cmd_sweep(ctx: RunContext, args) -> int:
-    dataset, signature, split, _, predictions, golds = _scored_predictions(ctx, args)
+    pred_path, predictions, golds = _scored_predictions(ctx, args)
     thresholds = ctx.config.thresholds
     if args.thresholds:
         thresholds = _parse_list(args.thresholds, finite_float, "threshold")
     inclusive = bool(args.inclusive) or ctx.config.inclusive_thresholds
-    options = {
-        "sources": signature, "split": split.value,
-        "thresholds": list(thresholds), "inclusive": inclusive,
-    }
-    _write_manifest(ctx, args, options, dataset=dataset, signature=signature)
-    points = threshold_sweep(predictions, golds, dataset.scheme, thresholds, inclusive=inclusive)
-    sweep_path = ctx.run_dir / "reports" / f"{signature}-{split.value}-sweep.csv"
+    options = {"predictions": str(pred_path), "thresholds": list(thresholds), "inclusive": inclusive}
+    ctx.record(options)
+    points = threshold_sweep(predictions, golds, ctx.scheme, thresholds, inclusive=inclusive)
+    sweep_path = ctx.run_dir / "reports" / f"{ctx.spec.signature}-{ctx.split.value}-sweep.csv"
     out_path = write_sweep_csv(points, sweep_path)
     for p in points:
         print(
@@ -363,7 +346,6 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 
 
 def cmd_ablate(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
     top_k = ctx.config.top_k  # the depth 'acquire --sources gsnip' fills the cache at
     if args.cached_depth not in (None, top_k):
         raise ConfigError(f"--cached-depth must equal top_k ({top_k}), got {args.cached_depth}")
@@ -371,9 +353,9 @@ def cmd_ablate(ctx: RunContext, args) -> int:
         ks = snippet_depths(_parse_list(args.ks, int, "k") if args.ks else None, top_k)
     except ValueError as exc:
         raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}") from exc
-    _write_manifest(ctx, args, {"ks": ks}, dataset=dataset)
+    ctx.record({"ks": ks})
     points = ablate_snippets(
-        dataset, ctx.cache, ks, cached_depth=top_k, train_config=ctx.config.training
+        ctx.dataset, ctx.cache, ks, cached_depth=top_k, train_config=ctx.config.training
     )
     out_path = write_ablation_csv(points, ctx.run_dir / "reports" / "ablation.csv")
     for point in points:
@@ -384,10 +366,8 @@ def cmd_ablate(ctx: RunContext, args) -> int:
 
 
 def cmd_baseline(ctx: RunContext, args) -> int:
-    dataset = _load_split_dataset(ctx, args)
-    split = _parse_split(args.split)
     client = _client(ctx, LlmClient, "llm_base_url")
-    records = dataset.by_split(split)
+    records = ctx.dataset.by_split(ctx.split)
     contexts = None
     if args.context_sources:
         spec = _parse_signature(ctx, args.context_sources)
@@ -401,14 +381,15 @@ def cmd_baseline(ctx: RunContext, args) -> int:
             if r.entity_id in texts and texts[r.entity_id].text
         }
     model_id = args.model or ctx.config.gpt_model
-    options = {"split": split.value, "model": model_id, "context_sources": args.context_sources}
-    _write_manifest(ctx, args, options, dataset=dataset)
+    ctx.record(
+        {"model": model_id, "context_sources": args.context_sources, "strict": bool(args.strict)}
+    )
     with client:
         predictions = prompt_baseline(
-            records, dataset.scheme, client, model_id=model_id, contexts=contexts
+            records, ctx.scheme, client, model_id=model_id, contexts=contexts
         )
     out_path = write_predictions(
-        predictions, ctx.run_dir / "predictions" / f"baseline-{split.value}.jsonl"
+        predictions, ctx.run_dir / "predictions" / f"baseline-{ctx.split.value}.jsonl"
     )
     invalid = sum(1 for p in predictions if p.label.id == INVALID)
     print(f"baseline predicted {len(predictions)} entities ({invalid} unparseable) -> {out_path}")
@@ -430,7 +411,9 @@ _PREDICTIONS = ("--predictions", {"help": "explicit predictions path"})
 _COMMANDS = {
     "acquire": (cmd_acquire, "fetch entity texts into the cache", [
         _DATASET,
-        _sources("comma-separated source signatures"),
+        # a list the handler parses; `main` resolves the other commands' one signature
+        ("--sources", {"dest": "signatures", "metavar": "SOURCES", "default": "gsnip",
+                       "help": "comma-separated source signatures"}),
     ]),
     "build": (cmd_build, "emit corpus files from cached texts", [
         _DATASET,
@@ -507,7 +490,17 @@ def main(argv: list[str] | None = None) -> int:
         run_id = args.run_id or _generate_run_id()
         run_dir = Path(args.runs_dir) / run_id
         cache_root = Path(config.cache_dir) if config.cache_dir else run_dir / "cache"
-        ctx = RunContext(config=config, run_id=run_id, run_dir=run_dir, cache=TextCache(cache_root))
+        ctx = RunContext(
+            config=config, run_id=run_id, run_dir=run_dir, cache=TextCache(cache_root),
+            command=args.command, scheme=load_scheme(config.task),
+        )
+        # in the order the handlers always read them, so the first bad input reported stays the same
+        if "dataset" in args:
+            ctx.dataset = _load_split_dataset(ctx, args.dataset)
+        if "sources" in args:
+            ctx.spec = _parse_signature(ctx, args.sources)
+        if "split" in args:
+            ctx.split = _parse_split(args.split)
         return _COMMANDS[args.command][0](ctx, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

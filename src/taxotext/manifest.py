@@ -11,19 +11,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
-from datetime import datetime, timezone
 from pathlib import Path
 
 from .errors import ParseError
 from .files import write_file
 from .hashing import fingerprint
+from .texts import utcnow as _utcnow  # the name tests pin the clock by
 
 MANIFEST_NAME = "manifest.json"
 TOOL_VERSION = "0.1.0"
-
-
-def _utcnow() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass

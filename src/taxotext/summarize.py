@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import datetime as _dt
 from dataclasses import dataclass
 
 from .errors import EmptyCompletion, MalformedResponse
 from .hashing import sha256_hex
 from .http import ProviderClient, request_json
-from .texts import AcquiredText, Source
+from .texts import AcquiredText, Source, utcnow
 
 
 @dataclass(frozen=True)
@@ -151,10 +150,6 @@ class LlmClient(ProviderClient):
         return self.chat([{"role": "user", "content": prompt}], model=model, max_tokens=max_tokens)
 
 
-def _utcnow() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
-
-
 def generate_summary(
     entity_id: str,
     name: str,
@@ -164,7 +159,7 @@ def generate_summary(
     model_id: str,
     max_tokens: int = 400,
     refusal_patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS,
-    now=_utcnow,
+    now=utcnow,
 ) -> AcquiredText:
     """Ask a model for an entity summary; refusals come back with empty text.
 

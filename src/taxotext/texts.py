@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from datetime import datetime, timezone
 from enum import Enum
 
 from .errors import MixedEntities
@@ -20,6 +21,11 @@ class Source(Enum):
 _COMBINE_ORDER = {Source.GSNIP: 0, Source.GPTSUM: 1, Source.LLAMASUM: 2}
 
 COMBINE_SEPARATOR = "\n\n"
+
+
+def utcnow() -> str:
+    """The current UTC time to the second, as stamped on acquired texts and manifest entries."""
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 @dataclass(frozen=True)

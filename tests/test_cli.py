@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
 from taxotext.cache import TextCache
-from taxotext import cli
+from taxotext import cli, files
 from taxotext.cli import main
 from taxotext.config import PipelineConfig
 from taxotext.errors import CacheCorrupt, HttpError
@@ -336,6 +337,77 @@ def test_manifest_written_before_outputs(workspace):
     assert manifest is not None
     assert [c["command"] for c in manifest.commands] == ["train"]
     assert not (runs / "r2" / "model").exists()
+
+
+# each command's argv on a finished _run_steps run; acquire refreshes so it stores entries
+_COMMAND_ARGV = {
+    "acquire": ["--refresh", "acquire", "--sources", "gsnip3"],
+    "build": ["build", "--sources", "gsnip3"],
+    "train": ["train", "--sources", "gsnip3"],
+    "predict": ["predict", "--sources", "gsnip3"],
+    "eval": ["eval", "--sources", "gsnip3"],
+    "sweep": ["sweep", "--sources", "gsnip3"],
+    "ablate": ["ablate", "--ks", "1,3"],
+    "baseline": ["baseline", "--split", "test"],
+}
+_DATASET_COMMANDS = {"acquire", "build", "eval", "sweep", "ablate", "baseline"}
+_SIGNATURE_COMMANDS = {"build", "train", "predict", "eval", "sweep"}
+
+
+@pytest.mark.parametrize("command", list(_COMMAND_ARGV))
+def test_every_command_renames_its_manifest_into_place_first(workspace, monkeypatch, command):
+    # the command runs in a copy of a finished run without its manifest, so the
+    # manifest afterwards holds only what this command recorded
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    replaced = []
+    real_replace = files.os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(dst))
+        real_replace(src, dst)
+
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "58", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        shutil.copytree(_run_steps(config, runs), runs / "r2")
+        (runs / "r2" / "manifest.json").unlink()
+        monkeypatch.setattr(files.os, "replace", recording_replace)
+        assert _run(_COMMAND_ARGV[command], runs, config=config, run_id="r2") == 0
+    assert replaced[0] == runs / "r2" / "manifest.json"
+    assert len(replaced) > 1, "the command wrote no output"
+    manifest = load_manifest(runs / "r2")
+    assert [c["command"] for c in manifest.commands] == [command]
+    assert (manifest.dataset_fingerprint is not None) == (command in _DATASET_COMMANDS)
+    assert manifest.source_signatures == (["gsnip3"] if command in _SIGNATURE_COMMANDS else [])
+
+
+def test_manifest_options_name_every_input_the_command_reads(workspace):
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "58", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        run_dir = _run_steps(config, runs)
+        report = run_dir / "reports/gsnip3-test-eval.json"
+        argv = ["eval", "--sources", "gsnip3", "--compare", str(report)]
+        assert _run(argv, runs, config=config) == 0
+        argv = ["--strict", "baseline", "--context-sources", "gsnip3"]
+        assert _run(argv, runs, config=config) == 0
+    predict, eval_, sweep, compare, baseline = load_manifest(run_dir).commands[3:]
+    assert predict["options"]["corpus"] == str(run_dir / "corpus/gsnip3/test.jsonl")
+    assert sweep["options"]["predictions"] == str(run_dir / "predictions/gsnip3-test.jsonl")
+    assert eval_["options"]["compare"] is None
+    assert compare["options"]["compare"] == str(report)
+    assert baseline["options"]["strict"] is True
 
 
 @pytest.mark.parametrize(

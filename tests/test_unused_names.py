@@ -1,8 +1,10 @@
-"""Every module-level import and logger in the package is used.
+"""Every module-level import and logger in the package is used, and every private helper.
 
 No linter ships with the project, so this scan stands in for one: a name
 bound at module level by an ``import`` (``__future__`` aside) or by
-``logging.getLogger(...)`` must be read somewhere in its module.
+``logging.getLogger(...)`` must be read somewhere in its module, and a
+module-level ``def`` or ``class`` whose name starts with ``_`` must be read
+by some package module outside its own definition.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "taxotext"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def _is_get_logger(node: ast.AST) -> bool:
@@ -53,6 +56,38 @@ def test_module_level_imports_and_loggers_are_used(path):
     loaded = _loaded_names(tree)
     unused = [name for name in _bound_names(tree) if name not in loaded]
     assert not unused, f"{path.stem} binds names it never reads: {', '.join(unused)}"
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    """Names read under node: loaded names, attribute names and names imported from a module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def test_module_level_private_helpers_are_read():
+    trees = {
+        p.stem: ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for p in sorted(PACKAGE.glob("*.py"))
+    }
+    # the names each top-level statement reads, so a definition reading itself does not count
+    reads = [(stmt, _read_names(stmt)) for tree in trees.values() for stmt in tree.body]
+    dead = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFINITIONS) or not stmt.name.startswith("_"):
+                continue
+            if stmt.name.startswith("__") and stmt.name.endswith("__"):
+                continue
+            if not any(stmt.name in names for other, names in reads if other is not stmt):
+                dead.append(f"{module}.{stmt.name}")
+    assert not dead, f"private helpers nothing reads: {', '.join(dead)}"
 
 
 def test_the_scan_sees_every_module():
