@@ -6,7 +6,7 @@ import logging
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from .cache import TextCache
 from .config import PipelineConfig
@@ -37,7 +37,14 @@ class SourceSpec:
             return f"gsnip{self.params['k']}"
         return self.source.value.lower()
 
+    @property
+    def leaves(self) -> tuple["SourceSpec", ...]:
+        """The provider sources this spec reads: its components, or itself."""
+        return self.components or (self,)
 
+
+# The worker pool ("lane") that fetches each provider source: one per provider client.
+_LANES = {Source.GSNIP: "search", Source.GPTSUM: "llm", Source.LLAMASUM: "llm"}
 _GSNIP_SIG = re.compile(r"gsnip(\d*)$")
 _DEFAULTS = PipelineConfig()
 
@@ -92,7 +99,7 @@ def parse_source_signature(
 
 def snippet_text(entity_id: str, provenance: list[dict], k: int, retrieved_at: str) -> AcquiredText:
     """The ``gsnip<k>`` text from the first k of an entity's search results, each
-    given as ``dataclasses.asdict`` of a ``SearchResult``, as cache entries hold them."""
+    given as a dict of a ``SearchResult``'s fields, as cache entries hold them."""
     kept = provenance[:k]
     return AcquiredText(
         entity_id=entity_id,
@@ -105,7 +112,12 @@ def snippet_text(entity_id: str, provenance: list[dict], k: int, retrieved_at: s
 
 
 class TextAcquirer:
-    """Fetches entity texts through the cache, hitting providers on misses."""
+    """Fetches entity texts through the cache, hitting providers on misses.
+
+    ``max_parallel`` bounds the requests in flight to each provider, so a
+    call that reads both search snippets and model summaries may have twice
+    that many in flight in all.
+    """
 
     def __init__(
         self,
@@ -133,22 +145,23 @@ class TextAcquirer:
 
         Cached entries are immutable; pass refresh=True to re-fetch and
         overwrite. Only provider replies are cached: a combined text is
-        rebuilt from its components' acquisitions on every call.
+        rebuilt from its components' acquisitions on every call. A failed
+        fetch and an unreadable cache entry each count as one failure.
         """
         if spec.components:
             parts = [self.acquire(record, c, refresh=refresh) for c in spec.components]
             return combine_texts(parts)
         key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
-        if not refresh:
-            hit = self.cache.load(key)
-            if hit is not None:
-                self._count("hits")
-                return hit
         try:
-            text = self._fetch(record, spec)
+            hit = None if refresh else self.cache.load(key)
+            if hit is None:
+                text = self._fetch(record, spec)
         except TaxotextError:
             self._count("failures")
             raise
+        if hit is not None:
+            self._count("hits")
+            return hit
         self._count("fetched")
         if text.refusal:
             self._count("refusals")
@@ -179,27 +192,61 @@ class TextAcquirer:
         return texts
 
     def acquire_all(
-        self, records: list[EntityRecord], spec: SourceSpec, *, refresh: bool = False
-    ) -> tuple[dict[str, AcquiredText], dict[str, Exception]]:
-        """Acquire texts for many records with a bounded worker pool.
+        self,
+        records: list[EntityRecord],
+        spec: SourceSpec,
+        *more_specs: SourceSpec,
+        refresh: bool = False,
+    ) -> tuple[dict, dict[object, Exception]]:
+        """Acquire the texts of many records for one or more specs.
 
-        Each provider reply is stored as its own cache entry the moment it
-        arrives; a record that fails with a ``TaxotextError`` is logged and
-        returned in the error map.
+        Each (record, provider source) pair that the specs read is fetched
+        once, by the lane of its provider: a pool of ``max_parallel``
+        workers, one pool for search and one for the LLM, so both providers
+        work at the same time. Each provider reply is stored as its own cache
+        entry the moment it arrives, and a combined text is joined once all
+        of its components have landed. A failure (a ``TaxotextError``) is
+        logged and returned in the error map; the other components of a
+        combined spec are still fetched and cached, and the entity's error is
+        that of its first failed component, in combination order.
+
+        With one spec, both maps are keyed by entity id; with several, by
+        ``(entity_id, signature)``.
         """
-        results: dict[str, AcquiredText] = {}
-        errors: dict[str, Exception] = {}
-        with ThreadPoolExecutor(max_workers=self.max_parallel) as pool:
-            futures = {
-                pool.submit(self.acquire, record, spec, refresh=refresh): record
+        specs = (spec, *more_specs)
+        leaves: list[SourceSpec] = []
+        for s in specs:
+            leaves += [leaf for leaf in s.leaves if leaf not in leaves]
+        lanes = {
+            lane: ThreadPoolExecutor(self.max_parallel, thread_name_prefix=f"acquire-{lane}")
+            for lane in {_LANES[leaf.source] for leaf in leaves}
+        }
+        results: dict = {}
+        errors: dict[object, Exception] = {}
+        try:
+            fetches = [
+                [
+                    lanes[_LANES[leaf.source]].submit(self.acquire, record, leaf, refresh=refresh)
+                    for leaf in leaves
+                ]
                 for record in records
-            }
-            for future, record in futures.items():
-                try:
-                    results[record.entity_id] = future.result()
-                except TaxotextError as exc:
-                    logger.warning("acquisition failed for %s: %s", record.entity_id, exc)
-                    errors[record.entity_id] = exc
+            ]
+            for record, fetched in zip(records, fetches):
+                for s in specs:
+                    key = record.entity_id if not more_specs else (record.entity_id, s.signature)
+                    try:
+                        parts = [fetched[leaves.index(leaf)].result() for leaf in s.leaves]
+                    except TaxotextError as exc:
+                        logger.warning(
+                            "acquisition of %s failed for %s: %s",
+                            s.signature, record.entity_id, exc,
+                        )
+                        errors[key] = exc
+                    else:
+                        results[key] = combine_texts(parts) if s.components else parts[0]
+        finally:
+            for lane in lanes.values():
+                lane.shutdown(cancel_futures=True)
         return results, errors
 
     def _fetch(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText:
@@ -208,7 +255,11 @@ class TextAcquirer:
                 raise ValueError("no search client configured for GSNIP acquisition")
             k = spec.params["k"]
             results = self.search_client.search_entity(record.name, k)
-            return snippet_text(record.entity_id, [asdict(r) for r in results], k, utcnow())
+            provenance = [
+                {"rank": r.rank, "title": r.title, "url": r.url, "snippet": r.snippet}
+                for r in results
+            ]
+            return snippet_text(record.entity_id, provenance, k, utcnow())
         if spec.source in (Source.GPTSUM, Source.LLAMASUM):
             if self.llm_client is None:
                 raise ValueError("no LLM client configured for summary acquisition")

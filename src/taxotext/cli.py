@@ -165,7 +165,7 @@ def _client(ctx: RunContext, cls, url_key: str):
 
 
 def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquirer:
-    sources = {leaf.source for spec in specs for leaf in spec.components or (spec,)}
+    sources = {leaf.source for spec in specs for leaf in spec.leaves}
     search = _client(ctx, SearchClient, "search_base_url") if Source.GSNIP in sources else None
     needs_llm = sources & {Source.GPTSUM, Source.LLAMASUM}
     llm = _client(ctx, LlmClient, "llm_base_url") if needs_llm else None
@@ -231,11 +231,13 @@ def cmd_acquire(ctx: RunContext, args) -> int:
         raise ConfigError("no source signatures given")
     acquirer = _make_acquirer(ctx, specs)
     ctx.record({"sources": [s.signature for s in specs], "refresh": bool(args.refresh)})
-    all_errors: dict[str, Exception] = {}
     try:
-        for spec in specs:
-            _, errors = acquirer.acquire_all(ctx.dataset.records, spec, refresh=args.refresh)
-            all_errors.update(errors)
+        # every provider source of every spec in one call, so that the search
+        # and LLM lanes fetch at the same time, and every failure is kept
+        _, errors = acquirer.acquire_all(
+            ctx.dataset.records, *(leaf for spec in specs for leaf in spec.leaves),
+            refresh=args.refresh,
+        )
     finally:
         for client in (acquirer.search_client, acquirer.llm_client):
             if client is not None:
@@ -245,12 +247,13 @@ def cmd_acquire(ctx: RunContext, args) -> int:
         f"acquired: fetched={stats['fetched']} cache_hits={stats['hits']} "
         f"refusals={stats['refusals']} failures={stats['failures']}"
     )
-    if not all_errors:
+    if not errors:
         return EXIT_OK
-    for entity_id, exc in sorted(all_errors.items())[:5]:
-        print(f"error: {entity_id}: {exc}", file=sys.stderr)
+    for key, exc in sorted(errors.items())[:5]:  # keyed (entity_id, signature) for several sources
+        where = key if isinstance(key, str) else f"{key[0]} ({key[1]})"
+        print(f"error: {where}: {exc}", file=sys.stderr)
     # A data error needs a fix that a rerun will not bring, so it decides the exit code.
-    if all(isinstance(exc, _NETWORK_ERRORS) for exc in all_errors.values()):
+    if all(isinstance(exc, _NETWORK_ERRORS) for exc in errors.values()):
         return EXIT_NETWORK
     return EXIT_DATA
 

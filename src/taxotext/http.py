@@ -298,7 +298,6 @@ def request_json(
             )
         finally:
             own.close()
-    rng = rng if rng is not None else random.Random()
     failure = "no attempt made"
     status: int | None = None
     for attempt in range(1, max(1, policy.max_attempts) + 1):
@@ -320,6 +319,8 @@ def request_json(
             if status not in _RETRYABLE:
                 raise HttpError(f"{url}: {failure}", status=status)
         if attempt < policy.max_attempts:
+            if rng is None:  # seeding from os.urandom costs ~9 us; most requests never retry
+                rng = random.Random()
             delay = policy.base_backoff * (2 ** (attempt - 1)) * (1.0 + rng.random())
             if status == 429:  # status is None after a transport error, so resp is this attempt's
                 wait = _retry_after_s(resp)

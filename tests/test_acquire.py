@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
+from dataclasses import asdict
 
 import pytest
 
@@ -135,6 +136,8 @@ def test_acquire_snippet_text_and_provenance(tmp_path):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip3", TaskId.SIC)
         text = acquirer.acquire(records[0], spec)
+        # the provenance holds each result's fields, as dataclasses.asdict gives them
+        assert text.provenance == [asdict(r) for r in client.search_entity(records[0].name, 3)]
     name = records[0].name
     assert text.text == f"text 0 about {name} text 1 about {name} text 2 about {name}"
     assert [p["rank"] for p in text.provenance] == [1, 2, 3]
@@ -305,6 +308,88 @@ def test_acquire_cached_returns_none_when_absent(tmp_path):
     spec = parse_source_signature("gsnip10", TaskId.SIC)
     assert acquirer.acquire_cached(_records(1)[0], spec) is None
     assert acquirer.cached_texts(_records(1), spec) == {}
+
+
+# --- provider lanes ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("signatures", [("gsnip3", "gptsum"), ("gsnip3+gptsum",)])
+def test_search_and_llm_requests_are_in_flight_at_once(tmp_path, signatures):
+    records = _records(4)
+    searches_seen = []  # searches that had reached the search server, per LLM request
+
+    def reply(messages, model):
+        searches_seen.append(search_srv.request_count)
+        return "A summary sentence."
+
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k", latency=0.3) as search_srv,
+        MockLlmServer(reply, api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="k") as search,
+        LlmClient(llm_srv.base_url, api_key="sk") as llm,
+    ):
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm,
+            max_parallel=2,
+        )
+        specs = [parse_source_signature(s, TaskId.SIC) for s in signatures]
+        results, errors = acquirer.acquire_all(records, *specs)
+    assert not errors
+    assert len(results) == len(records) * len(specs)
+    # the LLM lane does not wait for the searches: every summary is asked for
+    # while the first two searches are still out, before any other is sent
+    assert len(searches_seen) == len(records)
+    assert searches_seen[0] < len(records)
+    assert max(searches_seen) <= 2
+    assert search_srv.peak_in_flight <= 2 and llm_srv.peak_in_flight <= 2
+    assert acquirer.stats == {"fetched": 8, "hits": 0, "refusals": 0, "failures": 0}
+
+
+def test_several_specs_fetch_each_shared_source_once(tmp_path):
+    records = _records(3)
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="k") as search,
+        LlmClient(llm_srv.base_url, api_key="sk") as llm,
+    ):
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
+        )
+        gsnip = parse_source_signature("gsnip10", TaskId.SIC)
+        combined = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+        results, errors = acquirer.acquire_all(records, gsnip, combined)
+        assert search_srv.request_count == llm_srv.request_count == len(records)
+    assert not errors
+    assert set(results) == {
+        (r.entity_id, sig) for r in records for sig in ("gsnip10", "gsnip10+gptsum")
+    }
+    alone, _ = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c")).acquire_all(records, combined)
+    assert {eid: results[eid, "gsnip10+gptsum"] for eid in alone} == alone
+    assert acquirer.stats == {"fetched": 6, "hits": 0, "refusals": 0, "failures": 0}
+
+
+def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
+    records = _records(3)
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="wrong") as search,
+        LlmClient(llm_srv.base_url, api_key="sk") as llm,
+    ):
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
+        )
+        spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+        results, errors = acquirer.acquire_all(records, spec)
+        assert llm_srv.request_count == len(records)
+    assert not results
+    assert set(errors) == {r.entity_id for r in records}
+    assert all(isinstance(e, AuthError) for e in errors.values())
+    assert acquirer.stats == {"fetched": 3, "hits": 0, "refusals": 0, "failures": 3}
+    offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
+    gptsum = parse_source_signature("gptsum", TaskId.SIC)
+    assert set(offline.cached_texts(records, gptsum)) == {r.entity_id for r in records}
 
 
 # --- cache entry files -------------------------------------------------------------

@@ -19,7 +19,7 @@ from taxotext.errors import CacheCorrupt, HttpError
 from taxotext.manifest import load_manifest
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.taxonomy import TaskId, load_dataset, load_sic_scheme
-from taxotext.texts import AcquiredText
+from taxotext.texts import AcquiredText, Source
 
 from conftest import wait_until
 
@@ -600,6 +600,34 @@ def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
     monkeypatch.setattr(TextAcquirer, "acquire_all", lambda *a, **kw: ({}, dict(errors)))
     config = _write_config(tmp_path / "c.ini", dataset=entities, search_url="http://x")
     assert _run(["acquire", "--sources", "gsnip3"], tmp_path / "runs", config=config) == 4
+
+
+@pytest.mark.parametrize("sources", ["gsnip3,gptsum", "gptsum,gsnip3"])
+def test_acquire_data_error_decides_exit_whichever_source_fails_later(workspace, capsys, sources):
+    # e001's search entry is corrupt and its summary request fails: a data
+    # error and a network error for one entity, and each counts as a failure
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    key = TextCache.key(TaskId.SIC, "e001", Source.GSNIP, {"k": 3})
+    (runs / "r1" / "cache").mkdir(parents=True)
+    TextCache(runs / "r1" / "cache").path_for(key).write_text("{not json")
+    with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
+        lambda m, _: "A summary.", api_key="test-key"
+    ) as llm:
+        config = _write_config(
+            tmp_path / "c.ini", dataset=entities, search_url=search.base_url,
+            llm_url=llm.base_url,
+        )
+        config.write_text(
+            config.read_text().replace("top_k = 3", "top_k = 3\nmax_parallel = 1\nmax_attempts = 1")
+        )
+        llm.fail_next(1)
+        assert _run(["acquire", "--sources", sources], runs, config=config) == 4
+        assert search.request_count == llm.request_count - 1 == len(snippets) - 1
+    out, err = capsys.readouterr()
+    fetched = 2 * len(snippets) - 2
+    assert f"acquired: fetched={fetched} cache_hits=0 refusals=0 failures=2" in out
+    assert "error: e001 (gptsum): " in err and "error: e001 (gsnip3): unreadable cache entry" in err
 
 
 def _test_split_predictions(path):

@@ -128,6 +128,26 @@ def test_retries_5xx_then_succeeds():
     assert sleeps == pytest.approx(expected)
 
 
+@pytest.mark.parametrize("script,made", [
+    ([StubResponse(200, {"ok": 1})], 0),
+    ([StubResponse(503), StubResponse(500), StubResponse(200, {"ok": 1})], 1),
+])
+def test_jitter_rng_is_made_on_the_first_retry_only(monkeypatch, script, made):
+    randoms = []
+    make = random.Random
+
+    def counted():
+        randoms.append(make(0))
+        return randoms[-1]
+
+    monkeypatch.setattr(http.random, "Random", counted)
+    sleeps = []
+    assert request_json("GET", "http://unit.test/x", session=StubSession(script),
+                        sleep=sleeps.append) == {"ok": 1}
+    assert len(randoms) == made
+    assert len(sleeps) == len(script) - 1
+
+
 def test_retries_429_and_transport_errors():
     session = StubSession(
         [StubResponse(429), ConnectionResetError("reset"), StubResponse(200, {"ok": 2})]
