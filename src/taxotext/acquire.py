@@ -145,12 +145,16 @@ class TextAcquirer:
 
         Cached entries are immutable; pass refresh=True to re-fetch and
         overwrite. Only provider replies are cached: a combined text is
-        rebuilt from its components' acquisitions on every call. A failed
-        fetch and an unreadable cache entry each count as one failure.
+        rebuilt from its components' acquisitions on every call, made as
+        ``acquire_all`` makes them, so every component is fetched even when
+        another fails. A failed fetch and an unreadable cache entry each
+        count as one failure.
         """
         if spec.components:
-            parts = [self.acquire(record, c, refresh=refresh) for c in spec.components]
-            return combine_texts(parts)
+            results, errors = self.acquire_all([record], spec, refresh=refresh)
+            if record.entity_id in errors:
+                raise errors[record.entity_id]
+            return results[record.entity_id]
         key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
         try:
             hit = None if refresh else self.cache.load(key)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import inspect
 import json
 import re
+import threading
 from dataclasses import asdict
 
 import pytest
@@ -313,6 +314,18 @@ def test_acquire_cached_returns_none_when_absent(tmp_path):
 # --- provider lanes ------------------------------------------------------------------
 
 
+class _GatedSearchServer(MockSearchServer):
+    """Holds every search reply until ``gate`` is set (or 10 s have passed)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.gate = threading.Event()
+
+    def respond(self, method, path, query, body):
+        self.gate.wait(timeout=10)
+        return super().respond(method, path, query, body)
+
+
 @pytest.mark.parametrize("signatures", [("gsnip3", "gptsum"), ("gsnip3+gptsum",)])
 def test_search_and_llm_requests_are_in_flight_at_once(tmp_path, signatures):
     records = _records(4)
@@ -320,10 +333,12 @@ def test_search_and_llm_requests_are_in_flight_at_once(tmp_path, signatures):
 
     def reply(messages, model):
         searches_seen.append(search_srv.request_count)
+        if len(searches_seen) == len(records):
+            search_srv.gate.set()  # let the searches answer once every summary is asked for
         return "A summary sentence."
 
     with (
-        MockSearchServer(_snippet_table(records), api_key="k", latency=0.3) as search_srv,
+        _GatedSearchServer(_snippet_table(records), api_key="k", latency=0.05) as search_srv,
         MockLlmServer(reply, api_key="sk") as llm_srv,
         SearchClient(search_srv.base_url, api_key="k") as search,
         LlmClient(llm_srv.base_url, api_key="sk") as llm,
@@ -337,7 +352,7 @@ def test_search_and_llm_requests_are_in_flight_at_once(tmp_path, signatures):
     assert not errors
     assert len(results) == len(records) * len(specs)
     # the LLM lane does not wait for the searches: every summary is asked for
-    # while the first two searches are still out, before any other is sent
+    # while the first two searches are held, before any other is sent
     assert len(searches_seen) == len(records)
     assert searches_seen[0] < len(records)
     assert max(searches_seen) <= 2
@@ -390,6 +405,25 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     gptsum = parse_source_signature("gptsum", TaskId.SIC)
     assert set(offline.cached_texts(records, gptsum)) == {r.entity_id for r in records}
+
+
+def test_acquire_of_a_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
+    records = _records(1)
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="wrong") as search,
+        LlmClient(llm_srv.base_url, api_key="sk") as llm,
+    ):
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
+        )
+        with pytest.raises(AuthError):
+            acquirer.acquire(records[0], parse_source_signature("gsnip10+gptsum", TaskId.SIC))
+        assert llm_srv.request_count == 1
+    assert acquirer.stats == {"fetched": 1, "hits": 0, "refusals": 0, "failures": 1}
+    gptsum = parse_source_signature("gptsum", TaskId.SIC)
+    assert acquirer.acquire_cached(records[0], gptsum).text == "A summary sentence."
 
 
 # --- cache entry files -------------------------------------------------------------
