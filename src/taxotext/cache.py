@@ -3,16 +3,19 @@
 One JSON file per provider reply, named by the hex key hash; combined texts
 are derived from these, never stored. Each entry records the task, entity,
 source and params that key it. Entries are written by ``files.write_file``,
-so a crash never leaves a half-written entry, and distinct keys may be
-written concurrently from worker threads. The directory is made by the
-first store; until then every load is a miss. The entry files are the whole
-cache: an ``index.json`` left by an older version is neither read nor
-written.
+so a crash never leaves a half-written entry. Worker threads may store
+distinct keys at once, but the file writes take turns: files created in one
+directory at the same moment contend for that directory's lock in the
+kernel, where the waiters spin, and that spinning made the CPU time of a
+cold acquire swing from run to run. The directory is made by the first
+store; until then every load is a miss. The entry files are the whole cache:
+an ``index.json`` left by an older version is neither read nor written.
 """
 
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 from .errors import CacheCorrupt
@@ -25,6 +28,7 @@ from .texts import AcquiredText, Source
 class TextCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
+        self._write_lock = threading.Lock()
 
     @staticmethod
     def key(task_id: TaskId, entity_id: str, source: Source, params: dict) -> str:
@@ -56,6 +60,6 @@ class TextCache:
 
     def store(self, key: str, text: AcquiredText, task_id: TaskId) -> Path:
         payload = {**text.to_json(), "task": task_id.value}
-        return write_file(
-            self.path_for(key), [json.dumps(payload, ensure_ascii=False, sort_keys=True)]
-        )
+        chunks = [json.dumps(payload, ensure_ascii=False, sort_keys=True)]
+        with self._write_lock:
+            return write_file(self.path_for(key), chunks)

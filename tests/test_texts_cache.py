@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import sys
 import threading
+import time
 
 import pytest
 
@@ -190,3 +191,41 @@ def test_concurrent_stores_all_load_and_leave_no_temp_files(tmp_path):
     assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
         f"{key}.json" for key in keys
     )
+
+
+def test_concurrent_stores_write_their_files_one_at_a_time(tmp_path, monkeypatch):
+    # file creation in one directory from several threads at once makes the
+    # kernel spin on the directory's lock, so the writes take turns
+    import taxotext.cache as cache_mod
+
+    in_flight, peak, lock = [0], [0], threading.Lock()
+    real_write = cache_mod.write_file
+
+    def counting_write(path, chunks):
+        with lock:
+            in_flight[0] += 1
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            time.sleep(0.002)
+            return real_write(path, chunks)
+        finally:
+            with lock:
+                in_flight[0] -= 1
+
+    monkeypatch.setattr(cache_mod, "write_file", counting_write)
+    cache = TextCache(tmp_path / "cache")
+
+    def worker(t):
+        for i in range(5):
+            entity = f"e{t}-{i}"
+            cache.store(TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10}),
+                        _text(entity=entity), TaskId.SIC)
+
+    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+    for th in threads:
+        th.start()
+    for th in threads:
+        th.join(timeout=60)
+    assert not any(th.is_alive() for th in threads)
+    assert peak[0] == 1
+    assert len(list((tmp_path / "cache").iterdir())) == 4 * 5
