@@ -48,8 +48,8 @@ with MockSearchServer(fixtures, api_key="demo-key") as server, \
     spec = SourceSpec(Source.GSNIP, {"k": 3})
     results, errors = acquirer.acquire_all(records, spec)
     assert not errors
-    for entity_id, text in sorted(results.items()):
-        print(f"{entity_id}: {text.text[:70]}...")
+    for (entity_id, signature), text in sorted(results.items()):
+        print(f"{entity_id} ({signature}): {text.text[:70]}...")
     print(f"requests so far: {server.request_count}")
 
     # second pass: all cache hits, request count unchanged

@@ -43,8 +43,9 @@ class SourceSpec:
         return self.components or (self,)
 
 
-# The worker pool ("lane") that fetches each provider source: one per provider client.
-_LANES = {Source.GSNIP: "search", Source.GPTSUM: "llm", Source.LLAMASUM: "llm"}
+# The provider that serves each provider source: it names the client that
+# fetches the source and the worker pool ("lane") that the fetch runs in.
+LANES = {Source.GSNIP: "search", Source.GPTSUM: "llm", Source.LLAMASUM: "llm"}
 _GSNIP_SIG = re.compile(r"gsnip(\d*)$")
 _DEFAULTS = PipelineConfig()
 
@@ -141,20 +142,17 @@ class TextAcquirer:
             self.stats[name] += n
 
     def acquire(self, record: EntityRecord, spec: SourceSpec, *, refresh: bool = False) -> AcquiredText:
-        """Return the text for one record, fetching and caching on a miss.
+        """Return one record's provider reply for a provider source, fetching
+        and caching on a miss; ``acquire_all`` joins combined sources.
 
         Cached entries are immutable; pass refresh=True to re-fetch and
-        overwrite. Only provider replies are cached: a combined text is
-        rebuilt from its components' acquisitions on every call, made as
-        ``acquire_all`` makes them, so every component is fetched even when
-        another fails. A failed fetch and an unreadable cache entry each
-        count as one failure.
+        overwrite. A failed fetch and an unreadable cache entry each count
+        as one failure.
         """
         if spec.components:
-            results, errors = self.acquire_all([record], spec, refresh=refresh)
-            if record.entity_id in errors:
-                raise errors[record.entity_id]
-            return results[record.entity_id]
+            raise ValueError(
+                f"acquire fetches one provider source; pass {spec.signature!r} to acquire_all"
+            )
         key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
         try:
             hit = None if refresh else self.cache.load(key)
@@ -198,10 +196,9 @@ class TextAcquirer:
     def acquire_all(
         self,
         records: list[EntityRecord],
-        spec: SourceSpec,
-        *more_specs: SourceSpec,
+        *specs: SourceSpec,
         refresh: bool = False,
-    ) -> tuple[dict, dict[object, Exception]]:
+    ) -> tuple[dict[tuple[str, str], AcquiredText], dict[tuple[str, str], Exception]]:
         """Acquire the texts of many records for one or more specs.
 
         Each (record, provider source) pair that the specs read is fetched
@@ -212,32 +209,28 @@ class TextAcquirer:
         of its components have landed. A failure (a ``TaxotextError``) is
         logged and returned in the error map; the other components of a
         combined spec are still fetched and cached, and the entity's error is
-        that of its first failed component, in combination order.
-
-        With one spec, both maps are keyed by entity id; with several, by
-        ``(entity_id, signature)``.
+        that of its first failed component, in combination order. Both maps
+        are keyed by ``(entity_id, signature)``.
         """
-        specs = (spec, *more_specs)
         leaves: list[SourceSpec] = []
         for s in specs:
             leaves += [leaf for leaf in s.leaves if leaf not in leaves]
         lanes = {
             lane: ThreadPoolExecutor(self.max_parallel, thread_name_prefix=f"acquire-{lane}")
-            for lane in {_LANES[leaf.source] for leaf in leaves}
+            for lane in {LANES[leaf.source] for leaf in leaves}
         }
-        results: dict = {}
-        errors: dict[object, Exception] = {}
+        results, errors = {}, {}
         try:
             fetches = [
                 [
-                    lanes[_LANES[leaf.source]].submit(self.acquire, record, leaf, refresh=refresh)
+                    lanes[LANES[leaf.source]].submit(self.acquire, record, leaf, refresh=refresh)
                     for leaf in leaves
                 ]
                 for record in records
             ]
             for record, fetched in zip(records, fetches):
                 for s in specs:
-                    key = record.entity_id if not more_specs else (record.entity_id, s.signature)
+                    key = (record.entity_id, s.signature)
                     try:
                         parts = [fetched[leaves.index(leaf)].result() for leaf in s.leaves]
                     except TaxotextError as exc:

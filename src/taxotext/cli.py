@@ -23,7 +23,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .ablation import ablate_snippets, snippet_depths, write_ablation_csv
-from .acquire import SourceSpec, TextAcquirer, parse_source_signature
+from .acquire import LANES, SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .config import PipelineConfig, finite_float, load_config, parse_list, snapshot
 from .corpus import (
@@ -46,7 +46,6 @@ from .search import SearchClient
 from .softmax import Prediction, load_model, predict_instances, save_model, train
 from .summarize import LlmClient
 from .taxonomy import Dataset, Split, TaxonomyScheme, load_dataset, load_scheme, split_dataset
-from .texts import Source
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -165,10 +164,9 @@ def _client(ctx: RunContext, cls, url_key: str):
 
 
 def _make_acquirer(ctx: RunContext, specs: tuple[SourceSpec, ...]) -> TextAcquirer:
-    sources = {leaf.source for spec in specs for leaf in spec.leaves}
-    search = _client(ctx, SearchClient, "search_base_url") if Source.GSNIP in sources else None
-    needs_llm = sources & {Source.GPTSUM, Source.LLAMASUM}
-    llm = _client(ctx, LlmClient, "llm_base_url") if needs_llm else None
+    lanes = {LANES[leaf.source] for spec in specs for leaf in spec.leaves}
+    search = _client(ctx, SearchClient, "search_base_url") if "search" in lanes else None
+    llm = _client(ctx, LlmClient, "llm_base_url") if "llm" in lanes else None
     return TextAcquirer(
         ctx.config.task, ctx.cache, search_client=search, llm_client=llm,
         max_parallel=ctx.config.max_parallel,
@@ -227,10 +225,8 @@ def _predictions_path(ctx: RunContext) -> Path:
 
 def cmd_acquire(ctx: RunContext, args) -> int:
     specs = _parse_list(args.signatures, lambda s: _parse_signature(ctx, s), "source")
-    if not specs:
-        raise ConfigError("no source signatures given")
     acquirer = _make_acquirer(ctx, specs)
-    ctx.record({"sources": [s.signature for s in specs], "refresh": bool(args.refresh)})
+    ctx.record({"sources": [s.signature for s in specs], "refresh": args.refresh})
     try:
         # every provider source of every spec in one call, so that the search
         # and LLM lanes fetch at the same time, and every failure is kept
@@ -249,9 +245,8 @@ def cmd_acquire(ctx: RunContext, args) -> int:
     )
     if not errors:
         return EXIT_OK
-    for key, exc in sorted(errors.items())[:5]:  # keyed (entity_id, signature) for several sources
-        where = key if isinstance(key, str) else f"{key[0]} ({key[1]})"
-        print(f"error: {where}: {exc}", file=sys.stderr)
+    for (entity_id, signature), exc in sorted(errors.items())[:5]:
+        print(f"error: {entity_id} ({signature}): {exc}", file=sys.stderr)
     # A data error needs a fix that a rerun will not bring, so it decides the exit code.
     if all(isinstance(exc, _NETWORK_ERRORS) for exc in errors.values()):
         return EXIT_NETWORK
@@ -261,7 +256,7 @@ def cmd_acquire(ctx: RunContext, args) -> int:
 def cmd_build(ctx: RunContext, args) -> int:
     dataset, signature = ctx.dataset, ctx.spec.signature
     texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, ctx.spec)
-    ctx.record({"strict": bool(args.strict)})
+    ctx.record({"strict": args.strict})
     for split in Split:
         result = build_instances(dataset.by_split(split), texts, signature, strict=args.strict)
         tab_path = emit_tabular(result.instances, _corpus_path(ctx, split))
@@ -371,9 +366,10 @@ def cmd_ablate(ctx: RunContext, args) -> int:
 def cmd_baseline(ctx: RunContext, args) -> int:
     client = _client(ctx, LlmClient, "llm_base_url")
     records = ctx.dataset.by_split(ctx.split)
-    contexts = None
+    contexts = context_signature = None
     if args.context_sources:
         spec = _parse_signature(ctx, args.context_sources)
+        context_signature = spec.signature
         texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(records, spec)
         missing = [r.entity_id for r in records if r.entity_id not in texts]
         if missing and args.strict:
@@ -385,7 +381,7 @@ def cmd_baseline(ctx: RunContext, args) -> int:
         }
     model_id = args.model or ctx.config.gpt_model
     ctx.record(
-        {"model": model_id, "context_sources": args.context_sources, "strict": bool(args.strict)}
+        {"model": model_id, "context_sources": context_signature, "strict": args.strict}
     )
     with client:
         predictions = prompt_baseline(
@@ -409,6 +405,7 @@ def _sources(help_text: str | None = None):
 _DATASET = ("--dataset", {"help": "entity CSV (overrides the config)"})
 _SPLIT = ("--split", {"default": "test"})
 _PREDICTIONS = ("--predictions", {"help": "explicit predictions path"})
+_STRICT = ("--strict", {"action": "store_true", "help": "fail on missing texts"})
 
 # name -> (handler, help, flags); flags are (name, add_argument kwargs)
 _COMMANDS = {
@@ -417,10 +414,12 @@ _COMMANDS = {
         # a list the handler parses; `main` resolves the other commands' one signature
         ("--sources", {"dest": "signatures", "metavar": "SOURCES", "default": "gsnip",
                        "help": "comma-separated source signatures"}),
+        ("--refresh", {"action": "store_true", "help": "re-fetch even on cache hits"}),
     ]),
     "build": (cmd_build, "emit corpus files from cached texts", [
         _DATASET,
         _sources("source signature (use + to combine)"),
+        _STRICT,
     ]),
     "train": (cmd_train, "fit the hashed-feature softmax classifier", [
         _sources(),
@@ -457,6 +456,7 @@ _COMMANDS = {
         _SPLIT,
         ("--model", {"help": "hosted model id"}),
         ("--context-sources", {"help": "signature of cached texts to include in the prompt"}),
+        _STRICT,
     ]),
 }
 
@@ -469,8 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="INI config file")
     parser.add_argument("--run-id", help="run directory name; generated when omitted")
     parser.add_argument("--runs-dir", default="runs", help="parent directory for runs")
-    parser.add_argument("--refresh", action="store_true", help="re-fetch even on cache hits")
-    parser.add_argument("--strict", action="store_true", help="fail on missing texts")
     parser.add_argument("--seed", type=int, default=None, help="override split and training seeds")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, flags) in _COMMANDS.items():

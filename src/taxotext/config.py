@@ -49,8 +49,12 @@ class PipelineConfig:
 
 
 def parse_list(raw: str, cast) -> tuple:
-    """Comma-separated values through cast; blank parts are skipped."""
-    return tuple(cast(part) for part in raw.split(",") if part.strip())
+    """Comma-separated values through cast; blank parts are skipped, and a
+    list with no value left is a ValueError."""
+    values = tuple(cast(part) for part in raw.split(",") if part.strip())
+    if not values:
+        raise ValueError(f"no values in {raw!r}")
+    return values
 
 
 # A parser reads one key of a section, as ConfigParser.getint does; its

@@ -87,10 +87,10 @@ _REFUSAL_WINDOW = 200
 _APOSTROPHES = str.maketrans({"‘": "'", "’": "'", "ʼ": "'", "´": "'"})
 
 
-def detect_refusal(text: str, patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS) -> bool:
+def detect_refusal(text: str) -> bool:
     """True when the head of a completion matches a refusal marker."""
     head = text[:_REFUSAL_WINDOW].lower().translate(_APOSTROPHES)
-    return any(p in head for p in patterns)
+    return any(p in head for p in DEFAULT_REFUSAL_PATTERNS)
 
 
 _CLOSERS = "\"'”’)]}"
@@ -158,7 +158,6 @@ def generate_summary(
     *,
     model_id: str,
     max_tokens: int = 400,
-    refusal_patterns: tuple[str, ...] = DEFAULT_REFUSAL_PATTERNS,
     now=utcnow,
 ) -> AcquiredText:
     """Ask a model for an entity summary; refusals come back with empty text.
@@ -171,7 +170,7 @@ def generate_summary(
     content = client.complete(prompt, model=model_id, max_tokens=max_tokens)
     if content == "":
         raise EmptyCompletion(f"model returned an empty completion for {entity_id!r}")
-    refusal = detect_refusal(content, refusal_patterns)
+    refusal = detect_refusal(content)
     source = Source.GPTSUM if template.id.startswith("GPT") else Source.LLAMASUM
     return AcquiredText(
         entity_id=entity_id,

@@ -210,9 +210,9 @@ def test_acquire_summary_counts_refusals(tmp_path):
         results, errors = acquirer.acquire_all(records, spec)
     assert not errors
     assert acquirer.stats["refusals"] == 1
-    assert results[records[0].entity_id].refusal
-    assert results[records[0].entity_id].text == ""
-    assert results[records[1].entity_id].text.startswith("Makes industrial glue.")
+    assert results[records[0].entity_id, "gptsum"].refusal
+    assert results[records[0].entity_id, "gptsum"].text == ""
+    assert results[records[1].entity_id, "gptsum"].text.startswith("Makes industrial glue.")
 
 
 def test_acquire_combined_fetches_components_and_caches(tmp_path):
@@ -231,7 +231,7 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
         results, errors = acquirer.acquire_all(records, spec)
 
         assert not errors
-        combined = results[records[0].entity_id]
+        combined = results[records[0].entity_id, "gsnip10+gptsum"]
         assert combined.source is Source.COMBINED
         assert "\n\n" in combined.text
         assert combined.text.index("text 0") < combined.text.index("A summary sentence.")
@@ -380,7 +380,7 @@ def test_several_specs_fetch_each_shared_source_once(tmp_path):
         (r.entity_id, sig) for r in records for sig in ("gsnip10", "gsnip10+gptsum")
     }
     alone, _ = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c")).acquire_all(records, combined)
-    assert {eid: results[eid, "gsnip10+gptsum"] for eid in alone} == alone
+    assert {key: results[key] for key in alone} == alone
     assert acquirer.stats == {"fetched": 6, "hits": 0, "refusals": 0, "failures": 0}
 
 
@@ -399,7 +399,7 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
         results, errors = acquirer.acquire_all(records, spec)
         assert llm_srv.request_count == len(records)
     assert not results
-    assert set(errors) == {r.entity_id for r in records}
+    assert set(errors) == {(r.entity_id, "gsnip10+gptsum") for r in records}
     assert all(isinstance(e, AuthError) for e in errors.values())
     assert acquirer.stats == {"fetched": 3, "hits": 0, "refusals": 0, "failures": 3}
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
@@ -407,23 +407,13 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
     assert set(offline.cached_texts(records, gptsum)) == {r.entity_id for r in records}
 
 
-def test_acquire_of_a_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
-    records = _records(1)
-    with (
-        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
-        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
-        SearchClient(search_srv.base_url, api_key="wrong") as search,
-        LlmClient(llm_srv.base_url, api_key="sk") as llm,
-    ):
-        acquirer = TextAcquirer(
-            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
-        )
-        with pytest.raises(AuthError):
-            acquirer.acquire(records[0], parse_source_signature("gsnip10+gptsum", TaskId.SIC))
-        assert llm_srv.request_count == 1
-    assert acquirer.stats == {"fetched": 1, "hits": 0, "refusals": 0, "failures": 1}
-    gptsum = parse_source_signature("gptsum", TaskId.SIC)
-    assert acquirer.acquire_cached(records[0], gptsum).text == "A summary sentence."
+def test_acquire_refuses_a_combined_spec(tmp_path):
+    acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
+    spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+    with pytest.raises(ValueError, match="acquire_all"):
+        acquirer.acquire(_records(1)[0], spec)
+    assert acquirer.stats == {"fetched": 0, "hits": 0, "refusals": 0, "failures": 0}
+    assert not (tmp_path / "c").exists()
 
 
 # --- cache entry files -------------------------------------------------------------

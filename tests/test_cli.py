@@ -341,7 +341,7 @@ def test_manifest_written_before_outputs(workspace):
 
 # each command's argv on a finished _run_steps run; acquire refreshes so it stores entries
 _COMMAND_ARGV = {
-    "acquire": ["--refresh", "acquire", "--sources", "gsnip3"],
+    "acquire": ["acquire", "--sources", "gsnip3", "--refresh"],
     "build": ["build", "--sources", "gsnip3"],
     "train": ["train", "--sources", "gsnip3"],
     "predict": ["predict", "--sources", "gsnip3"],
@@ -400,7 +400,7 @@ def test_manifest_options_name_every_input_the_command_reads(workspace):
         report = run_dir / "reports/gsnip3-test-eval.json"
         argv = ["eval", "--sources", "gsnip3", "--compare", str(report)]
         assert _run(argv, runs, config=config) == 0
-        argv = ["--strict", "baseline", "--context-sources", "gsnip3"]
+        argv = ["baseline", "--context-sources", "gsnip3", "--strict"]
         assert _run(argv, runs, config=config) == 0
     predict, eval_, sweep, compare, baseline = load_manifest(run_dir).commands[3:]
     assert predict["options"]["corpus"] == str(run_dir / "corpus/gsnip3/test.jsonl")
@@ -589,6 +589,46 @@ def test_baseline_context_reads_only_the_split_cache_entries(workspace):
     assert all("classmarker" in p for p in prompts)
 
 
+def test_baseline_records_its_context_signature_in_canonical_form(workspace):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    with MockLlmServer(reply=lambda m, _: "58", api_key="test-key") as server:
+        config = _write_config(tmp_path / "c.ini", dataset=entities, llm_url=server.base_url)
+        argv = ["baseline", "--context-sources", "gptsum+gsnip3"]
+        assert _run(argv, runs, config=config) == 0
+        assert _run(["baseline"], runs, config=config) == 0
+    with_context, without = load_manifest(runs / "r1").commands
+    assert with_context["options"]["context_sources"] == "gsnip3+gptsum"
+    assert without["options"]["context_sources"] is None
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strict", "build"],
+        ["--refresh", "acquire"],
+        ["train", "--strict"],
+        ["train", "--refresh"],
+        ["build", "--refresh"],
+        ["acquire", "--strict"],
+    ],
+)
+def test_strict_and_refresh_are_rejected_off_the_commands_that_read_them(argv):
+    with pytest.raises(SystemExit) as exc_info:
+        cli.build_parser().parse_args(argv)
+    assert exc_info.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,dest",
+    [(["build", "--strict"], "strict"), (["baseline", "--strict"], "strict"),
+     (["acquire", "--refresh"], "refresh")],
+)
+def test_strict_and_refresh_follow_the_commands_that_read_them(argv, dest):
+    assert getattr(cli.build_parser().parse_args(argv), dest) is True
+    assert getattr(cli.build_parser().parse_args(argv[:1]), dest) is False
+
+
 @pytest.mark.parametrize("http_id,data_id", [("e001", "e002"), ("e002", "e001")])
 def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
     workspace, monkeypatch, http_id, data_id
@@ -596,7 +636,10 @@ def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
     # a data error needs a fix that a rerun will not bring, so it decides
     # the exit code whatever the entity ids are
     tmp_path, entities, _ = workspace
-    errors = {http_id: HttpError("server error", status=503), data_id: CacheCorrupt("bad file")}
+    errors = {
+        (http_id, "gsnip3"): HttpError("server error", status=503),
+        (data_id, "gsnip3"): CacheCorrupt("bad file"),
+    }
     monkeypatch.setattr(TextAcquirer, "acquire_all", lambda *a, **kw: ({}, dict(errors)))
     config = _write_config(tmp_path / "c.ini", dataset=entities, search_url="http://x")
     assert _run(["acquire", "--sources", "gsnip3"], tmp_path / "runs", config=config) == 4
@@ -662,6 +705,7 @@ def _test_split_predictions(path):
         ["--seed", "-1", "build"],
         ["sweep", "--predictions", "{predictions}", "--thresholds", "nan"],
         ["ablate", "--cached-depth", "4"],
+        ["sweep", "--predictions", "{predictions}", "--thresholds", ","],
     ],
     ids=[
         "predict-no-model",
@@ -684,6 +728,7 @@ def _test_split_predictions(path):
         "negative-seed",
         "nan-threshold",
         "cached-depth-not-top-k",
+        "empty-thresholds",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
@@ -829,7 +874,7 @@ def test_refreshed_component_reaches_the_combined_text(workspace):
         assert _run(["acquire", "--sources", "gsnip3+gptsum"], runs, config=config) == 0
         for name in snippets:
             snippets[name] = ["new snippet."]
-        assert _run(["--refresh", "acquire", "--sources", "gsnip3"], runs, config=config) == 0
+        assert _run(["acquire", "--sources", "gsnip3", "--refresh"], runs, config=config) == 0
     records = load_dataset(entities, load_sic_scheme()).records
     spec = parse_source_signature("gsnip3+gptsum", TaskId.SIC)
     texts = TextAcquirer(TaskId.SIC, TextCache(runs / "r1/cache")).cached_texts(records, spec)

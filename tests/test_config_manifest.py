@@ -136,6 +136,8 @@ def test_missing_file_is_config_error(tmp_path):
         ("[training]\nwarmup_steps = -5\n", "warmup_steps must be >= 0"),
         ("[eval]\nthresholds = nan, 0.5\n", "bad float list"),
         ("[eval]\nthresholds = 0.5, inf\n", "bad float list"),
+        ("[eval]\nthresholds =\n", "bad float list"),
+        ("[eval]\nthresholds = ,\n", "bad float list"),
     ],
 )
 def test_bad_files_raise_config_error(tmp_path, body, fragment):

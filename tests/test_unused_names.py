@@ -1,10 +1,12 @@
-"""Every module-level import and logger in the package is used, and every private helper.
+"""Every module-level import and logger in the package is used, every private
+helper, and every command-line flag.
 
 No linter ships with the project, so this scan stands in for one: a name
 bound at module level by an ``import`` (``__future__`` aside) or by
-``logging.getLogger(...)`` must be read somewhere in its module, and a
+``logging.getLogger(...)`` must be read somewhere in its module, a
 module-level ``def`` or ``class`` whose name starts with ``_`` must be read
-by some package module outside its own definition.
+by some package module outside its own definition, and each value a command
+accepts must be read by the code that runs that command.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import ast
 from pathlib import Path
 
 import pytest
+
+from taxotext import cli
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "taxotext"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -92,3 +96,43 @@ def test_module_level_private_helpers_are_read():
 
 def test_the_scan_sees_every_module():
     assert len(MODULES) > 10
+
+
+def _args_attrs(function: ast.FunctionDef) -> set[str]:
+    """The attributes read off ``args`` in a function."""
+    return {
+        node.attr
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "args"
+    }
+
+
+def _passed_args(function: ast.FunctionDef, functions: dict[str, ast.FunctionDef]) -> list:
+    """The module-level functions that function calls with ``args`` as an argument."""
+    return [
+        functions[call.func.id]
+        for call in ast.walk(function)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Name)
+        and call.func.id in functions
+        and any(isinstance(a, ast.Name) and a.id == "args" for a in call.args)
+    ]
+
+
+def test_every_value_a_command_accepts_is_read():
+    # a command accepts the top-level options and its own; `main` reads some
+    # for every command, its handler and the helpers it hands `args` to the rest
+    path = PACKAGE / "cli.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    unread = []
+    for command, (handler, _, _) in cli._COMMANDS.items():
+        own = functions[handler.__name__]
+        read = set().union(
+            *map(_args_attrs, [functions["main"], own, *_passed_args(own, functions)])
+        )
+        accepted = vars(cli.build_parser().parse_args([command]))
+        unread += [f"{command} {dest}" for dest in accepted if dest not in read]
+    assert not unread, f"accepted but never read: {', '.join(unread)}"
