@@ -326,7 +326,7 @@ def cmd_eval(ctx: RunContext, args) -> int:
 def cmd_sweep(ctx: RunContext, args) -> int:
     pred_path, predictions, golds = _scored_predictions(ctx, args)
     thresholds = ctx.config.thresholds
-    if args.thresholds:
+    if args.thresholds is not None:
         thresholds = _parse_list(args.thresholds, finite_float, "threshold")
     inclusive = bool(args.inclusive) or ctx.config.inclusive_thresholds
     options = {"predictions": str(pred_path), "thresholds": list(thresholds), "inclusive": inclusive}
@@ -348,7 +348,7 @@ def cmd_ablate(ctx: RunContext, args) -> int:
     if args.cached_depth not in (None, top_k):
         raise ConfigError(f"--cached-depth must equal top_k ({top_k}), got {args.cached_depth}")
     try:
-        ks = snippet_depths(_parse_list(args.ks, int, "k") if args.ks else None, top_k)
+        ks = snippet_depths(_parse_list(args.ks, int, "k") if args.ks is not None else None, top_k)
     except ValueError as exc:
         raise ConfigError(f"--ks needs positive snippet counts: {args.ks!r}") from exc
     ctx.record({"ks": ks})

@@ -17,6 +17,13 @@ bit-identical to it (see the dense-oracle tests). At the end the slots are
 put in bucket order once, as the classes x buckets columns the model keeps:
 no path builds the classes x 2^18 matrix except the on-demand
 ``SoftmaxModel.W``.
+
+When at least two CPUs are usable and the corpus has at least
+``SPLIT_MIN_ELEMENTS`` weights, a step whose prefix is that large updates it
+in two halves at once: a worker thread takes the upper rows, the calling
+thread the lower ones, and the step waits for both. The halves are disjoint
+rows and every element's operations stay as they are, so the weights are the
+same bits as on one thread.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -49,6 +59,12 @@ MODEL_FORMAT = "taxotext-softmax/1"
 # Slots per chunk of the Adam update and of the final copy into model columns:
 # a chunk is UPDATE_CHUNK_COLS contiguous rows of the slots x classes arrays.
 UPDATE_CHUNK_COLS = 2048
+
+# A step updates its prefix of slots x classes weights in two halves, one on a
+# worker thread, when the prefix holds at least this many weights. On smaller
+# 17-class prefixes the split costs about one CPU ms per wall ms it saves
+# (BENCH_25.json, step_curve).
+SPLIT_MIN_ELEMENTS = 2**19
 
 
 @dataclass
@@ -256,6 +272,23 @@ def _adam_step(W, mW, vW, n_active, cols, grad_rows, beta1, beta2, decay, scale,
         w -= step
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _split_point(n_active: int, n_classes: int, chunk: int) -> int:
+    """The first row of the prefix's upper half, a multiple of ``chunk`` near
+    its middle; 0 when the prefix is under SPLIT_MIN_ELEMENTS weights or too
+    short to cut on a chunk boundary."""
+    if n_active * n_classes < SPLIT_MIN_ELEMENTS:
+        return 0
+    mid = (n_active + chunk) // (2 * chunk) * chunk
+    return mid if mid < n_active else 0
+
+
 def _one_per_instance(features: Sequence[FeatureVector], instances: list) -> list[FeatureVector]:
     features = list(features)
     if len(features) != len(instances):
@@ -308,37 +341,50 @@ def train(
     mb = np.zeros(n_classes)
     vb = np.zeros(n_classes)
     n_active = 0
+    # No prefix reaches SPLIT_MIN_ELEMENTS unless the whole corpus does.
+    split = _usable_cpus() >= 2 and buckets.size * n_classes >= SPLIT_MIN_ELEMENTS
+    upper_buf = np.empty_like(buf) if split else None
 
     beta1, beta2, eps = config.beta1, config.beta2, config.eps
     step = 0
-    for epoch, order in enumerate(orders):
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), config.batch_size):
-            batch_ids = order[start : start + config.batch_size]
-            step += 1
-            cols, grad_rows, grad_b, batch_loss = _batch_grad(
-                W, b, feats, slots, targets, batch_ids, pos_of
-            )
-            if cols.size:
-                n_active = max(n_active, int(cols[-1]) + 1)
+    with ThreadPoolExecutor(max_workers=1) if split else nullcontext() as worker:
+        for epoch, order in enumerate(orders):
+            epoch_loss = 0.0
+            n_batches = 0
+            for start in range(0, len(order), config.batch_size):
+                batch_ids = order[start : start + config.batch_size]
+                step += 1
+                cols, grad_rows, grad_b, batch_loss = _batch_grad(
+                    W, b, feats, slots, targets, batch_ids, pos_of
+                )
+                if cols.size:
+                    n_active = max(n_active, int(cols[-1]) + 1)
 
-            mult = min(step / config.warmup_steps, 1.0) if config.warmup_steps > 0 else 1.0
-            mb = beta1 * mb + (1.0 - beta1) * grad_b
-            vb = beta2 * vb + (1.0 - beta2) * (grad_b * grad_b)
+                mult = min(step / config.warmup_steps, 1.0) if config.warmup_steps > 0 else 1.0
+                mb = beta1 * mb + (1.0 - beta1) * grad_b
+                vb = beta2 * vb + (1.0 - beta2) * (grad_b * grad_b)
 
-            bc1 = 1.0 - beta1**step
-            bc2 = 1.0 - beta2**step
-            scale = mult * config.learning_rate / bc1
-            decay = 1.0 - mult * config.weight_decay if config.weight_decay else None
-            _adam_step(
-                W, mW, vW, n_active, cols, grad_rows,
-                beta1, beta2, decay, scale, math.sqrt(bc2), eps, buf,
-            )
-            b = b - scale * (mb / (np.sqrt(vb) / math.sqrt(bc2) + eps))
-            epoch_loss += batch_loss
-            n_batches += 1
-        logger.info("epoch %d: mean batch loss %.4f", epoch + 1, epoch_loss / max(1, n_batches))
+                bc1 = 1.0 - beta1**step
+                bc2 = 1.0 - beta2**step
+                scale = mult * config.learning_rate / bc1
+                decay = 1.0 - mult * config.weight_decay if config.weight_decay else None
+                hyper = (beta1, beta2, decay, scale, math.sqrt(bc2), eps)
+                mid = _split_point(n_active, n_classes, buf.shape[0]) if split else 0
+                if mid:
+                    # The worker updates rows [mid:n_active], this thread rows [:mid].
+                    cut = int(np.searchsorted(cols, mid))
+                    upper = worker.submit(
+                        _adam_step, W[mid:], mW[mid:], vW[mid:], n_active - mid,
+                        cols[cut:] - mid, grad_rows[cut:], *hyper, upper_buf,
+                    )
+                    _adam_step(W, mW, vW, mid, cols[:cut], grad_rows[:cut], *hyper, buf)
+                    upper.result()
+                else:
+                    _adam_step(W, mW, vW, n_active, cols, grad_rows, *hyper, buf)
+                b = b - scale * (mb / (np.sqrt(vb) / math.sqrt(bc2) + eps))
+                epoch_loss += batch_loss
+                n_batches += 1
+            logger.info("epoch %d: mean batch loss %.4f", epoch + 1, epoch_loss / max(1, n_batches))
 
     # Free the moments, then copy the slots into bucket order in chunks, so at
     # most two arrays of U x classes weights (W and the model's block) are ever

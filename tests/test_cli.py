@@ -706,6 +706,8 @@ def _test_split_predictions(path):
         ["sweep", "--predictions", "{predictions}", "--thresholds", "nan"],
         ["ablate", "--cached-depth", "4"],
         ["sweep", "--predictions", "{predictions}", "--thresholds", ","],
+        ["sweep", "--predictions", "{predictions}", "--thresholds", ""],
+        ["ablate", "--ks", ""],
     ],
     ids=[
         "predict-no-model",
@@ -729,6 +731,8 @@ def _test_split_predictions(path):
         "nan-threshold",
         "cached-depth-not-top-k",
         "empty-thresholds",
+        "blank-thresholds",
+        "blank-ks",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):

@@ -5,6 +5,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -461,3 +464,140 @@ def test_load_model_rejects_other_bucket_count(tmp_path):
     path.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + body)
     with pytest.raises(ParseError, match="buckets"):
         load_model(path, scheme)
+
+
+# --- the two-thread step ----------------------------------------------------------
+
+
+def _record_adam_halves(monkeypatch):
+    """Wrap _adam_step; each call appends its row count to the list of the
+    thread it ran on: "main" for the calling thread, "worker" for the other."""
+    calls = {"main": [], "worker": []}
+    real = softmax._adam_step
+
+    def recording(W, mW, vW, n_active, *rest):
+        on_main = threading.current_thread() is threading.main_thread()
+        calls["main" if on_main else "worker"].append(n_active)
+        return real(W, mW, vW, n_active, *rest)
+
+    monkeypatch.setattr(softmax, "_adam_step", recording)
+    return calls
+
+
+@pytest.fixture
+def forced_split(monkeypatch):
+    """Split every step whose prefix can be cut, as on a host with two CPUs."""
+    monkeypatch.setattr(softmax, "SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_split_step_matches_dense_oracle(monkeypatch, forced_split, chunk):
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", chunk)
+    calls = _record_adam_halves(monkeypatch)
+    scheme = load_sic_scheme()
+    instances = _instances(scheme, ["20", "60", "73"], per_class=6)
+    config = TrainConfig(epochs=2, batch_size=4, warmup_steps=5, weight_decay=0.02, seed=3)
+    # switch threads as often as the interpreter can, so that an update one
+    # half made to the other half's rows would show in the weights
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        model = train(instances, scheme, config)
+    finally:
+        sys.setswitchinterval(interval)
+    # the first step cuts the first batch's slots, which are the leading rows
+    # [:k], on a chunk boundary: the lower rows here, the upper on the worker
+    order = np.random.default_rng(config.seed).permutation(len(instances))
+    _, _, slots = softmax._slot_layout([featurize(i.input_text) for i in instances], order)
+    k = np.unique(np.concatenate([slots[i] for i in order[: config.batch_size]])).size
+    mid = calls["main"][0]
+    assert 0 < mid < k and mid % chunk == 0
+    assert calls["worker"][0] == k - mid
+    assert len(calls["worker"]) == len(calls["main"]) == math.ceil(len(instances) / 4) * 2
+    W, b = _dense_oracle(instances, scheme, config)
+    assert np.array_equal(model.W, W)
+    assert np.array_equal(model.b, b)
+
+
+def test_split_step_keeps_the_pinned_model_bytes(monkeypatch, forced_split, tmp_path):
+    calls = _record_adam_halves(monkeypatch)
+    scheme = load_sic_scheme()
+    path = save_model(train(_wide_instances(scheme), scheme, WIDE_CONFIG), tmp_path / "wide.model")
+    assert calls["worker"]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_MODEL_SHA256
+
+
+def test_split_step_raises_the_workers_exception_and_leaves_no_thread(monkeypatch, forced_split):
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 64)
+    scheme = load_sic_scheme()
+    instances = _wide_instances(scheme, n=12)
+    before = threading.enumerate()
+    train(instances, scheme, WIDE_CONFIG)
+    assert threading.enumerate() == before
+
+    error = RuntimeError("upper half failed")
+    real = softmax._adam_step
+
+    def failing_on_worker(*args):
+        if threading.current_thread() is not threading.main_thread():
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(softmax, "_adam_step", failing_on_worker)
+    with pytest.raises(RuntimeError) as raised:
+        train(instances, scheme, WIDE_CONFIG)
+    assert raised.value is error
+    assert threading.enumerate() == before
+
+
+def _thread_starts(monkeypatch):
+    """Record every thread started from here on."""
+    starts = []
+    real = threading.Thread.start
+
+    def counting(thread):
+        starts.append(thread)
+        return real(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting)
+    return starts
+
+
+@pytest.mark.parametrize("cpus, workers", [({0}, 0), ({0, 1}, 1)], ids=["one-cpu", "two-cpus"])
+def test_split_step_needs_two_usable_cpus(monkeypatch, cpus, workers):
+    monkeypatch.setattr(softmax, "SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    starts = _thread_starts(monkeypatch)
+    scheme = load_sic_scheme()
+    train(_wide_instances(scheme, n=12), scheme, WIDE_CONFIG)
+    assert len(starts) == workers
+
+
+def test_split_step_counts_cpus_without_affinity(monkeypatch):
+    monkeypatch.setattr(softmax, "SPLIT_MIN_ELEMENTS", 0)
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 64)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    starts = _thread_starts(monkeypatch)
+    scheme = load_sic_scheme()
+    train(_wide_instances(scheme, n=12), scheme, WIDE_CONFIG)
+    assert not starts
+
+
+def test_split_step_needs_a_prefix_of_split_min_elements(monkeypatch):
+    # under the threshold neither the corpus nor any step splits
+    monkeypatch.setattr(softmax, "UPDATE_CHUNK_COLS", 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    scheme = load_sic_scheme()
+    instances = _wide_instances(scheme, n=12)
+    n_weights = train(instances, scheme, WIDE_CONFIG).cols.size * len(scheme.categories)
+    monkeypatch.setattr(softmax, "SPLIT_MIN_ELEMENTS", n_weights + 1)
+    starts = _thread_starts(monkeypatch)
+    calls = _record_adam_halves(monkeypatch)
+    train(instances, scheme, WIDE_CONFIG)
+    assert not starts and not calls["worker"]
+    monkeypatch.setattr(softmax, "SPLIT_MIN_ELEMENTS", n_weights)
+    train(instances, scheme, WIDE_CONFIG)
+    assert len(starts) == 1 and calls["worker"]
