@@ -41,8 +41,8 @@ fixtures = {
 
 with MockSearchServer(fixtures, api_key="demo-key") as server, \
         tempfile.TemporaryDirectory() as cache_dir, \
-        SearchClient(server.base_url, api_key="demo-key", policy=RetryPolicy()) as client:
-    cache = TextCache(cache_dir)
+        SearchClient(server.base_url, api_key="demo-key", policy=RetryPolicy()) as client, \
+        TextCache(cache_dir) as cache:
     acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
 
     spec = SourceSpec(Source.GSNIP, {"k": 3})

@@ -36,8 +36,7 @@ for cid in ("10", "20", "58"):
             )
 dataset = Dataset(scheme=scheme, records=tuple(records))
 
-with tempfile.TemporaryDirectory() as root:
-    cache = TextCache(root)
+with tempfile.TemporaryDirectory() as root, TextCache(root) as cache:
     for r in dataset.records:
         provenance = [
             {"rank": 1, "title": "t1", "url": "u1",

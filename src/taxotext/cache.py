@@ -1,34 +1,47 @@
-"""Content-addressed on-disk cache for acquired texts.
+"""Content-addressed cache for acquired texts, in one SQLite database.
 
-One JSON file per provider reply, named by the hex key hash; combined texts
-are derived from these, never stored. Each entry records the task, entity,
-source and params that key it. Entries are written by ``files.write_file``,
-so a crash never leaves a half-written entry. Worker threads may store
-distinct keys at once, but the file writes take turns: files created in one
-directory at the same moment contend for that directory's lock in the
-kernel, where the waiters spin, and that spinning made the CPU time of a
-cold acquire swing from run to run. The directory is made by the first
-store; until then every load is a miss. The entry files are the whole cache:
-an ``index.json`` left by an older version is neither read nor written.
+Each provider reply is one row of ``entries`` in ``<root>/cache.sqlite3``:
+its hex key hash, and as ``body`` the reply's JSON, which also records the
+task, entity, source and params that key it. Combined texts are derived from
+these rows, never stored. Each store commits on its own, so a killed acquire
+keeps every reply stored before it and no partial one. The database runs in
+WAL mode, which needs a local filesystem (not NFS) and a writable directory
+even to read; processes and threads may read and store at once, and a writer
+that finds the database busy waits.
+
+The database is made by the first store, or by the first load in an existing
+directory; until then every load is a miss. When it is made, the
+``<key>.json`` entry files of older versions in the directory are imported in
+one transaction and left in place. Later files are not read.
 """
 
 from __future__ import annotations
 
 import json
+import re
+import sqlite3
 import threading
+import weakref
 from pathlib import Path
 
 from .errors import CacheCorrupt
-from .files import write_file
 from .hashing import fingerprint
 from .taxonomy import TaskId
 from .texts import AcquiredText, Source
+
+DB_NAME = "cache.sqlite3"
+BUSY_TIMEOUT_S = 60.0
+PAGE_CACHE_KIB = 256  # SQLite's 2 MB default shows in the peak RSS of short commands
+_LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
 
 
 class TextCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self._write_lock = threading.Lock()
+        self.path = self.root / DB_NAME
+        self._lock = threading.Lock()
+        self._conn: sqlite3.Connection | None = None
+        self._finalizer: weakref.finalize | None = None
 
     @staticmethod
     def key(task_id: TaskId, entity_id: str, source: Source, params: dict) -> str:
@@ -41,25 +54,76 @@ class TextCache:
             }
         )
 
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def contains(self, key: str) -> bool:
-        return self.path_for(key).exists()
-
     def load(self, key: str) -> AcquiredText | None:
-        path = self.path_for(key)
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
+        if self._conn is None and not self.root.is_dir():
+            return None
+        row = self._run(key, "SELECT body FROM entries WHERE key = ?", (key,))
+        if row is None:
             return None
         try:
-            return AcquiredText.from_json(json.loads(raw.decode("utf-8")))
+            return AcquiredText.from_json(json.loads(row[0].decode("utf-8")))
         except (ValueError, KeyError, TypeError) as exc:
-            raise CacheCorrupt(f"unreadable cache entry: {path}") from exc
+            raise self._corrupt(key, exc) from exc
 
-    def store(self, key: str, text: AcquiredText, task_id: TaskId) -> Path:
+    def store(self, key: str, text: AcquiredText, task_id: TaskId) -> None:
         payload = {**text.to_json(), "task": task_id.value}
-        chunks = [json.dumps(payload, ensure_ascii=False, sort_keys=True)]
-        with self._write_lock:
-            return write_file(self.path_for(key), chunks)
+        body = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        self._run(key, "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, body))
+
+    def close(self) -> None:
+        """Close the connection; the next load or store opens a new one."""
+        with self._lock:
+            if self._finalizer is not None:
+                self._finalizer()  # closes the connection, once
+            self._conn = self._finalizer = None
+
+    def __enter__(self) -> TextCache:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _corrupt(self, key: str, exc: Exception) -> CacheCorrupt:
+        return CacheCorrupt(f"unreadable cache entry {key} in {self.path}: {exc}")
+
+    def _run(self, key: str, sql: str, params: tuple) -> tuple | None:
+        with self._lock:  # one statement at a time on the shared connection
+            try:
+                return self._db().execute(sql, params).fetchone()
+            except sqlite3.OperationalError:  # locked past the timeout, disk full: not the data
+                raise
+            except sqlite3.DatabaseError as exc:  # not a database, or a damaged one
+                raise self._corrupt(key, exc) from exc
+
+    def _db(self) -> sqlite3.Connection:
+        # the caller holds self._lock
+        if self._conn is not None:
+            return self._conn
+        self.root.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(
+            self.path, timeout=BUSY_TIMEOUT_S, isolation_level=None, check_same_thread=False
+        )
+        # a cache dropped without close() closes its connection when collected or at exit
+        finalizer = weakref.finalize(self, conn.close)
+        try:
+            conn.text_factory = bytes  # the body's UTF-8 is checked on load, like a file's
+            conn.execute("PRAGMA journal_mode = WAL")
+            conn.execute("PRAGMA synchronous = NORMAL")
+            conn.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
+            conn.execute("BEGIN IMMEDIATE")
+            if conn.execute("PRAGMA user_version").fetchone()[0] == 0:
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS entries (key TEXT PRIMARY KEY, body TEXT NOT NULL)"
+                )
+                legacy = (p for p in self.root.iterdir() if _LEGACY_ENTRY.fullmatch(p.name))
+                conn.executemany(
+                    "INSERT OR REPLACE INTO entries VALUES (?, CAST(? AS TEXT))",
+                    ((p.stem, p.read_bytes()) for p in legacy),
+                )
+                conn.execute("PRAGMA user_version = 1")
+            conn.execute("COMMIT")
+        except BaseException:
+            finalizer()
+            raise
+        self._conn, self._finalizer = conn, finalizer
+        return conn

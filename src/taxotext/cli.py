@@ -491,18 +491,19 @@ def main(argv: list[str] | None = None) -> int:
         run_id = args.run_id or _generate_run_id()
         run_dir = Path(args.runs_dir) / run_id
         cache_root = Path(config.cache_dir) if config.cache_dir else run_dir / "cache"
-        ctx = RunContext(
-            config=config, run_id=run_id, run_dir=run_dir, cache=TextCache(cache_root),
-            command=args.command, scheme=load_scheme(config.task),
-        )
-        # in the order the handlers always read them, so the first bad input reported stays the same
-        if "dataset" in args:
-            ctx.dataset = _load_split_dataset(ctx, args.dataset)
-        if "sources" in args:
-            ctx.spec = _parse_signature(ctx, args.sources)
-        if "split" in args:
-            ctx.split = _parse_split(args.split)
-        return _COMMANDS[args.command][0](ctx, args)
+        with TextCache(cache_root) as cache:
+            ctx = RunContext(
+                config=config, run_id=run_id, run_dir=run_dir, cache=cache,
+                command=args.command, scheme=load_scheme(config.task),
+            )
+            # in the order the handlers always read them, so the first bad input reported stays the same
+            if "dataset" in args:
+                ctx.dataset = _load_split_dataset(ctx, args.dataset)
+            if "sources" in args:
+                ctx.spec = _parse_signature(ctx, args.sources)
+            if "split" in args:
+                ctx.split = _parse_split(args.split)
+            return _COMMANDS[args.command][0](ctx, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -68,7 +68,7 @@ class MixedEntities(TaxotextError):
 
 
 class CacheCorrupt(TaxotextError):
-    """A cache file exists but cannot be decoded; names the file."""
+    """A cache entry, or the cache database, cannot be read; names the database and the key."""
 
 
 # --- corpus ---------------------------------------------------------------

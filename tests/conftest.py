@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+import contextlib
 import csv
+import sqlite3
 import time
+from pathlib import Path
 
 import pytest
 
+from taxotext.cache import TextCache
 from taxotext.taxonomy import (
     Dataset,
     EntityRecord,
@@ -92,3 +96,23 @@ def wait_until(condition, timeout=5.0):
     while not condition():
         assert time.monotonic() < deadline, "condition not met in time"
         time.sleep(0.01)
+
+
+def cache_rows(root) -> dict[str, bytes]:
+    """Every entry in a cache directory's database: key -> the stored body, as bytes."""
+    with contextlib.closing(sqlite3.connect(Path(root) / "cache.sqlite3")) as db:
+        db.text_factory = bytes
+        return {key.decode(): body for key, body in db.execute("SELECT key, body FROM entries")}
+
+
+def put_cache_body(root, key, body):
+    """Store a raw entry body through sqlite3, making the database as TextCache does.
+
+    A str body is stored as UTF-8; bytes are stored as they are, valid UTF-8 or not.
+    """
+    Path(root).mkdir(parents=True, exist_ok=True)
+    with TextCache(root) as cache:
+        cache.load(key)  # opens, and so makes, the database
+    raw = body.encode("utf-8") if isinstance(body, str) else body
+    with contextlib.closing(sqlite3.connect(Path(root) / "cache.sqlite3", isolation_level=None)) as db:
+        db.execute("INSERT OR REPLACE INTO entries VALUES (?, CAST(? AS TEXT))", (key, raw))

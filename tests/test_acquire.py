@@ -20,7 +20,7 @@ from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, TaskId, load_sic_scheme
 from taxotext.texts import Source
 
-from conftest import make_records
+from conftest import cache_rows, make_records
 
 
 def _records(n=6, cat="20"):
@@ -279,7 +279,7 @@ def test_combined_acquire_caches_only_provider_replies(tmp_path):
     records = _records(3)
     stats, results, errors, _ = _acquire_combined(tmp_path, records, "sk")
     assert len(results) == 3 and not errors
-    entries = [json.loads(p.read_text(encoding="utf-8")) for p in (tmp_path / "c").iterdir()]
+    entries = [json.loads(body) for body in cache_rows(tmp_path / "c").values()]
     assert len(entries) == 2 * len(records)
     assert sorted(e["source"] for e in entries) == ["GPTSUM"] * 3 + ["GSNIP"] * 3
 
@@ -416,16 +416,16 @@ def test_acquire_refuses_a_combined_spec(tmp_path):
     assert not (tmp_path / "c").exists()
 
 
-# --- cache entry files -------------------------------------------------------------
+# --- cache entries ---------------------------------------------------------------------
 
 
-def test_cold_acquire_all_leaves_one_entry_file_per_provider_reply(tmp_path):
+def test_cold_acquire_all_leaves_one_entry_row_per_provider_reply(tmp_path):
     records = _records(4)
     stats, results, errors, requests = _acquire_combined(tmp_path, records, "sk")
     assert len(results) == 4 and not errors
-    files = sorted((tmp_path / "c").iterdir())
-    assert len(files) == requests == stats["fetched"] == 2 * len(records)
-    assert all(re.fullmatch(r"[0-9a-f]{64}\.json", p.name) for p in files)
+    rows = cache_rows(tmp_path / "c")
+    assert len(rows) == requests == stats["fetched"] == 2 * len(records)
+    assert all(re.fullmatch(r"[0-9a-f]{64}", key) for key in rows)
 
     gsnip = parse_source_signature("gsnip10", TaskId.SIC)
     gptsum = parse_source_signature("gptsum", TaskId.SIC)
@@ -436,9 +436,9 @@ def test_cold_acquire_all_leaves_one_entry_file_per_provider_reply(tmp_path):
         for spec in (gsnip, gptsum)
     }
     found = {}
-    for p in files:
-        entry = json.loads(p.read_text(encoding="utf-8"))
-        found[p.stem] = (entry["task"], entry["entity_id"], entry["source"], entry["params"])
+    for key, body in rows.items():
+        entry = json.loads(body.decode("utf-8"))
+        found[key] = (entry["task"], entry["entity_id"], entry["source"], entry["params"])
     assert found == expected
 
 

@@ -21,7 +21,7 @@ from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.taxonomy import TaskId, load_dataset, load_sic_scheme
 from taxotext.texts import AcquiredText, Source
 
-from conftest import wait_until
+from conftest import cache_rows, put_cache_body, wait_until
 
 CIDS = ("20", "58", "73")
 
@@ -360,12 +360,16 @@ def test_every_command_renames_its_manifest_into_place_first(workspace, monkeypa
     # manifest afterwards holds only what this command recorded
     tmp_path, entities, snippets = workspace
     runs = tmp_path / "runs"
-    replaced = []
-    real_replace = files.os.replace
+    replaced = []  # each file renamed into place, and each cache store, in order
+    real_replace, real_store = files.os.replace, TextCache.store
 
     def recording_replace(src, dst):
         replaced.append(Path(dst))
         real_replace(src, dst)
+
+    def recording_store(self, *args):
+        replaced.append("cache entry")
+        return real_store(self, *args)
 
     with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
         lambda m, _: "58", api_key="test-key"
@@ -377,6 +381,7 @@ def test_every_command_renames_its_manifest_into_place_first(workspace, monkeypa
         shutil.copytree(_run_steps(config, runs), runs / "r2")
         (runs / "r2" / "manifest.json").unlink()
         monkeypatch.setattr(files.os, "replace", recording_replace)
+        monkeypatch.setattr(TextCache, "store", recording_store)
         assert _run(_COMMAND_ARGV[command], runs, config=config, run_id="r2") == 0
     assert replaced[0] == runs / "r2" / "manifest.json"
     assert len(replaced) > 1, "the command wrote no output"
@@ -581,7 +586,7 @@ def test_baseline_context_reads_only_the_split_cache_entries(workspace):
         assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
         spec = parse_source_signature("gsnip3", TaskId.SIC)
         train_key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
-        cache.path_for(train_key).write_text("{not json", encoding="utf-8")
+        put_cache_body(cache.root, train_key, "{not json")
         argv = ["baseline", "--split", "test", "--context-sources", "gsnip3"]
         assert _run(argv, runs, config=config) == 0
         prompts = [req["messages"][-1]["content"] for req in llm.chat_requests]
@@ -652,8 +657,7 @@ def test_acquire_data_error_decides_exit_whichever_source_fails_later(workspace,
     tmp_path, entities, snippets = workspace
     runs = tmp_path / "runs"
     key = TextCache.key(TaskId.SIC, "e001", Source.GSNIP, {"k": 3})
-    (runs / "r1" / "cache").mkdir(parents=True)
-    TextCache(runs / "r1" / "cache").path_for(key).write_text("{not json")
+    put_cache_body(runs / "r1" / "cache", key, "{not json")
     with MockSearchServer(snippets, api_key="test-key") as search, MockLlmServer(
         lambda m, _: "A summary.", api_key="test-key"
     ) as llm:
@@ -789,8 +793,11 @@ def test_input_that_is_not_utf8_exits_with_its_code(workspace, capsys, case, cod
         spec = parse_source_signature("gsnip3", TaskId.SIC)
         key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
         text = AcquiredText("e001", spec.source, spec.params, "café", "2026-01-01T00:00:00+00:00")
-        bad = TextCache(runs / "r1" / "cache").store(key, text, TaskId.SIC)
-        _latin1(bad, bad.read_text(encoding="utf-8"))
+        with TextCache(runs / "r1" / "cache") as cache:
+            cache.store(key, text, TaskId.SIC)
+        body = cache_rows(cache.root)[key].decode("utf-8")
+        put_cache_body(cache.root, key, body.encode("latin-1"))
+        bad = cache.path
     else:
         config = bad = _latin1(tmp_path / "l.ini", config.read_text() + "# café\n")
     assert _run(argv, runs, config=config) == code
@@ -798,6 +805,26 @@ def test_input_that_is_not_utf8_exits_with_its_code(workspace, capsys, case, cod
     assert "Traceback" not in err
     assert str(bad) in err
     assert load_manifest(runs / "r1") is None
+
+
+@pytest.mark.parametrize("case", ["not-a-database", "legacy-entry-not-json"])
+def test_unreadable_cache_exits_4_naming_the_database(workspace, capsys, case):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    root = runs / "r1" / "cache"
+    root.mkdir(parents=True)
+    key = TextCache.key(TaskId.SIC, "e001", Source.GSNIP, {"k": 3})
+    if case == "not-a-database":
+        (root / "cache.sqlite3").write_bytes(b"{not a database}" * 300)
+    else:  # an entry file as older versions wrote it, imported when the database is made
+        (root / f"{key}.json").write_text("{not json", encoding="utf-8")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    assert _run(["build", "--sources", "gsnip3"], runs, config=config) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert str(root / "cache.sqlite3") in err
+    if case == "legacy-entry-not-json":
+        assert key in err
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,6 @@
 """The saved records, pinned byte for byte: a cache entry, a run manifest and an eval report.
 
-Each file is written from fixed values through the function the pipeline uses, and its
+Each record is written from fixed values through the function the pipeline uses, and its
 sha256 is compared with the one the format has always had. A change to a record's fields,
 its JSON mapping or its encoding shows here first.
 """
@@ -16,6 +16,8 @@ from taxotext.metrics import confusion, macro_report, write_report
 from taxotext.remote import INVALID, INVALID_LABEL
 from taxotext.taxonomy import CategoryLabel, TaskId, TaxonomyScheme
 from taxotext.texts import AcquiredText, Source
+
+from conftest import cache_rows
 
 CACHE_ENTRY_SHA256 = "80bd8d85c7f238609c168cf7fc980c5ce71548f6c963e9d00a54da6ae6515d60"
 MANIFEST_SHA256 = "764e1ee49ca11d380d8945f7ac68e20c9483874142b59df6b72cd73f04704e32"
@@ -40,8 +42,8 @@ def test_cache_entry_bytes(tmp_path):
     )
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, text.entity_id, text.source, text.params)
-    path = cache.store(key, text, TaskId.SIC)
-    assert _sha256(path) == CACHE_ENTRY_SHA256
+    cache.store(key, text, TaskId.SIC)
+    assert hashlib.sha256(cache_rows(cache.root)[key]).hexdigest() == CACHE_ENTRY_SHA256
     assert cache.load(key) == text
 
 

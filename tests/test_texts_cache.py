@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import signal
+import subprocess
 import sys
 import threading
-import time
 
 import pytest
 
@@ -11,6 +13,8 @@ from taxotext.cache import TextCache
 from taxotext.errors import CacheCorrupt, MixedEntities
 from taxotext.taxonomy import TaskId
 from taxotext.texts import AcquiredText, Source, combine_texts
+
+from conftest import cache_rows, put_cache_body, wait_until
 
 
 def _text(entity="e1", source=Source.GSNIP, text="hello", refusal=False, at="2026-01-01T00:00:00+00:00", params=None):
@@ -85,10 +89,9 @@ def test_cache_miss_then_hit(tmp_path):
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
     assert cache.load(key) is None
-    assert not cache.contains(key)
     cache.store(key, _text(), TaskId.SIC)
-    assert cache.contains(key)
     assert cache.load(key) == _text()
+    assert list(cache_rows(cache.root)) == [key]
 
 
 def test_cache_key_depends_on_all_parts():
@@ -113,8 +116,7 @@ def test_cache_loads_an_entry_without_a_task_field(tmp_path):
     # entries written before the task was recorded in them must still load
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
-    cache.root.mkdir(parents=True)
-    cache.path_for(key).write_text(json.dumps(_text().to_json()), encoding="utf-8")
+    put_cache_body(cache.root, key, json.dumps(_text().to_json()))
     assert cache.load(key) == _text()
 
 
@@ -123,7 +125,7 @@ def test_cache_directory_is_made_by_the_first_store(tmp_path):
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
     assert not cache.root.exists()
     assert cache.load(key) is None
-    assert not cache.contains(key)
+    assert not cache.root.exists()
     cache.store(key, _text(), TaskId.SIC)
     assert cache.load(key) == _text()
 
@@ -134,10 +136,10 @@ def test_cache_directory_is_made_by_the_first_store(tmp_path):
 def test_cache_entry_without_a_field_is_corrupt(tmp_path, missing):
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
-    path = cache.store(key, _text(), TaskId.SIC)
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    cache.store(key, _text(), TaskId.SIC)
+    payload = json.loads(cache_rows(cache.root)[key])
     del payload[missing]
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    put_cache_body(cache.root, key, json.dumps(payload))
     with pytest.raises(CacheCorrupt):
         cache.load(key)
 
@@ -146,11 +148,56 @@ def test_cache_corrupt_entry_names_file(tmp_path):
     cache = TextCache(tmp_path / "cache")
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
     cache.store(key, _text(), TaskId.SIC)
-    path = cache.path_for(key)
-    path.write_text("{not json", encoding="utf-8")
+    put_cache_body(cache.root, key, "{not json")
     with pytest.raises(CacheCorrupt) as err:
         cache.load(key)
-    assert str(path) in str(err.value)
+    assert str(cache.root / "cache.sqlite3") in str(err.value)
+    assert key in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["not-a-database", "not-utf8", "not-json"])
+def test_unreadable_cache_raises_cache_corrupt_naming_database_and_key(tmp_path, case):
+    root = tmp_path / "cache"
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    if case == "not-a-database":
+        root.mkdir()
+        (root / "cache.sqlite3").write_bytes(b"{not a database}" * 300)
+    else:
+        with TextCache(root) as cache:
+            cache.store(key, _text(text="café"), TaskId.SIC)
+        body = cache_rows(root)[key]
+        bad = body.replace("é".encode(), "é".encode("latin-1")) if case == "not-utf8" else b"{not json"
+        put_cache_body(root, key, bad)
+    with TextCache(root) as cache, pytest.raises(CacheCorrupt) as err:
+        cache.load(key)
+    assert str(root / "cache.sqlite3") in str(err.value)
+    assert key in str(err.value)
+    if case == "not-a-database":
+        with TextCache(root) as cache, pytest.raises(CacheCorrupt):
+            cache.store(key, _text(), TaskId.SIC)
+
+
+def test_legacy_entry_files_are_imported_once_and_left_in_place(tmp_path):
+    root = tmp_path / "cache"
+    root.mkdir()
+    good, bad, late = (
+        TextCache.key(TaskId.SIC, e, Source.GSNIP, {"k": 10}) for e in ("e1", "e2", "e3")
+    )
+    (root / f"{good}.json").write_text(json.dumps(_text().to_json()), encoding="utf-8")  # no task
+    (root / f"{bad}.json").write_text("{not json", encoding="utf-8")
+    (root / "index.json").write_text('{"stale": {}}', encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    with TextCache(root) as cache:
+        assert cache.load(good) == _text()
+        with pytest.raises(CacheCorrupt) as err:
+            cache.load(bad)
+        assert bad in str(err.value)
+    assert sorted(cache_rows(root)) == sorted([good, bad])
+    assert {p.name: p.read_bytes() for p in root.iterdir() if p.suffix == ".json"} == before
+    # only the open that makes the database imports; a file written after it is not read
+    (root / f"{late}.json").write_text(json.dumps(_text(entity="e3").to_json()), encoding="utf-8")
+    with TextCache(root) as cache:
+        assert cache.load(late) is None
 
 
 def test_cache_leaves_no_temp_files(tmp_path):
@@ -162,22 +209,21 @@ def test_cache_leaves_no_temp_files(tmp_path):
     assert leftovers == []
 
 
-def test_concurrent_stores_all_load_and_leave_no_temp_files(tmp_path):
-    # more threads than cores, switching often: every store must land whole
-    cache = TextCache(tmp_path / "cache")
+def _store_from_threads(caches, n_threads=8, per_thread=25):
+    """Store from many threads, switching often, spread over the given caches; key -> entity."""
     keys = {}
 
     def worker(t):
-        for i in range(25):
+        for i in range(per_thread):
             entity = f"e{t}-{i}"
             key = TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10})
-            cache.store(key, _text(entity=entity), TaskId.SIC)
+            caches[t % len(caches)].store(key, _text(entity=entity), TaskId.SIC)
             keys[key] = entity
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker, args=(t,)) for t in range(8)]
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
         for th in threads:
             th.start()
         for th in threads:
@@ -185,47 +231,58 @@ def test_concurrent_stores_all_load_and_leave_no_temp_files(tmp_path):
     finally:
         sys.setswitchinterval(interval)
     assert not any(th.is_alive() for th in threads)
-    assert len(keys) == 8 * 25
+    assert len(keys) == n_threads * per_thread
+    return keys
+
+
+def test_concurrent_stores_all_load_and_leave_no_temp_files(tmp_path):
+    # more threads than cores, switching often: every store must land whole
+    cache = TextCache(tmp_path / "cache")
+    keys = _store_from_threads([cache])
     for key, entity in keys.items():
         assert cache.load(key) == _text(entity=entity)
-    assert sorted(p.name for p in (tmp_path / "cache").iterdir()) == sorted(
-        f"{key}.json" for key in keys
-    )
+    assert sorted(cache_rows(tmp_path / "cache")) == sorted(keys)
+    assert not [p for p in (tmp_path / "cache").iterdir() if p.name.endswith(".tmp")]
 
 
-def test_concurrent_stores_write_their_files_one_at_a_time(tmp_path, monkeypatch):
-    # file creation in one directory from several threads at once makes the
-    # kernel spin on the directory's lock, so the writes take turns
-    import taxotext.cache as cache_mod
+def test_two_caches_on_one_directory_lose_no_store(tmp_path):
+    # two connections to one database: a store that finds it busy waits, and none is lost
+    with TextCache(tmp_path / "cache") as a, TextCache(tmp_path / "cache") as b:
+        keys = _store_from_threads([a, b])
+    with TextCache(tmp_path / "cache") as fresh:
+        for key, entity in keys.items():
+            assert fresh.load(key) == _text(entity=entity)
+    assert sorted(cache_rows(tmp_path / "cache")) == sorted(keys)
 
-    in_flight, peak, lock = [0], [0], threading.Lock()
-    real_write = cache_mod.write_file
 
-    def counting_write(path, chunks):
-        with lock:
-            in_flight[0] += 1
-            peak[0] = max(peak[0], in_flight[0])
+_STORE_FOREVER = """
+import sys
+from taxotext.cache import TextCache
+from taxotext.taxonomy import TaskId
+from taxotext.texts import AcquiredText, Source
+
+cache = TextCache(sys.argv[1])
+i = 0
+while True:
+    entity = f"e{i}"
+    text = AcquiredText(entity, Source.GSNIP, {"k": 10}, "x" * 3000, "2026-01-01T00:00:00+00:00")
+    cache.store(TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10}), text, TaskId.SIC)
+    i += 1
+"""
+
+
+def test_a_store_loop_killed_with_sigkill_leaves_only_whole_entries(tmp_path):
+    root = tmp_path / "cache"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    with subprocess.Popen([sys.executable, "-c", _STORE_FOREVER, str(root)], env=env) as proc:
         try:
-            time.sleep(0.002)
-            return real_write(path, chunks)
+            wait_until(lambda: (root / "cache.sqlite3").exists() and len(cache_rows(root)) >= 50,
+                       timeout=30)
         finally:
-            with lock:
-                in_flight[0] -= 1
-
-    monkeypatch.setattr(cache_mod, "write_file", counting_write)
-    cache = TextCache(tmp_path / "cache")
-
-    def worker(t):
-        for i in range(5):
-            entity = f"e{t}-{i}"
-            cache.store(TextCache.key(TaskId.SIC, entity, Source.GSNIP, {"k": 10}),
-                        _text(entity=entity), TaskId.SIC)
-
-    threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
-    for th in threads:
-        th.start()
-    for th in threads:
-        th.join(timeout=60)
-    assert not any(th.is_alive() for th in threads)
-    assert peak[0] == 1
-    assert len(list((tmp_path / "cache").iterdir())) == 4 * 5
+            proc.send_signal(signal.SIGKILL)
+    assert proc.returncode == -signal.SIGKILL
+    rows = cache_rows(root)
+    assert len(rows) >= 50
+    with TextCache(root) as cache:
+        for key in rows:
+            assert cache.load(key).text == "x" * 3000
