@@ -1,12 +1,11 @@
 """Time the CLI chain at a chosen number of entities.
 
-    python3 scripts/scale_probe.py --entities 10000 [--task sic|healthcare] [--seed 0]
-                                   [--workdir DIR]
+    python3 scripts/scale_probe.py --entities 10000 [--task sic|healthcare] [--workdir DIR]
 
-Writes a seeded synthetic entity CSV, starts the in-package mock search and
-LLM servers (no latency) in a process of their own, and runs ``acquire
---sources gsnip10,gptsum``, then ``build``, ``train``, ``predict`` and
-``eval`` on ``gsnip10``, each in a fresh process. It prints one JSON object:
+Writes a synthetic entity CSV from the fixed ``SEED``, starts the in-package
+mock search and LLM servers (no latency) in a process of their own, and runs
+``acquire --sources gsnip10,gptsum``, then ``build``, ``train``, ``predict``
+and ``eval`` on ``gsnip10``, each in a fresh process. It prints one JSON object:
 per command its exit code, wall time, CPU time and peak RSS, and the bytes of
 the cache, the corpora, ``finetune/`` and the model. It checks no bound.
 
@@ -39,6 +38,7 @@ COMMANDS = (
     ("eval", "--sources", "gsnip10"),
 )
 VOCAB = 20000
+SEED = 0
 SNIPPETS, SNIPPET_WORDS, CLASS_WORDS, SUMMARY_WORDS = 10, 22, 4, 60
 
 
@@ -47,14 +47,14 @@ def _words(rng: random.Random, vocab: list[str], cid: str, n: int) -> str:
     return " ".join(rng.choices(vocab, k=n - CLASS_WORDS) + [f"class{cid}"] * CLASS_WORDS)
 
 
-def _inputs(entities: int, task: str, seed: int, workdir: Path) -> Path:
+def _inputs(entities: int, task: str, workdir: Path) -> Path:
     """Write entities.csv and the mock servers' fixtures.json; returns the CSV."""
     from taxotext.taxonomy import TaskId, load_scheme
 
     scheme = load_scheme(TaskId.SIC if task == "sic" else TaskId.HEALTHCARE)
     codes = sorted(scheme.code_map)  # healthcare: raw taxonomy codes
     class_ids = list(scheme.ids)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     vocab = [f"w{i}" for i in range(VOCAB)]
     rows, snippets, summaries = [], {}, {}
     for i in range(entities):
@@ -115,9 +115,9 @@ def _bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file()) if path.exists() else 0
 
 
-def probe(entities: int, task: str, seed: int, workdir: Path) -> dict:
+def probe(entities: int, task: str, workdir: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(SRC), "SEARCH_API_KEY": "probe", "LLM_API_KEY": "probe"}
-    dataset = _inputs(entities, task, seed, workdir)
+    dataset = _inputs(entities, task, workdir)
     mocks = subprocess.Popen(
         [sys.executable, __file__, "--serve", str(workdir / "fixtures.json")],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
@@ -145,7 +145,6 @@ def probe(entities: int, task: str, seed: int, workdir: Path) -> dict:
     return {
         "entities": entities,
         "task": task,
-        "seed": seed,
         "commands": commands,
         "bytes": {name: _bytes(run / name) for name in ("cache", "corpus", "finetune", "model")},
     }
@@ -160,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--entities", type=int, required=True)
     parser.add_argument("--task", choices=("sic", "healthcare"), default="sic")
-    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workdir", help="keep the inputs and the run here")
     args = parser.parse_args(argv)
     if args.entities < 1:
@@ -170,10 +168,10 @@ def main(argv: list[str] | None = None) -> int:
         if (Path(args.workdir) / "runs").exists():
             parser.error(f"{args.workdir} already holds a run; a probe starts from a cold cache")
         Path(args.workdir).mkdir(parents=True, exist_ok=True)
-        result = probe(args.entities, args.task, args.seed, Path(args.workdir))
+        result = probe(args.entities, args.task, Path(args.workdir))
     else:
         with tempfile.TemporaryDirectory() as tmp:
-            result = probe(args.entities, args.task, args.seed, Path(tmp))
+            result = probe(args.entities, args.task, Path(tmp))
     print(json.dumps(result, indent=2))
     return 0
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .cache import TextCache
 from .config import PipelineConfig
-from .errors import TaxotextError
+from .errors import CacheUnavailable, TaxotextError
 from .search import SearchClient, SearchResult, aggregate_snippets
 from .summarize import PROMPT_TEMPLATES, LlmClient, generate_summary
 from .taxonomy import EntityRecord, TaskId
@@ -210,7 +210,8 @@ class TextAcquirer:
         logged and returned in the error map; the other components of a
         combined spec are still fetched and cached, and the entity's error is
         that of its first failed component, in combination order. Both maps
-        are keyed by ``(entity_id, signature)``.
+        are keyed by ``(entity_id, signature)``. ``CacheUnavailable`` is
+        raised instead: every later load and store would wait and fail too.
         """
         leaves: list[SourceSpec] = []
         for s in specs:
@@ -233,6 +234,8 @@ class TextAcquirer:
                     key = (record.entity_id, s.signature)
                     try:
                         parts = [fetched[leaves.index(leaf)].result() for leaf in s.leaves]
+                    except CacheUnavailable:
+                        raise
                     except TaxotextError as exc:
                         logger.warning(
                             "acquisition of %s failed for %s: %s",

@@ -7,7 +7,9 @@ these rows, never stored. Each store commits on its own, so a killed acquire
 keeps every reply stored before it and no partial one. The database runs in
 WAL mode, which needs a local filesystem (not NFS) and a writable directory
 even to read; processes and threads may read and store at once, and a writer
-that finds the database busy waits.
+that finds the database busy waits. A database that cannot be opened or
+written (a read-only directory, locked past the busy timeout, a full disk)
+raises ``CacheUnavailable``; one that is damaged raises ``CacheCorrupt``.
 
 The database is made by the first store, or by the first load in an existing
 directory; until then every load is a miss. When it is made, the
@@ -21,10 +23,11 @@ import json
 import re
 import sqlite3
 import threading
+import time
 import weakref
 from pathlib import Path
 
-from .errors import CacheCorrupt
+from .errors import CacheCorrupt, CacheUnavailable
 from .hashing import fingerprint
 from .taxonomy import TaskId
 from .texts import AcquiredText, Source
@@ -90,8 +93,8 @@ class TextCache:
         with self._lock:  # one statement at a time on the shared connection
             try:
                 return self._db().execute(sql, params).fetchone()
-            except sqlite3.OperationalError:  # locked past the timeout, disk full: not the data
-                raise
+            except sqlite3.OperationalError as exc:  # not the data: the file, its lock or the disk
+                raise CacheUnavailable(f"cannot use the cache database {self.path}: {exc}") from exc
             except sqlite3.DatabaseError as exc:  # not a database, or a damaged one
                 raise self._corrupt(key, exc) from exc
 
@@ -107,7 +110,7 @@ class TextCache:
         finalizer = weakref.finalize(self, conn.close)
         try:
             conn.text_factory = bytes  # the body's UTF-8 is checked on load, like a file's
-            conn.execute("PRAGMA journal_mode = WAL")
+            _switch_to_wal(conn)
             conn.execute("PRAGMA synchronous = NORMAL")
             conn.execute(f"PRAGMA cache_size = -{PAGE_CACHE_KIB}")
             conn.execute("BEGIN IMMEDIATE")
@@ -127,3 +130,18 @@ class TextCache:
             raise
         self._conn, self._finalizer = conn, finalizer
         return conn
+
+
+def _switch_to_wal(conn: sqlite3.Connection) -> None:
+    # Switching a database that is not yet WAL while another connection writes to it
+    # fails at once, not after the busy timeout (SQLite's deadlock guard): two caches
+    # that make one database together meet this, so the switch is tried again here.
+    deadline = time.monotonic() + BUSY_TIMEOUT_S
+    while True:
+        try:
+            conn.execute("PRAGMA journal_mode = WAL")
+            return
+        except sqlite3.OperationalError as exc:
+            if str(exc) != "database is locked" or time.monotonic() >= deadline:
+                raise
+            time.sleep(0.001)

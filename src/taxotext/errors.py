@@ -71,6 +71,11 @@ class CacheCorrupt(TaxotextError):
     """A cache entry, or the cache database, cannot be read; names the database and the key."""
 
 
+class CacheUnavailable(TaxotextError):
+    """The cache database cannot be opened or written: a read-only directory,
+    a lock held past the busy timeout, a full disk. Names the database."""
+
+
 # --- corpus ---------------------------------------------------------------
 
 class MissingText(TaxotextError):

@@ -2,18 +2,21 @@
 
 from __future__ import annotations
 
+import contextlib
 import inspect
 import json
 import re
+import sqlite3
 import threading
 from dataclasses import asdict
 
 import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
+from taxotext import cache as cache_module
 from taxotext.cache import TextCache
 from taxotext.config import PipelineConfig
-from taxotext.errors import AuthError, InsufficientSnippets
+from taxotext.errors import AuthError, CacheUnavailable, InsufficientSnippets
 from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.search import SearchClient
 from taxotext.summarize import LlmClient
@@ -187,6 +190,28 @@ def test_acquire_collects_auth_errors(tmp_path):
     assert len(errors) == 3
     assert all(isinstance(e, AuthError) for e in errors.values())
     assert acquirer.stats["failures"] == 3
+
+
+def test_a_cache_that_cannot_store_stops_acquire_all(tmp_path, monkeypatch):
+    # not one failed entity: every later store would wait out the busy timeout and fail too
+    monkeypatch.setattr(cache_module, "BUSY_TIMEOUT_S", 0.05)
+    records = _records(3)
+    (tmp_path / "c").mkdir()
+    with TextCache(tmp_path / "c") as cache:
+        cache.load("0" * 64)  # in an existing directory, makes the database
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as server,
+        SearchClient(server.base_url, api_key="k") as client,
+        TextCache(tmp_path / "c") as cache,
+        contextlib.closing(sqlite3.connect(cache.path, isolation_level=None)) as holder,
+    ):
+        holder.execute("BEGIN EXCLUSIVE")
+        acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client, max_parallel=1)
+        spec = parse_source_signature("gsnip10", TaskId.SIC)
+        with pytest.raises(CacheUnavailable, match="locked"):
+            acquirer.acquire_all(records, spec, refresh=True)
+        holder.execute("ROLLBACK")
+    assert cache_rows(tmp_path / "c") == {}
 
 
 # --- summaries and combination ----------------------------------------------------

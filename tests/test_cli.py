@@ -807,7 +807,7 @@ def test_input_that_is_not_utf8_exits_with_its_code(workspace, capsys, case, cod
     assert load_manifest(runs / "r1") is None
 
 
-@pytest.mark.parametrize("case", ["not-a-database", "legacy-entry-not-json"])
+@pytest.mark.parametrize("case", ["not-a-database", "legacy-entry-not-json", "cannot-be-opened"])
 def test_unreadable_cache_exits_4_naming_the_database(workspace, capsys, case):
     tmp_path, entities, _ = workspace
     runs = tmp_path / "runs"
@@ -816,6 +816,8 @@ def test_unreadable_cache_exits_4_naming_the_database(workspace, capsys, case):
     key = TextCache.key(TaskId.SIC, "e001", Source.GSNIP, {"k": 3})
     if case == "not-a-database":
         (root / "cache.sqlite3").write_bytes(b"{not a database}" * 300)
+    elif case == "cannot-be-opened":
+        (root / "cache.sqlite3").mkdir()  # a directory where the file belongs
     else:  # an entry file as older versions wrote it, imported when the database is made
         (root / f"{key}.json").write_text("{not json", encoding="utf-8")
     config = _write_config(tmp_path / "c.ini", dataset=entities)

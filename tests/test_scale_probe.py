@@ -19,7 +19,7 @@ def test_scale_probe_runs_the_chain_at_300_entities(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     result = json.loads(out.stdout)
-    assert (result["entities"], result["task"], result["seed"]) == (300, "sic", 0)
+    assert (result["entities"], result["task"]) == (300, "sic")
     assert list(result["commands"]) == ["acquire", "build", "train", "predict", "eval"]
     for name, command in result["commands"].items():
         assert command["code"] == 0, name

@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
 
 import pytest
 
+from taxotext import cache as cache_module
 from taxotext.cache import TextCache
-from taxotext.errors import CacheCorrupt, MixedEntities
+from taxotext.errors import CacheCorrupt, CacheUnavailable, MixedEntities
 from taxotext.taxonomy import TaskId
 from taxotext.texts import AcquiredText, Source, combine_texts
 
@@ -200,6 +203,54 @@ def test_legacy_entry_files_are_imported_once_and_left_in_place(tmp_path):
         assert cache.load(late) is None
 
 
+def test_a_cache_database_that_cannot_be_opened_raises_cache_unavailable(tmp_path):
+    root = tmp_path / "cache"
+    (root / "cache.sqlite3").mkdir(parents=True)  # a directory where the file belongs
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    with TextCache(root) as cache:
+        with pytest.raises(CacheUnavailable) as err:
+            cache.load(key)
+        assert str(root / "cache.sqlite3") in str(err.value)
+        with pytest.raises(CacheUnavailable):
+            cache.store(key, _text(), TaskId.SIC)
+
+
+def test_a_store_locked_out_past_the_busy_timeout_raises_cache_unavailable(tmp_path, monkeypatch):
+    monkeypatch.setattr(cache_module, "BUSY_TIMEOUT_S", 0.05)
+    root = tmp_path / "cache"
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    with TextCache(root) as cache:
+        cache.store(key, _text(), TaskId.SIC)
+    with TextCache(root) as cache:
+        with contextlib.closing(sqlite3.connect(cache.path, isolation_level=None)) as holder:
+            holder.execute("BEGIN EXCLUSIVE")
+            with pytest.raises(CacheUnavailable, match="locked") as err:
+                cache.store(key, _text(text="later"), TaskId.SIC)
+            assert str(cache.path) in str(err.value)
+            holder.execute("ROLLBACK")
+        # the failed open kept no connection: the next store opens one and lands
+        cache.store(key, _text(text="later"), TaskId.SIC)
+        assert cache.load(key) == _text(text="later")
+
+
+def test_opening_waits_for_a_connection_that_writes_before_the_switch_to_wal(tmp_path):
+    # SQLite fails the switch at once here rather than after its busy timeout
+    root = tmp_path / "cache"
+    root.mkdir()
+    key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
+    holder = sqlite3.connect(root / "cache.sqlite3", isolation_level=None, check_same_thread=False)
+    with contextlib.closing(holder):
+        holder.execute("BEGIN IMMEDIATE")  # a new database, still in rollback-journal mode
+        release = threading.Timer(0.2, holder.execute, ("ROLLBACK",))
+        release.start()
+        try:
+            with TextCache(root) as cache:
+                cache.store(key, _text(), TaskId.SIC)
+                assert cache.load(key) == _text()
+        finally:
+            release.join()
+
+
 def test_cache_leaves_no_temp_files(tmp_path):
     cache = TextCache(tmp_path / "cache")
     for i in range(5):
@@ -271,13 +322,22 @@ while True:
 """
 
 
+def _rows_so_far(root) -> int:
+    """Rows another process has committed; 0 until its database file and table exist."""
+    if not (root / "cache.sqlite3").exists():
+        return 0
+    try:
+        return len(cache_rows(root))
+    except sqlite3.OperationalError:  # the file is made before its table is committed
+        return 0
+
+
 def test_a_store_loop_killed_with_sigkill_leaves_only_whole_entries(tmp_path):
     root = tmp_path / "cache"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     with subprocess.Popen([sys.executable, "-c", _STORE_FOREVER, str(root)], env=env) as proc:
         try:
-            wait_until(lambda: (root / "cache.sqlite3").exists() and len(cache_rows(root)) >= 50,
-                       timeout=30)
+            wait_until(lambda: _rows_so_far(root) >= 50, timeout=30)
         finally:
             proc.send_signal(signal.SIGKILL)
     assert proc.returncode == -signal.SIGKILL
