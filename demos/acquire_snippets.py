@@ -46,10 +46,11 @@ with MockSearchServer(fixtures, api_key="demo-key") as server, \
     acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
 
     spec = SourceSpec(Source.GSNIP, {"k": 3})
-    results, errors = acquirer.acquire_all(records, spec)
+    errors = acquirer.acquire_all(records, spec)
     assert not errors
-    for (entity_id, signature), text in sorted(results.items()):
-        print(f"{entity_id} ({signature}): {text.text[:70]}...")
+    # the texts are read back from the cache, which acquire_all filled
+    for entity_id, text in sorted(acquirer.cached_texts(records, spec).items()):
+        print(f"{entity_id} ({spec.signature}): {text[:70]}...")
     print(f"requests so far: {server.request_count}")
 
     # second pass: all cache hits, request count unchanged

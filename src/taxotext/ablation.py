@@ -80,8 +80,9 @@ def ablate_snippets(
     ks = snippet_depths(ks, cached_depth)
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
     spec = SourceSpec(Source.GSNIP, {"k": cached_depth})
-    full = TextAcquirer(dataset.scheme.task_id, cache).cached_texts(scored, spec)
-    missing = [r.entity_id for r in scored if r.entity_id not in full]
+    acquirer = TextAcquirer(dataset.scheme.task_id, cache)
+    full = {r.entity_id: acquirer.acquire_cached(r, spec) for r in scored}
+    missing = [entity_id for entity_id, entry in full.items() if entry is None]
     if missing:
         raise InsufficientSnippets(
             f"no cached snippets at depth {cached_depth} for entity {missing[0]!r}"
@@ -93,7 +94,7 @@ def ablate_snippets(
     points = []
     for k in reversed(ks):  # deepest first: its texts are the ones hashed
         texts = {
-            entity_id: snippet_text(entity_id, entry.provenance, k, entry.retrieved_at)
+            entity_id: snippet_text(entity_id, entry.provenance, k, entry.retrieved_at).text
             for entity_id, entry in full.items()
         }
         signature = f"gsnip{k}"

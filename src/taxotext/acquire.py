@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 import threading
@@ -182,15 +183,16 @@ class TextAcquirer:
             TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
         )
 
-    def cached_texts(
-        self, records: list[EntityRecord], spec: SourceSpec
-    ) -> dict[str, AcquiredText]:
-        """Texts resolved from the cache only, by entity id; misses are left out."""
+    def cached_texts(self, records: list[EntityRecord], spec: SourceSpec) -> dict[str, str]:
+        """Descriptions resolved from the cache only, by entity id; misses are
+        left out, and a refused summary is ``""``. A combined spec joins its
+        parts as ``combine_texts`` does. Only the strings are kept: no
+        provenance outlives the load of its entry."""
         texts = {}
         for record in records:
             hit = self.acquire_cached(record, spec)
             if hit is not None:
-                texts[record.entity_id] = hit
+                texts[record.entity_id] = hit.text
         return texts
 
     def acquire_all(
@@ -198,56 +200,82 @@ class TextAcquirer:
         records: list[EntityRecord],
         *specs: SourceSpec,
         refresh: bool = False,
-    ) -> tuple[dict[tuple[str, str], AcquiredText], dict[tuple[str, str], Exception]]:
-        """Acquire the texts of many records for one or more specs.
+    ) -> dict[tuple[str, str], TaxotextError]:
+        """Fetch into the cache what the specs read for many records, and
+        return the failures, keyed by ``(entity_id, signature)``.
 
         Each (record, provider source) pair that the specs read is fetched
-        once, by the lane of its provider: a pool of ``max_parallel``
-        workers, one pool for search and one for the LLM, so both providers
-        work at the same time. Each provider reply is stored as its own cache
-        entry the moment it arrives, and a combined text is joined once all
-        of its components have landed. A failure (a ``TaxotextError``) is
-        logged and returned in the error map; the other components of a
-        combined spec are still fetched and cached, and the entity's error is
-        that of its first failed component, in combination order. Both maps
-        are keyed by ``(entity_id, signature)``. ``CacheUnavailable`` is
-        raised instead: every later load and store would wait and fail too.
+        once, by the lane of its provider: one lane for search and one for
+        the LLM, so both providers work at the same time. Each lane's
+        workers, ``max_parallel`` of them or one per job if there are fewer
+        jobs, pull jobs from one shared sequence in record order. Each
+        provider reply is stored as its own cache entry the moment it
+        arrives and is then dropped, so memory does not grow with the number
+        of records; the texts are read back with ``acquire_cached`` or
+        ``cached_texts``.
+
+        A failure (a ``TaxotextError``) is logged and returned; the other
+        components of a combined spec are still fetched and cached, and the
+        entity's error is that of its first failed component, in combination
+        order. ``CacheUnavailable`` is raised instead, since every later load
+        and store would wait and fail too: like any other exception in a
+        worker, or an interrupt, it stops every worker after its fetch in
+        flight.
         """
         leaves: list[SourceSpec] = []
         for s in specs:
             leaves += [leaf for leaf in s.leaves if leaf not in leaves]
-        lanes = {
-            lane: ThreadPoolExecutor(self.max_parallel, thread_name_prefix=f"acquire-{lane}")
-            for lane in {LANES[leaf.source] for leaf in leaves}
-        }
-        results, errors = {}, {}
-        try:
-            fetches = [
-                [
-                    lanes[LANES[leaf.source]].submit(self.acquire, record, leaf, refresh=refresh)
-                    for leaf in leaves
-                ]
-                for record in records
-            ]
-            for record, fetched in zip(records, fetches):
-                for s in specs:
-                    key = (record.entity_id, s.signature)
+        failed: dict[tuple[str, str], TaxotextError] = {}  # (entity_id, leaf signature)
+        stop = threading.Event()
+
+        def work(jobs, lock):
+            try:
+                while not stop.is_set():
+                    with lock:
+                        job = next(jobs, None)
+                    if job is None:
+                        return
+                    record, leaf = job
                     try:
-                        parts = [fetched[leaves.index(leaf)].result() for leaf in s.leaves]
+                        self.acquire(record, leaf, refresh=refresh)
                     except CacheUnavailable:
                         raise
                     except TaxotextError as exc:
-                        logger.warning(
-                            "acquisition of %s failed for %s: %s",
-                            s.signature, record.entity_id, exc,
-                        )
-                        errors[key] = exc
-                    else:
-                        results[key] = combine_texts(parts) if s.components else parts[0]
+                        failed[record.entity_id, leaf.signature] = exc
+            except BaseException:
+                stop.set()
+                raise
+
+        pools, workers = [], []
+        try:
+            for lane in dict.fromkeys(LANES[leaf.source] for leaf in leaves):
+                lane_leaves = [leaf for leaf in leaves if LANES[leaf.source] == lane]
+                n_workers = min(self.max_parallel, len(records) * len(lane_leaves))
+                if not n_workers:
+                    continue
+                pool = ThreadPoolExecutor(n_workers, thread_name_prefix=f"acquire-{lane}")
+                pools.append(pool)
+                # product binds this lane's leaves now and yields lazily
+                jobs, lock = itertools.product(records, lane_leaves), threading.Lock()
+                workers += [pool.submit(work, jobs, lock) for _ in range(n_workers)]
+            for worker in workers:
+                worker.result()
         finally:
-            for lane in lanes.values():
-                lane.shutdown(cancel_futures=True)
-        return results, errors
+            stop.set()
+            for pool in pools:
+                pool.shutdown()
+
+        errors = {}
+        for record in records:
+            for s in specs:
+                keys = ((record.entity_id, leaf.signature) for leaf in s.leaves)
+                exc = next((failed[key] for key in keys if key in failed), None)
+                if exc is not None:
+                    logger.warning(
+                        "acquisition of %s failed for %s: %s", s.signature, record.entity_id, exc
+                    )
+                    errors[record.entity_id, s.signature] = exc
+        return errors
 
     def _fetch(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText:
         if spec.source is Source.GSNIP:

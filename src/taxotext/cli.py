@@ -230,7 +230,7 @@ def cmd_acquire(ctx: RunContext, args) -> int:
     try:
         # every provider source of every spec in one call, so that the search
         # and LLM lanes fetch at the same time, and every failure is kept
-        _, errors = acquirer.acquire_all(
+        errors = acquirer.acquire_all(
             ctx.dataset.records, *(leaf for spec in specs for leaf in spec.leaves),
             refresh=args.refresh,
         )
@@ -374,11 +374,7 @@ def cmd_baseline(ctx: RunContext, args) -> int:
         missing = [r.entity_id for r in records if r.entity_id not in texts]
         if missing and args.strict:
             raise MissingText(f"no cached text for {len(missing)} entities (first: {missing[0]})")
-        contexts = {
-            r.entity_id: texts[r.entity_id].text
-            for r in records
-            if r.entity_id in texts and texts[r.entity_id].text
-        }
+        contexts = {r.entity_id: texts[r.entity_id] for r in records if texts.get(r.entity_id)}
     model_id = args.model or ctx.config.gpt_model
     ctx.record(
         {"model": model_id, "context_sources": context_signature, "strict": args.strict}

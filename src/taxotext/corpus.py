@@ -19,7 +19,6 @@ from .errors import MissingGold, MissingText, ParseError, UnknownLabel
 from .files import read_lines, write_file
 from .hashing import sha256_hex
 from .taxonomy import CategoryLabel, EntityRecord, Split, TaxonomyScheme, _data_text
-from .texts import AcquiredText
 
 logger = logging.getLogger(__name__)
 
@@ -44,25 +43,28 @@ class BuildResult:
 
 def build_instances(
     records: Sequence[EntityRecord],
-    texts: Mapping[str, AcquiredText],
+    texts: Mapping[str, str],
     signature: str,
     *,
     strict: bool = False,
 ) -> BuildResult:
-    """Pair records with their acquired texts, ordered by entity id.
+    """Pair records with their descriptions, ordered by entity id.
 
+    texts maps an entity id to its description, as
+    ``TextAcquirer.cached_texts`` gives it: a refused summary is ``""``.
     input_text is the name, a newline, then the description. Gold labels
     are attached only for train/dev records; test instances are unlabeled.
-    Entities with no cache entry raise MissingText in strict mode and are
+    Entities absent from texts raise MissingText in strict mode and are
     emitted with an empty description otherwise, like refusal-only texts.
     """
     instances: list[ClassificationInstance] = []
     empty = 0
     for record in sorted(records, key=lambda r: r.entity_id):
-        acquired = texts.get(record.entity_id)
-        if acquired is None and strict:
-            raise MissingText(f"no acquired text for entity {record.entity_id!r}")
-        body = acquired.text if acquired is not None else ""
+        body = texts.get(record.entity_id)
+        if body is None:
+            if strict:
+                raise MissingText(f"no acquired text for entity {record.entity_id!r}")
+            body = ""
         if body == "":
             empty += 1
         instances.append(

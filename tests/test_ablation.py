@@ -100,7 +100,7 @@ def test_reports_equal_a_per_depth_retrain_that_featurizes_each_text(tmp_path, s
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
     for point, k in zip(points, ks, strict=True):
         texts = {
-            eid: snippet_text(eid, entry.provenance, k, entry.retrieved_at)
+            eid: snippet_text(eid, entry.provenance, k, entry.retrieved_at).text
             for eid, entry in entries.items()
         }
         signature = f"gsnip{k}"

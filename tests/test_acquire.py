@@ -2,28 +2,33 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import inspect
+import itertools
 import json
 import re
 import sqlite3
 import threading
+import time
+import tracemalloc
 from dataclasses import asdict
 
 import pytest
 
 from taxotext.acquire import TextAcquirer, parse_source_signature
 from taxotext import cache as cache_module
+from taxotext import cli
 from taxotext.cache import TextCache
 from taxotext.config import PipelineConfig
 from taxotext.errors import AuthError, CacheUnavailable, InsufficientSnippets
 from taxotext.mockserver import MockLlmServer, MockSearchServer
-from taxotext.search import SearchClient
+from taxotext.search import SearchClient, SearchResult
 from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, TaskId, load_sic_scheme
-from taxotext.texts import Source
+from taxotext.texts import Source, combine_texts
 
-from conftest import cache_rows, make_records
+from conftest import cache_rows, make_records, write_entities_csv
 
 
 def _records(n=6, cat="20"):
@@ -36,6 +41,18 @@ def _snippet_table(records, per=10):
         r.name: [f"text {i} about {r.name}" for i in range(per)]
         for r in records
     }
+
+
+def _read_back(acquirer, records, *specs):
+    """What acquire_all stored, by (entity_id, signature), read back through
+    acquire_cached; a spec with an uncached component is left out."""
+    texts = {}
+    for record in records:
+        for spec in specs:
+            hit = acquirer.acquire_cached(record, spec)
+            if hit is not None:
+                texts[record.entity_id, spec.signature] = hit
+    return texts
 
 
 # --- signature parsing --------------------------------------------------------
@@ -105,13 +122,15 @@ def test_acquire_fetches_then_hits_cache(tmp_path):
         acquirer = TextAcquirer(TaskId.SIC, cache, search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
 
-        results, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
+        results = _read_back(acquirer, records, spec)
         assert not errors
         assert len(results) == 4
         assert server.request_count == 4
         assert acquirer.stats["fetched"] == 4
 
-        results2, errors2 = acquirer.acquire_all(records, spec)
+        errors2 = acquirer.acquire_all(records, spec)
+        results2 = _read_back(acquirer, records, spec)
         assert not errors2
         assert server.request_count == 4  # cache absorbed every repeat
         assert acquirer.stats["hits"] == 4
@@ -158,7 +177,7 @@ def test_acquire_bounds_parallelism(tmp_path):
             TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=3
         )
         spec = parse_source_signature("gsnip10", TaskId.SIC)
-        _, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
     assert not errors
     assert server.peak_in_flight <= 3
 
@@ -185,8 +204,8 @@ def test_acquire_collects_auth_errors(tmp_path):
     ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
-    assert not results
+        errors = acquirer.acquire_all(records, spec)
+    assert not _read_back(acquirer, records, spec)
     assert len(errors) == 3
     assert all(isinstance(e, AuthError) for e in errors.values())
     assert acquirer.stats["failures"] == 3
@@ -232,7 +251,8 @@ def test_acquire_summary_counts_refusals(tmp_path):
     ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), llm_client=client)
         spec = parse_source_signature("gptsum", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
+    results = _read_back(acquirer, records, spec)
     assert not errors
     assert acquirer.stats["refusals"] == 1
     assert results[records[0].entity_id, "gptsum"].refusal
@@ -253,7 +273,8 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
         cache = TextCache(tmp_path / "c")
         acquirer = TextAcquirer(TaskId.SIC, cache, search_client=search, llm_client=llm)
         spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
+        results = _read_back(acquirer, records, spec)
 
         assert not errors
         combined = results[records[0].entity_id, "gsnip10+gptsum"]
@@ -280,7 +301,8 @@ def _acquire_combined(tmp_path, records, llm_key):
             TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
         )
         spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
+        results = _read_back(acquirer, records, spec)
         requests = search_srv.request_count + llm_srv.request_count
     return acquirer.stats, results, errors, requests
 
@@ -311,7 +333,8 @@ def test_combined_acquire_caches_only_provider_replies(tmp_path):
     # a warm rerun serves each component entry from the cache, no client needed
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-    rerun, errors = offline.acquire_all(records, spec)
+    errors = offline.acquire_all(records, spec)
+    rerun = _read_back(offline, records, spec)
     assert rerun == results and not errors
     assert offline.stats == {"fetched": 0, "hits": 6, "refusals": 0, "failures": 0}
 
@@ -373,7 +396,8 @@ def test_search_and_llm_requests_are_in_flight_at_once(tmp_path, signatures):
             max_parallel=2,
         )
         specs = [parse_source_signature(s, TaskId.SIC) for s in signatures]
-        results, errors = acquirer.acquire_all(records, *specs)
+        errors = acquirer.acquire_all(records, *specs)
+        results = _read_back(acquirer, records, *specs)
     assert not errors
     assert len(results) == len(records) * len(specs)
     # the LLM lane does not wait for the searches: every summary is asked for
@@ -398,13 +422,16 @@ def test_several_specs_fetch_each_shared_source_once(tmp_path):
         )
         gsnip = parse_source_signature("gsnip10", TaskId.SIC)
         combined = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, gsnip, combined)
+        errors = acquirer.acquire_all(records, gsnip, combined)
+        results = _read_back(acquirer, records, gsnip, combined)
         assert search_srv.request_count == llm_srv.request_count == len(records)
     assert not errors
     assert set(results) == {
         (r.entity_id, sig) for r in records for sig in ("gsnip10", "gsnip10+gptsum")
     }
-    alone, _ = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c")).acquire_all(records, combined)
+    alone_acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
+    alone_acquirer.acquire_all(records, combined)
+    alone = _read_back(alone_acquirer, records, combined)
     assert {key: results[key] for key in alone} == alone
     assert acquirer.stats == {"fetched": 6, "hits": 0, "refusals": 0, "failures": 0}
 
@@ -421,9 +448,9 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
             TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
         )
         spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-        results, errors = acquirer.acquire_all(records, spec)
+        errors = acquirer.acquire_all(records, spec)
         assert llm_srv.request_count == len(records)
-    assert not results
+    assert not _read_back(acquirer, records, spec)
     assert set(errors) == {(r.entity_id, "gsnip10+gptsum") for r in records}
     assert all(isinstance(e, AuthError) for e in errors.values())
     assert acquirer.stats == {"fetched": 3, "hits": 0, "refusals": 0, "failures": 3}
@@ -439,6 +466,171 @@ def test_acquire_refuses_a_combined_spec(tmp_path):
         acquirer.acquire(_records(1)[0], spec)
     assert acquirer.stats == {"fetched": 0, "hits": 0, "refusals": 0, "failures": 0}
     assert not (tmp_path / "c").exists()
+
+
+# --- bounded acquisition ------------------------------------------------------------
+
+
+class _CountingClient:
+    """A fake provider client, no HTTP: counts its calls and the most in flight
+    at once, and logs the thread that starts each call in ``started``."""
+
+    def __init__(self, started=None, latency=0.0):
+        self.calls = self.in_flight = self.peak = 0
+        self.started = [] if started is None else started
+        self.latency = latency
+        self._lock = threading.Lock()
+
+    @contextlib.contextmanager
+    def _call(self):
+        self.started.append(threading.current_thread().name)
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            if self.latency:
+                time.sleep(self.latency)
+            yield
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+
+class _FakeSearch(_CountingClient):
+    def search_entity(self, name, k):
+        with self._call():
+            return [SearchResult(i + 1, f"t{i}", f"u{i}", f"snippet {i} of {name}.") for i in range(k)]
+
+
+class _FakeLlm(_CountingClient):
+    refuse = ()  # entity names whose summary the model declines
+
+    def complete(self, prompt, *, model, max_tokens):
+        with self._call():
+            if any(name in prompt for name in self.refuse):
+                return "I don't have any information about that organization."
+            return "Makes industrial glue."
+
+
+class _ForgetfulCache(TextCache):
+    """Misses every load and drops every store, so that what tracemalloc sees
+    is what acquire_all itself holds."""
+
+    def load(self, key):
+        return None
+
+    def store(self, key, text, task_id):
+        pass
+
+
+def test_acquire_all_holds_nothing_per_record(tmp_path):
+    # 10^4 records through both lanes: four calls at most in flight per lane,
+    # and no reply outlives its store (the gsnip10 texts alone take about 70 MB)
+    records = [
+        EntityRecord(f"e{i:05d}", f"Entity {i}", "2010", load_sic_scheme().by_id["20"])
+        for i in range(10_000)
+    ]
+    search, llm = _FakeSearch(), _FakeLlm()
+    specs = [parse_source_signature(s, TaskId.SIC) for s in ("gsnip10", "gptsum")]
+    acquirer = TextAcquirer(
+        TaskId.SIC, _ForgetfulCache(tmp_path / "c"), search_client=search, llm_client=llm,
+        max_parallel=4,
+    )
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        errors = acquirer.acquire_all(records, *specs)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert errors == {}
+    assert search.calls == llm.calls == len(records)
+    assert 1 <= search.peak <= 4 and 1 <= llm.peak <= 4
+    assert acquirer.stats == {"fetched": 20_000, "hits": 0, "refusals": 0, "failures": 0}
+    assert peak < 2 * 2**20, f"acquire_all peaked at {peak / 2**20:.1f} MiB above its start"
+
+
+def test_a_one_record_acquire_starts_one_worker_per_lane(tmp_path):
+    lanes_seen = []  # the acquire threads alive at each provider call
+
+    class Search(_FakeSearch):
+        def search_entity(self, name, k):
+            lanes_seen.append(sorted(t.name for t in threading.enumerate() if "acquire-search" in t.name))
+            return super().search_entity(name, k)
+
+    class Llm(_FakeLlm):
+        def complete(self, prompt, **kwargs):
+            lanes_seen.append(sorted(t.name for t in threading.enumerate() if "acquire-llm" in t.name))
+            return super().complete(prompt, **kwargs)
+
+    acquirer = TextAcquirer(
+        TaskId.SIC, TextCache(tmp_path / "c"), search_client=Search(), llm_client=Llm(),
+        max_parallel=4,
+    )
+    spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
+    assert acquirer.acquire_all(_records(1), spec) == {}
+    assert sorted(lanes_seen) == [["acquire-llm_0"], ["acquire-search_0"]]
+
+
+def test_a_cache_failure_stops_both_lanes_and_acquire_exits_4(tmp_path, monkeypatch):
+    # The fifth summary cannot be stored while the slow searches are far
+    # behind. Every worker of both lanes stops after its call in flight: none
+    # starts more than one provider call after the failure.
+    monkeypatch.setenv("SEARCH_API_KEY", "k")
+    monkeypatch.setenv("LLM_API_KEY", "k")
+    started = []  # thread names at each provider call, and None at the failure
+    search, llm = _FakeSearch(started, latency=0.02), _FakeLlm(started)
+    monkeypatch.setattr(SearchClient, "search_entity", lambda _, *a: search.search_entity(*a))
+    monkeypatch.setattr(LlmClient, "complete", lambda _, *a, **kw: llm.complete(*a, **kw))
+    store, summaries = TextCache.store, itertools.count(1)
+
+    def store_or_fail(cache, key, text, task_id):
+        if text.source is Source.GPTSUM and next(summaries) == 5:
+            started.append(None)
+            raise CacheUnavailable("cache database is locked")
+        store(cache, key, text, task_id)
+
+    monkeypatch.setattr(TextCache, "store", store_or_fail)
+    records = _records(40)
+    config = tmp_path / "c.ini"
+    config.write_text(
+        f"[task]\nname = sic\ndataset = {write_entities_csv(tmp_path / 'e.csv', records)}\n"
+        "[acquisition]\ntop_k = 3\nmax_parallel = 2\n"
+        "search_base_url = http://127.0.0.1:9\nllm_base_url = http://127.0.0.1:9\n"
+    )
+    argv = ["--config", str(config), "--runs-dir", str(tmp_path / "runs"), "--run-id", "r1"]
+    assert cli.main([*argv, "acquire", "--sources", "gsnip3,gptsum"]) == 4
+    after = started[started.index(None) + 1:]
+    assert max(collections.Counter(after).values(), default=0) <= 1, after
+    assert llm.calls < len(records) and search.calls < len(records)
+
+
+def test_cached_texts_gives_descriptions_only(tmp_path):
+    # a refused summary is "", and a combined spec joins its parts as combine_texts does
+    records = _records(2)
+    llm = _FakeLlm()
+    llm.refuse = (records[0].name,)
+    acquirer = TextAcquirer(
+        TaskId.SIC, TextCache(tmp_path / "c"), search_client=_FakeSearch(), llm_client=llm
+    )
+    gsnip, gptsum, combined = (
+        parse_source_signature(s, TaskId.SIC) for s in ("gsnip2", "gptsum", "gsnip2+gptsum")
+    )
+    assert acquirer.acquire_all(records, gsnip, gptsum) == {}
+    first, second = (r.entity_id for r in records)
+    snippets = {r.entity_id: f"snippet 0 of {r.name}. snippet 1 of {r.name}." for r in records}
+    assert acquirer.cached_texts(records, gsnip) == snippets
+    assert acquirer.cached_texts(records, gptsum) == {first: "", second: "Makes industrial glue."}
+    assert acquirer.cached_texts(records, combined) == {
+        first: snippets[first],
+        second: f"{snippets[second]}\n\nMakes industrial glue.",
+    }
+    for record in records:
+        parts = [acquirer.acquire_cached(record, leaf) for leaf in combined.leaves]
+        assert acquirer.cached_texts([record], combined) == {
+            record.entity_id: combine_texts(parts).text
+        }
 
 
 # --- cache entries ---------------------------------------------------------------------
@@ -475,14 +667,16 @@ def test_an_old_index_json_is_ignored_and_left_in_place(tmp_path):
     ):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         spec = parse_source_signature("gsnip10", TaskId.SIC)
-        results, _ = acquirer.acquire_all(records, spec)
+        acquirer.acquire_all(records, spec)
+        results = _read_back(acquirer, records, spec)
     # an index as older versions wrote it, here out of step with the entries
     index_path = tmp_path / "c" / "index.json"
     index_path.write_bytes(b'{\n  "stale": {"entity_id": "gone"}\n}')
     before = index_path.read_bytes()
 
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
-    rerun, errors = offline.acquire_all(records, spec)
+    errors = offline.acquire_all(records, spec)
+    rerun = _read_back(offline, records, spec)
     assert rerun == results and not errors
     assert offline.stats["hits"] == 3
     assert index_path.read_bytes() == before
@@ -498,7 +692,7 @@ def test_parallel_requests_reuse_at_most_one_connection_per_worker(tmp_path):
             acquirer = TextAcquirer(
                 TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=4
             )
-            _, errors = acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
+            errors = acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
     assert not errors
     assert server.request_count == 50
     assert 1 <= server.connection_count <= 4
@@ -514,7 +708,7 @@ def test_wide_pool_stays_within_one_connection_per_worker(tmp_path):
                 TaskId.SIC, TextCache(tmp_path / "c"), search_client=client, max_parallel=16
             )
             spec = parse_source_signature("gsnip10", TaskId.SIC)
-            _, errors = acquirer.acquire_all(records, spec)
+            errors = acquirer.acquire_all(records, spec)
     assert not errors
     assert server.peak_in_flight > 10
     assert server.connection_count <= 16

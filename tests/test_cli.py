@@ -645,7 +645,7 @@ def test_acquire_mixed_failures_exit_4_whichever_id_sorts_first(
         (http_id, "gsnip3"): HttpError("server error", status=503),
         (data_id, "gsnip3"): CacheCorrupt("bad file"),
     }
-    monkeypatch.setattr(TextAcquirer, "acquire_all", lambda *a, **kw: ({}, dict(errors)))
+    monkeypatch.setattr(TextAcquirer, "acquire_all", lambda *a, **kw: dict(errors))
     config = _write_config(tmp_path / "c.ini", dataset=entities, search_url="http://x")
     assert _run(["acquire", "--sources", "gsnip3"], tmp_path / "runs", config=config) == 4
 
@@ -912,7 +912,7 @@ def test_refreshed_component_reaches_the_combined_text(workspace):
     spec = parse_source_signature("gsnip3+gptsum", TaskId.SIC)
     texts = TextAcquirer(TaskId.SIC, TextCache(runs / "r1/cache")).cached_texts(records, spec)
     assert len(texts) == len(records)
-    assert {t.text for t in texts.values()} == {"new snippet.\n\nA summary."}
+    assert set(texts.values()) == {"new snippet.\n\nA summary."}
 
 
 @pytest.mark.parametrize(

@@ -16,22 +16,12 @@ from taxotext.corpus import (
 )
 from taxotext.errors import MissingGold, MissingText, ParseError, UnknownLabel
 from taxotext.taxonomy import Split
-from taxotext.texts import AcquiredText, Source
 
 from conftest import make_records, with_splits
 
 
 def _texts_for(records, body="describes the business"):
-    return {
-        r.entity_id: AcquiredText(
-            entity_id=r.entity_id,
-            source=Source.GSNIP,
-            params={"k": 10},
-            text=f"{body} of {r.name}",
-            retrieved_at="2026-01-01T00:00:00+00:00",
-        )
-        for r in records
-    }
+    return {r.entity_id: f"{body} of {r.name}" for r in records}
 
 
 @pytest.fixture()
@@ -79,14 +69,7 @@ def test_build_missing_text_lenient_vs_strict(sic_scheme, split_records):
 def test_build_refusals_count_as_empty(sic_scheme, split_records):
     texts = _texts_for(split_records)
     rid = split_records[0].entity_id
-    texts[rid] = AcquiredText(
-        entity_id=rid,
-        source=Source.GPTSUM,
-        params={"template_id": "GPT_SIC"},
-        text="",
-        retrieved_at="2026-01-01T00:00:00+00:00",
-        refusal=True,
-    )
+    texts[rid] = ""  # a refused summary, as cached_texts gives it
     result = build_instances(split_records, texts, "gptsum")
     assert result.empty_count == 1
     # strict mode accepts refusals; only absent entries are an error

@@ -176,7 +176,7 @@ def _gsnip_instance_texts(name: str, snippets: list[str], ks) -> dict[int, str]:
     texts = {}
     for k in ks:
         acquired = snippet_text("e1", provenance, k, "2024-01-01T00:00:00Z")
-        texts[k] = build_instances([record], {"e1": acquired}, f"gsnip{k}").instances[0].input_text
+        texts[k] = build_instances([record], {"e1": acquired.text}, f"gsnip{k}").instances[0].input_text
     return texts
 
 
