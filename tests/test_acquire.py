@@ -526,7 +526,7 @@ class _ForgetfulCache(TextCache):
 
 def test_acquire_all_holds_nothing_per_record(tmp_path):
     # 10^4 records through both lanes: four calls at most in flight per lane,
-    # and no reply outlives its store (the gsnip10 texts alone take about 70 MB)
+    # and no reply outlives its store (all the replies would take over 80 MB)
     records = [
         EntityRecord(f"e{i:05d}", f"Entity {i}", "2010", load_sic_scheme().by_id["20"])
         for i in range(10_000)
