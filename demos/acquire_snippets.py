@@ -49,8 +49,8 @@ with MockSearchServer(fixtures, api_key="demo-key") as server, \
     errors = acquirer.acquire_all(records, spec)
     assert not errors
     # the texts are read back from the cache, which acquire_all filled
-    for entity_id, text in sorted(acquirer.cached_texts(records, spec).items()):
-        print(f"{entity_id} ({spec.signature}): {text[:70]}...")
+    for record, (text,) in acquirer.resolve(records, spec):
+        print(f"{record.entity_id} ({spec.signature}): {text[:70]}...")
     print(f"requests so far: {server.request_count}")
 
     # second pass: all cache hits, request count unchanged

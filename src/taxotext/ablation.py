@@ -1,7 +1,8 @@
 """Snippet-depth ablation: retrain the native backend at several depths.
 
-Re-aggregates snippet text from cached search provenance (no re-fetch),
-rebuilds the corpus, trains, and evaluates on the test split for each k.
+Reads each ``gsnip<k>`` through ``TextAcquirer.resolve``, which cuts it from
+the one cached search per entity (no re-fetch), then rebuilds the corpus,
+trains, and evaluates on the test split for each k.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .acquire import SourceSpec, TextAcquirer, snippet_text
+from .acquire import TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .corpus import build_instances
 from .errors import InsufficientSnippets
@@ -19,7 +20,6 @@ from .features import FeatureVector, PrefixFeaturizer
 from .metrics import MacroReport, confusion, macro_report, write_csv
 from .softmax import TrainConfig, predict_instances, train
 from .taxonomy import Dataset, Split
-from .texts import Source
 
 logger = logging.getLogger(__name__)
 
@@ -68,9 +68,10 @@ def ablate_snippets(
 ) -> list[AblationPoint]:
     """Evaluate test macro scores while varying the snippet count.
 
-    Every k is cut from the ``gsnip<cached_depth>`` entries, the depth the
-    cache was filled at; ``snippet_depths`` checks and orders ks first, so
-    points come back in ascending k.
+    Every ``gsnip<k>`` is read from the ``gsnip<cached_depth>`` entries, the
+    depth the cache was filled at, in one ``TextAcquirer.resolve`` pass that
+    loads each entity's entry once; ``snippet_depths`` checks and orders ks
+    first, so points come back in ascending k.
 
     Each entity's text is hashed once, at the deepest k: a shallower
     ``gsnip<k>`` instance text is a prefix of it that ends before the space
@@ -78,28 +79,26 @@ def ablate_snippets(
     are cut from that one hash pass (``PrefixFeaturizer``).
     """
     ks = snippet_depths(ks, cached_depth)
+    task_id = dataset.scheme.task_id
+    specs = [parse_source_signature(f"gsnip{k}", task_id, top_k=cached_depth) for k in ks]
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
-    spec = SourceSpec(Source.GSNIP, {"k": cached_depth})
-    acquirer = TextAcquirer(dataset.scheme.task_id, cache)
-    full = {r.entity_id: acquirer.acquire_cached(r, spec) for r in scored}
-    missing = [entity_id for entity_id, entry in full.items() if entry is None]
-    if missing:
-        raise InsufficientSnippets(
-            f"no cached snippets at depth {cached_depth} for entity {missing[0]!r}"
-        )
+    texts: list[dict[str, str]] = [{} for _ in ks]  # per k: entity id -> description
+    for record, resolved in TextAcquirer(task_id, cache).resolve(scored, *specs):
+        if resolved[0] is None:
+            raise InsufficientSnippets(
+                f"no cached snippets at depth {cached_depth} for entity {record.entity_id!r}"
+            )
+        for by_id, text in zip(texts, resolved):
+            by_id[record.entity_id] = text
 
     train_records = dataset.by_split(Split.TRAIN)
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
     hashed: dict[str, PrefixFeaturizer] = {}
     points = []
-    for k in reversed(ks):  # deepest first: its texts are the ones hashed
-        texts = {
-            entity_id: snippet_text(entity_id, entry.provenance, k, entry.retrieved_at).text
-            for entity_id, entry in full.items()
-        }
+    for k, by_id in reversed(list(zip(ks, texts))):  # deepest first: its texts are the ones hashed
         signature = f"gsnip{k}"
-        train_build = build_instances(train_records, texts, signature)
-        test_build = build_instances(test_records, texts, signature)
+        train_build = build_instances(train_records, by_id, signature)
+        test_build = build_instances(test_records, by_id, signature)
         if k == ks[-1]:
             hashed = {
                 inst.entity_id: PrefixFeaturizer(inst.input_text)

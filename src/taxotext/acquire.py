@@ -7,7 +7,8 @@ import logging
 import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 from .cache import TextCache
 from .config import PipelineConfig
@@ -23,11 +24,13 @@ logger = logging.getLogger(__name__)
 @dataclass(frozen=True)
 class SourceSpec:
     """What to acquire: a provider source plus the parameters that key its
-    cache slot, or a combination of such sources, which is never cached."""
+    cache slot, or a combination of such sources, which is never cached.
+    A ``gsnip`` with a ``depth`` reads the first ``depth`` results of its entry."""
 
     source: Source
     params: dict = field(default_factory=dict)
     components: tuple["SourceSpec", ...] = ()
+    depth: int | None = None
 
     @property
     def signature(self) -> str:
@@ -35,13 +38,18 @@ class SourceSpec:
         if self.source is Source.COMBINED:
             return "+".join(c.signature for c in self.components)
         if self.source is Source.GSNIP:
-            return f"gsnip{self.params['k']}"
+            return f"gsnip{self.params['k'] if self.depth is None else self.depth}"
         return self.source.value.lower()
 
     @property
     def leaves(self) -> tuple["SourceSpec", ...]:
         """The provider sources this spec reads: its components, or itself."""
         return self.components or (self,)
+
+    @property
+    def stored(self) -> "SourceSpec":
+        """The provider reply this leaf reads, whole: the leaf without its depth."""
+        return replace(self, depth=None)
 
 
 # The provider that serves each provider source: it names the client that
@@ -60,7 +68,11 @@ def parse_source_signature(
     llama_model: str = _DEFAULTS.llama_model,
     summary_max_tokens: int = _DEFAULTS.summary_max_tokens,
 ) -> SourceSpec:
-    """Parse a signature like ``gsnip10``, ``gptsum``, or ``gsnip10+llamasum``."""
+    """Parse a signature like ``gsnip10``, ``gptsum``, or ``gsnip10+llamasum``.
+
+    Every ``gsnip<k>`` is keyed at top_k, the one search per entity, and cut
+    to its first k results; a k beyond top_k is a ValueError.
+    """
     parts = [p.strip() for p in signature.split("+") if p.strip()]
     if not parts:
         raise ValueError(f"empty source signature: {signature!r}")
@@ -75,9 +87,9 @@ def parse_source_signature(
         m = _GSNIP_SIG.match(part)
         if m:
             k = int(m.group(1)) if m.group(1) else top_k
-            if k < 1:
-                raise ValueError(f"snippet count must be >= 1 in {part!r}")
-            specs.append(SourceSpec(Source.GSNIP, {"k": k}))
+            if not 1 <= k <= top_k:
+                raise ValueError(f"snippet count must be from 1 to top_k ({top_k}) in {part!r}")
+            specs.append(SourceSpec(Source.GSNIP, {"k": top_k}, depth=k if k < top_k else None))
         elif part in summaries:
             source, family, model = summaries[part]
             params = {
@@ -111,6 +123,27 @@ def snippet_text(entity_id: str, provenance: list[dict], k: int, retrieved_at: s
         retrieved_at=retrieved_at,
         provenance=kept,
     )
+
+
+def _provider_sources(specs) -> list[SourceSpec]:
+    """The distinct provider replies that specs read, one per cache key, in reading order."""
+    stored: list[SourceSpec] = []
+    for spec in specs:
+        stored += [leaf.stored for leaf in spec.leaves if leaf.stored not in stored]
+    return stored
+
+
+def _assemble(spec: SourceSpec, entries: list[AcquiredText | None]) -> AcquiredText | None:
+    """A spec's text from its leaves' cache entries, in leaf order; None when
+    one is missing. A leaf with a depth is cut to it by ``snippet_text``."""
+    if None in entries:
+        return None
+    parts = [
+        entry if leaf.depth is None
+        else snippet_text(entry.entity_id, entry.provenance, leaf.depth, entry.retrieved_at)
+        for leaf, entry in zip(spec.leaves, entries)
+    ]
+    return combine_texts(parts) if spec.components else parts[0]
 
 
 class TextAcquirer:
@@ -174,26 +207,31 @@ class TextAcquirer:
     def acquire_cached(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText | None:
         """Resolve a record's text from the cache only; None when absent.
 
-        A combined source is None unless every component is cached.
+        A ``gsnip<k>`` with a depth is cut from the entry it is keyed at, and
+        a combined source is None unless every component is cached.
         """
-        if spec.components:
-            parts = [self.acquire_cached(record, c) for c in spec.components]
-            return None if any(p is None for p in parts) else combine_texts(parts)
-        return self.cache.load(
-            TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
-        )
+        return _assemble(spec, [
+            self.cache.load(TextCache.key(self.task_id, record.entity_id, leaf.source, leaf.params))
+            for leaf in spec.leaves
+        ])
 
-    def cached_texts(self, records: list[EntityRecord], spec: SourceSpec) -> dict[str, str]:
-        """Descriptions resolved from the cache only, by entity id; misses are
-        left out, and a refused summary is ``""``. A combined spec joins its
-        parts as ``combine_texts`` does. Only the strings are kept: no
-        provenance outlives the load of its entry."""
-        texts = {}
-        for record in records:
-            hit = self.acquire_cached(record, spec)
-            if hit is not None:
-                texts[record.entity_id] = hit.text
-        return texts
+    def resolve(
+        self, records: list[EntityRecord], *specs: SourceSpec
+    ) -> Iterator[tuple[EntityRecord, tuple[str | None, ...]]]:
+        """Yield ``(record, texts)`` in entity-id order, from the cache only,
+        with one description per spec: None when an entry it reads is missing,
+        and ``""`` for a refused summary.
+
+        Each distinct cache entry is loaded once per record, however many
+        specs read it (every ``gsnip<k>`` reads the one search), and no
+        provenance outlives its record.
+        """
+        stored = _provider_sources(specs)
+        picks = [[stored.index(leaf.stored) for leaf in spec.leaves] for spec in specs]
+        for record in sorted(records, key=lambda r: r.entity_id):
+            entries = [self.acquire_cached(record, leaf) for leaf in stored]
+            hits = (_assemble(spec, [entries[i] for i in pick]) for spec, pick in zip(specs, picks))
+            yield record, tuple(None if hit is None else hit.text for hit in hits)
 
     def acquire_all(
         self,
@@ -211,8 +249,9 @@ class TextAcquirer:
         jobs, pull jobs from one shared sequence in record order. Each
         provider reply is stored as its own cache entry the moment it
         arrives and is then dropped, so memory does not grow with the number
-        of records; the texts are read back with ``acquire_cached`` or
-        ``cached_texts``.
+        of records; the texts are read back with ``resolve``. Specs that
+        read one cache entry (``gsnip1`` and ``gsnip3`` both read the
+        ``top_k`` search) fetch it once.
 
         A failure (a ``TaxotextError``) is logged and returned; the other
         components of a combined spec are still fetched and cached, and the
@@ -222,10 +261,8 @@ class TextAcquirer:
         worker, or an interrupt, it stops every worker after its fetch in
         flight.
         """
-        leaves: list[SourceSpec] = []
-        for s in specs:
-            leaves += [leaf for leaf in s.leaves if leaf not in leaves]
-        failed: dict[tuple[str, str], TaxotextError] = {}  # (entity_id, leaf signature)
+        leaves = _provider_sources(specs)
+        failed: dict[tuple[str, str], TaxotextError] = {}  # (entity_id, stored leaf signature)
         stop = threading.Event()
 
         def work(jobs, lock):
@@ -268,7 +305,7 @@ class TextAcquirer:
         errors = {}
         for record in records:
             for s in specs:
-                keys = ((record.entity_id, leaf.signature) for leaf in s.leaves)
+                keys = ((record.entity_id, leaf.stored.signature) for leaf in s.leaves)
                 exc = next((failed[key] for key in keys if key in failed), None)
                 if exc is not None:
                     logger.warning(

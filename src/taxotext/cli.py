@@ -228,10 +228,10 @@ def cmd_acquire(ctx: RunContext, args) -> int:
     acquirer = _make_acquirer(ctx, specs)
     ctx.record({"sources": [s.signature for s in specs], "refresh": args.refresh})
     try:
-        # every provider source of every spec in one call, so that the search
+        # every provider reply of every spec in one call, so that the search
         # and LLM lanes fetch at the same time, and every failure is kept
         errors = acquirer.acquire_all(
-            ctx.dataset.records, *(leaf for spec in specs for leaf in spec.leaves),
+            ctx.dataset.records, *(leaf.stored for spec in specs for leaf in spec.leaves),
             refresh=args.refresh,
         )
     finally:
@@ -255,7 +255,8 @@ def cmd_acquire(ctx: RunContext, args) -> int:
 
 def cmd_build(ctx: RunContext, args) -> int:
     dataset, signature = ctx.dataset, ctx.spec.signature
-    texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(dataset.records, ctx.spec)
+    resolved = TextAcquirer(ctx.config.task, ctx.cache).resolve(dataset.records, ctx.spec)
+    texts = {record.entity_id: text for record, (text,) in resolved if text is not None}
     ctx.record({"strict": args.strict})
     for split in Split:
         result = build_instances(dataset.by_split(split), texts, signature, strict=args.strict)
@@ -344,7 +345,7 @@ def cmd_sweep(ctx: RunContext, args) -> int:
 
 
 def cmd_ablate(ctx: RunContext, args) -> int:
-    top_k = ctx.config.top_k  # the depth 'acquire --sources gsnip' fills the cache at
+    top_k = ctx.config.top_k  # the one search depth that every gsnip<k> is cut from
     if args.cached_depth not in (None, top_k):
         raise ConfigError(f"--cached-depth must equal top_k ({top_k}), got {args.cached_depth}")
     try:
@@ -370,11 +371,11 @@ def cmd_baseline(ctx: RunContext, args) -> int:
     if args.context_sources:
         spec = _parse_signature(ctx, args.context_sources)
         context_signature = spec.signature
-        texts = TextAcquirer(ctx.config.task, ctx.cache).cached_texts(records, spec)
-        missing = [r.entity_id for r in records if r.entity_id not in texts]
+        texts = list(TextAcquirer(ctx.config.task, ctx.cache).resolve(records, spec))
+        missing = [r.entity_id for r, (text,) in texts if text is None]
         if missing and args.strict:
             raise MissingText(f"no cached text for {len(missing)} entities (first: {missing[0]})")
-        contexts = {r.entity_id: texts[r.entity_id] for r in records if texts.get(r.entity_id)}
+        contexts = {r.entity_id: text for r, (text,) in texts if text}
     model_id = args.model or ctx.config.gpt_model
     ctx.record(
         {"model": model_id, "context_sources": context_signature, "strict": args.strict}
@@ -445,7 +446,7 @@ _COMMANDS = {
     "ablate": (cmd_ablate, "retrain and score at several snippet depths", [
         _DATASET,
         ("--ks", {"help": "comma-separated snippet counts (default: 1,5,10,15,20 up to the depth)"}),
-        ("--cached-depth", {"type": int, "help": "cache fill depth; must equal top_k if given"}),
+        ("--cached-depth", {"type": int, "help": "kept for older scripts; must equal top_k"}),
     ]),
     "baseline": (cmd_baseline, "zero-shot classification by prompting a hosted model", [
         _DATASET,

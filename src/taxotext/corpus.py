@@ -50,8 +50,8 @@ def build_instances(
 ) -> BuildResult:
     """Pair records with their descriptions, ordered by entity id.
 
-    texts maps an entity id to its description, as
-    ``TextAcquirer.cached_texts`` gives it: a refused summary is ``""``.
+    texts maps an entity id to its description, as ``TextAcquirer.resolve``
+    yields it: a refused summary is ``""``, and a missing entry is left out.
     input_text is the name, a newline, then the description. Gold labels
     are attached only for train/dev records; test instances are unlabeled.
     Entities absent from texts raise MissingText in strict mode and are

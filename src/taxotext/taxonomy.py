@@ -8,6 +8,7 @@ CSV data files so the code sets can grow without code changes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import random
 from contextlib import closing
@@ -27,7 +28,7 @@ from .errors import (
     UnknownCode,
 )
 from .files import read_lines
-from .hashing import fingerprint
+from .hashing import canonical_json, fingerprint
 
 DEFAULT_RATIOS = (0.5, 1.0 / 6.0, 1.0 / 3.0)
 
@@ -182,11 +183,18 @@ class Dataset:
 
     @property
     def fingerprint(self) -> str:
-        rows = [
-            [r.entity_id, r.name, r.raw_code, r.label.id, r.split.value if r.split else None]
-            for r in self.records
-        ]
-        return fingerprint({"task": self.scheme.task_id.value, "records": rows})
+        """``hashing.fingerprint({"task": ..., "records": rows})``, with one row
+        ``[entity_id, name, raw_code, label id, split or None]`` per record.
+
+        The canonical JSON is fed to the hash one row at a time, so no copy
+        of the dataset is made; the digest is the same.
+        """
+        digest = hashlib.sha256(b'{"records":[')
+        for i, r in enumerate(self.records):
+            row = [r.entity_id, r.name, r.raw_code, r.label.id, r.split.value if r.split else None]
+            digest.update(("," * (i > 0) + canonical_json(row)).encode("utf-8"))
+        digest.update(f'],"task":{canonical_json(self.scheme.task_id.value)}}}'.encode("utf-8"))
+        return digest.hexdigest()
 
 
 _HEADER = ["entity_id", "name", "raw_code", "split"]

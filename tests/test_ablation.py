@@ -112,6 +112,20 @@ def test_reports_equal_a_per_depth_retrain_that_featurizes_each_text(tmp_path, s
         assert _fields(point.report) == _fields(expected)
 
 
+def test_each_scored_entity_loads_its_cache_entry_once(tmp_path, sic_scheme, monkeypatch):
+    dataset = _dataset(sic_scheme, n_train_per=3, n_test_per=1, with_dev=True)
+    cache = TextCache(tmp_path)
+    _seed_cache(cache, dataset)
+    loaded = []
+    load = TextCache.load
+    monkeypatch.setattr(TextCache, "load", lambda self, key: loaded.append(key) or load(self, key))
+    ablate_snippets(dataset, cache, ks=(1, 2, 3, 5), cached_depth=DEPTH, train_config=CONFIG)
+    scored = [r for r in dataset.records if r.split is not Split.DEV]
+    assert sorted(loaded) == sorted(
+        TextCache.key(sic_scheme.task_id, r.entity_id, Source.GSNIP, {"k": DEPTH}) for r in scored
+    )
+
+
 def _fields(report: MacroReport):
     return (
         report.per_class,

@@ -43,6 +43,11 @@ def _snippet_table(records, per=10):
     }
 
 
+def _resolved(acquirer, records, spec):
+    """The descriptions resolve yields for one spec, by entity id; misses are left out."""
+    return {r.entity_id: text for r, (text,) in acquirer.resolve(records, spec) if text is not None}
+
+
 def _read_back(acquirer, records, *specs):
     """What acquire_all stored, by (entity_id, signature), read back through
     acquire_cached; a spec with an uncached component is left out."""
@@ -103,7 +108,7 @@ def test_parse_signature_defaults_are_the_config_defaults():
     assert len(defaults) == 4
 
 
-@pytest.mark.parametrize("raw", ["", "+", "nonsense", "gsnip0", "gsnipx"])
+@pytest.mark.parametrize("raw", ["", "+", "nonsense", "gsnip0", "gsnipx", "gsnip11"])
 def test_parse_rejects_bad_signatures(raw):
     with pytest.raises(ValueError):
         parse_source_signature(raw, TaskId.SIC)
@@ -287,7 +292,7 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
         for sig in ("gsnip10", "gptsum", "gsnip10+gptsum"):
             sub = parse_source_signature(sig, TaskId.SIC)
             assert offline.acquire_cached(records[0], sub) is not None
-            assert set(offline.cached_texts(records, sub)) == {r.entity_id for r in records}
+            assert set(_resolved(offline, records, sub)) == {r.entity_id for r in records}
 
 
 def _acquire_combined(tmp_path, records, llm_key):
@@ -349,14 +354,14 @@ def test_combined_text_is_none_when_a_component_is_missing(tmp_path):
         acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
     spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
     assert acquirer.acquire_cached(records[0], spec) is None
-    assert acquirer.cached_texts(records, spec) == {}
+    assert _resolved(acquirer, records, spec) == {}
 
 
 def test_acquire_cached_returns_none_when_absent(tmp_path):
     acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     spec = parse_source_signature("gsnip10", TaskId.SIC)
     assert acquirer.acquire_cached(_records(1)[0], spec) is None
-    assert acquirer.cached_texts(_records(1), spec) == {}
+    assert _resolved(acquirer, _records(1), spec) == {}
 
 
 # --- provider lanes ------------------------------------------------------------------
@@ -456,7 +461,7 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
     assert acquirer.stats == {"fetched": 3, "hits": 0, "refusals": 0, "failures": 3}
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     gptsum = parse_source_signature("gptsum", TaskId.SIC)
-    assert set(offline.cached_texts(records, gptsum)) == {r.entity_id for r in records}
+    assert set(_resolved(offline, records, gptsum)) == {r.entity_id for r in records}
 
 
 def test_acquire_refuses_a_combined_spec(tmp_path):
@@ -606,7 +611,7 @@ def test_a_cache_failure_stops_both_lanes_and_acquire_exits_4(tmp_path, monkeypa
     assert llm.calls < len(records) and search.calls < len(records)
 
 
-def test_cached_texts_gives_descriptions_only(tmp_path):
+def test_resolve_gives_descriptions_only(tmp_path):
     # a refused summary is "", and a combined spec joins its parts as combine_texts does
     records = _records(2)
     llm = _FakeLlm()
@@ -620,15 +625,15 @@ def test_cached_texts_gives_descriptions_only(tmp_path):
     assert acquirer.acquire_all(records, gsnip, gptsum) == {}
     first, second = (r.entity_id for r in records)
     snippets = {r.entity_id: f"snippet 0 of {r.name}. snippet 1 of {r.name}." for r in records}
-    assert acquirer.cached_texts(records, gsnip) == snippets
-    assert acquirer.cached_texts(records, gptsum) == {first: "", second: "Makes industrial glue."}
-    assert acquirer.cached_texts(records, combined) == {
+    assert _resolved(acquirer, records, gsnip) == snippets
+    assert _resolved(acquirer, records, gptsum) == {first: "", second: "Makes industrial glue."}
+    assert _resolved(acquirer, records, combined) == {
         first: snippets[first],
         second: f"{snippets[second]}\n\nMakes industrial glue.",
     }
     for record in records:
         parts = [acquirer.acquire_cached(record, leaf) for leaf in combined.leaves]
-        assert acquirer.cached_texts([record], combined) == {
+        assert _resolved(acquirer, [record], combined) == {
             record.entity_id: combine_texts(parts).text
         }
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from taxotext.acquire import TextAcquirer, parse_source_signature
+from taxotext.acquire import TextAcquirer, parse_source_signature, snippet_text
 from taxotext.cache import TextCache
 from taxotext import cli, files
 from taxotext.cli import main
@@ -537,6 +537,44 @@ def test_ablate_without_ks_runs_the_default_depths_the_cache_holds(workspace):
     assert ablate["options"]["ks"] == [1]
 
 
+def test_build_cuts_a_shallower_gsnip_from_the_top_k_search(workspace, capsys):
+    # acquire fills the cache at top_k = 3; gsnip2 is the first two results of those entries
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as server:
+        config = _write_config(tmp_path / "c.ini", dataset=entities, search_url=server.base_url)
+        assert _run(["acquire", "--sources", "gsnip"], runs, config=config) == 0
+        assert _run(["build", "--sources", "gsnip2", "--strict"], runs, config=config) == 0
+        assert server.request_count == len(snippets)
+    assert capsys.readouterr().out.count("(0 empty)") == 3  # train, dev and test
+    deep = parse_source_signature("gsnip3", TaskId.SIC, top_k=3)
+    names = {r.entity_id: r.name for r in load_dataset(entities, load_sic_scheme()).records}
+    rows = [
+        json.loads(line)
+        for split in ("train", "dev", "test")
+        for line in (runs / f"r1/corpus/gsnip2/{split}.jsonl").read_text().splitlines()
+    ]
+    assert len(rows) == len(names)
+    with TextCache(runs / "r1/cache") as cache:
+        for row in rows:
+            key = TextCache.key(TaskId.SIC, row["entity_id"], deep.source, deep.params)
+            entry = cache.load(key)
+            cut = snippet_text(entry.entity_id, entry.provenance, 2, entry.retrieved_at).text
+            assert cut and cut != entry.text
+            assert row["input_text"] == f"{names[row['entity_id']]}\n{cut}"
+
+
+def test_acquire_every_depth_sends_one_search_per_entity(workspace, capsys):
+    tmp_path, entities, snippets = workspace
+    runs = tmp_path / "runs"
+    with MockSearchServer(snippets, api_key="test-key") as server:
+        config = _write_config(tmp_path / "c.ini", dataset=entities, search_url=server.base_url)
+        assert _run(["acquire", "--sources", "gsnip1,gsnip2,gsnip3"], runs, config=config) == 0
+        assert server.request_count == len(snippets) == 18
+    assert "acquired: fetched=18 cache_hits=0 refusals=0 failures=0" in capsys.readouterr().out
+    assert len(cache_rows(runs / "r1/cache")) == 18
+
+
 def test_ablate_beyond_cached_depth_exits_4(workspace):
     tmp_path, entities, snippets = workspace
     runs = tmp_path / "runs"
@@ -584,7 +622,7 @@ def test_baseline_context_reads_only_the_split_cache_entries(workspace):
             cache_dir=cache.root,
         )
         assert _run(["acquire", "--sources", "gsnip3"], runs, config=config) == 0
-        spec = parse_source_signature("gsnip3", TaskId.SIC)
+        spec = parse_source_signature("gsnip3", TaskId.SIC, top_k=3)
         train_key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
         put_cache_body(cache.root, train_key, "{not json")
         argv = ["baseline", "--split", "test", "--context-sources", "gsnip3"]
@@ -712,6 +750,7 @@ def _test_split_predictions(path):
         ["sweep", "--predictions", "{predictions}", "--thresholds", ","],
         ["sweep", "--predictions", "{predictions}", "--thresholds", ""],
         ["ablate", "--ks", ""],
+        ["build", "--sources", "gsnip4"],
     ],
     ids=[
         "predict-no-model",
@@ -737,6 +776,7 @@ def _test_split_predictions(path):
         "empty-thresholds",
         "blank-thresholds",
         "blank-ks",
+        "gsnip-beyond-top-k",
     ],
 )
 def test_config_rejection_exits_2_without_manifest_entry(workspace, monkeypatch, argv):
@@ -790,7 +830,7 @@ def test_input_that_is_not_utf8_exits_with_its_code(workspace, capsys, case, cod
         bad = _latin1(tmp_path / "p.jsonl", rows)
         argv = ["eval", "--predictions", str(bad)]
     elif case == "cache-entry":
-        spec = parse_source_signature("gsnip3", TaskId.SIC)
+        spec = parse_source_signature("gsnip3", TaskId.SIC, top_k=3)
         key = TextCache.key(TaskId.SIC, "e001", spec.source, spec.params)
         text = AcquiredText("e001", spec.source, spec.params, "café", "2026-01-01T00:00:00+00:00")
         with TextCache(runs / "r1" / "cache") as cache:
@@ -909,8 +949,9 @@ def test_refreshed_component_reaches_the_combined_text(workspace):
             snippets[name] = ["new snippet."]
         assert _run(["acquire", "--sources", "gsnip3", "--refresh"], runs, config=config) == 0
     records = load_dataset(entities, load_sic_scheme()).records
-    spec = parse_source_signature("gsnip3+gptsum", TaskId.SIC)
-    texts = TextAcquirer(TaskId.SIC, TextCache(runs / "r1/cache")).cached_texts(records, spec)
+    spec = parse_source_signature("gsnip3+gptsum", TaskId.SIC, top_k=3)
+    resolved = TextAcquirer(TaskId.SIC, TextCache(runs / "r1/cache")).resolve(records, spec)
+    texts = {record.entity_id: text for record, (text,) in resolved if text is not None}
     assert len(texts) == len(records)
     assert set(texts.values()) == {"new snippet.\n\nA summary."}
 

@@ -29,6 +29,21 @@ def test_demo_runs(demo):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_acquire_snippets_prints_the_cached_texts():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / "acquire_snippets.py")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == (
+        "e001 (gsnip3): Gold Hills Mining Ltd is a mineral exploration company. The company op...\n"
+        "e002 (gsnip3): Harbor Grill is a waterfront seafood restaurant. The menu changes with...\n"
+        "requests so far: 2\n"
+        "after repeat acquisition: 2 (hits=2)\n"
+    )
+
+
 @pytest.mark.parametrize("demo", ["acquire_snippets", "summaries_and_refusals"])
 def test_network_demos_ignore_keys_in_the_environment(demo):
     env = dict(

@@ -15,9 +15,11 @@ from taxotext.errors import (
     UnknownCategory,
     UnknownCode,
 )
+from taxotext.hashing import fingerprint
 from taxotext.taxonomy import (
     DEFAULT_RATIOS,
     Dataset,
+    EntityRecord,
     Split,
     load_dataset,
     lookup_healthcare_category,
@@ -200,3 +202,17 @@ def test_split_partition_property(sic_scheme, n, seed):
     # each bucket is within one of its ideal share
     for split, ratio in zip(("train", "dev", "test"), DEFAULT_RATIOS):
         assert abs(counts.get(split, 0) - n * ratio) < 1.0 + 1e-9
+
+
+def test_dataset_fingerprint_hashes_the_canonical_record_list(sic_scheme):
+    records = (
+        EntityRecord("e1", "Café Zürich \u201cGmbH\u201d", "5812", sic_scheme.by_id["58"], Split.TRAIN),
+        EntityRecord("e2", 'Quote "and" backslash \\', "2010", sic_scheme.by_id["20"]),
+    )
+    for dataset in (Dataset(sic_scheme, records), Dataset(sic_scheme, ())):
+        rows = [
+            [r.entity_id, r.name, r.raw_code, r.label.id, r.split.value if r.split else None]
+            for r in dataset.records
+        ]
+        expected = fingerprint({"task": sic_scheme.task_id.value, "records": rows})
+        assert dataset.fingerprint == expected
