@@ -58,6 +58,17 @@ def _prefix_features(hashed: dict[str, PrefixFeaturizer], instances) -> list[Fea
     return [hashed[inst.entity_id].vector(inst.input_text) for inst in instances]
 
 
+def _score_depth(scheme, train_instances, test_instances, golds, hashed, config) -> MacroReport:
+    """Train on one depth's instances and score its test predictions.
+
+    The depth's feature vectors, model and predictions live only in this
+    call, so they are freed before the next depth trains.
+    """
+    model = train(train_instances, scheme, config, features=_prefix_features(hashed, train_instances))
+    preds = predict_instances(model, test_instances, features=_prefix_features(hashed, test_instances))
+    return macro_report(confusion(golds, [p.label for p in preds], scheme))
+
+
 def ablate_snippets(
     dataset: Dataset,
     cache: TextCache,
@@ -93,6 +104,7 @@ def ablate_snippets(
 
     train_records = dataset.by_split(Split.TRAIN)
     test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
+    golds = [r.label for r in test_records]
     hashed: dict[str, PrefixFeaturizer] = {}
     points = []
     for k, by_id in reversed(list(zip(ks, texts))):  # deepest first: its texts are the ones hashed
@@ -104,16 +116,10 @@ def ablate_snippets(
                 inst.entity_id: PrefixFeaturizer(inst.input_text)
                 for inst in (*train_build.instances, *test_build.instances)
             }
-        # A k's vectors are cut only while it is scored.
-        model = train(
-            train_build.instances, dataset.scheme, train_config,
-            features=_prefix_features(hashed, train_build.instances),
+        report = _score_depth(
+            dataset.scheme, train_build.instances, test_build.instances, golds, hashed, train_config
         )
-        preds = predict_instances(
-            model, test_build.instances, features=_prefix_features(hashed, test_build.instances)
-        )
-        matrix = confusion([r.label for r in test_records], [p.label for p in preds], dataset.scheme)
-        points.append(AblationPoint(k=k, report=macro_report(matrix)))
+        points.append(AblationPoint(k=k, report=report))
         logger.info("ablation k=%d: macro F1 %.3f", k, points[-1].report.macro_f1)
     return points[::-1]
 

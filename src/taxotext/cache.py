@@ -36,6 +36,7 @@ DB_NAME = "cache.sqlite3"
 BUSY_TIMEOUT_S = 60.0
 PAGE_CACHE_KIB = 256  # SQLite's 2 MB default shows in the peak RSS of short commands
 _LEGACY_ENTRY = re.compile(r"[0-9a-f]{64}\.json")
+_BODY_JSON = json.JSONEncoder(ensure_ascii=False, sort_keys=True)  # built once, not per store
 
 
 class TextCache:
@@ -70,7 +71,7 @@ class TextCache:
 
     def store(self, key: str, text: AcquiredText, task_id: TaskId) -> None:
         payload = {**text.to_json(), "task": task_id.value}
-        body = json.dumps(payload, ensure_ascii=False, sort_keys=True)
+        body = _BODY_JSON.encode(payload)
         self._run(key, "INSERT OR REPLACE INTO entries VALUES (?, ?)", (key, body))
 
     def close(self) -> None:

@@ -6,9 +6,14 @@ import hashlib
 import json
 
 
+# json.dumps with any non-default setting builds an encoder on every call;
+# one prebuilt encoder gives the same text for less, and every cache key pays it.
+_CANONICAL_JSON = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 def canonical_json(obj) -> str:
     """Serialize to a canonical JSON string (sorted keys, no whitespace)."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+    return _CANONICAL_JSON.encode(obj)
 
 
 def sha256_hex(data: str | bytes) -> str:

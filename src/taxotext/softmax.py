@@ -437,11 +437,12 @@ def save_model(model: SoftmaxModel, path: str | Path) -> Path:
     """Write a deterministic container: JSON header + raw arrays.
 
     Only columns with any nonzero weight are stored; bytes are identical
-    across retrainings with the same data and seed.
+    across retrainings with the same data and seed. The weights go out one
+    class row at a time, so no copy of the whole block is made.
     """
     nonzero = np.any(model.block != 0.0, axis=0)
-    cols = model.cols[nonzero]
-    block = model.block[:, nonzero]
+    keep = slice(None) if nonzero.all() else nonzero
+    cols = model.cols[keep]
     header = {
         "format": MODEL_FORMAT,
         "classes": int(model.b.size),
@@ -451,7 +452,7 @@ def save_model(model: SoftmaxModel, path: str | Path) -> Path:
         "scheme_fingerprint": model.scheme.fingerprint,
         "featurizer_hash": FEATURIZER_HASH,
     }
-    arrays = ((cols, "<i8"), (block, "<f8"), (model.b, "<f8"))
+    arrays = chain([(cols, "<i8")], ((row[keep], "<f8") for row in model.block), [(model.b, "<f8")])
     chunks = chain(
         [(json.dumps(header, sort_keys=True) + "\n").encode("utf-8")],
         (a.astype(dtype, copy=False).tobytes() for a, dtype in arrays),
@@ -463,35 +464,39 @@ def load_model(path: str | Path, scheme: TaxonomyScheme) -> SoftmaxModel:
     """Read a model container.
 
     Raises FingerprintMismatch for another format, scheme or featurizer, and
-    ParseError for a file that is not a well-formed container.
+    ParseError for a file that is not a well-formed container. The body's
+    length is checked against the file size before it is read; its arrays are
+    then read straight into the model's own, one class row at a time.
     """
-    head, _, body = Path(path).read_bytes().partition(b"\n")
-    try:
-        header = json.loads(head)
-    except ValueError:
-        raise ParseError(f"{path}: model header is not JSON") from None
-    if not isinstance(header, dict):
-        raise ParseError(f"{path}: model header is not a JSON object")
-    if header.get("format") != MODEL_FORMAT:
-        raise FingerprintMismatch(f"unsupported model format {header.get('format')!r}")
-    if header.get("scheme_fingerprint") != scheme.fingerprint:
-        raise FingerprintMismatch("model was trained under a different scheme")
-    if header.get("featurizer_hash") != FEATURIZER_HASH:
-        raise FingerprintMismatch("model was trained with a different featurizer")
-    if header.get("buckets") != N_BUCKETS:
-        raise ParseError(f"{path}: model has {header.get('buckets')!r} buckets, expected {N_BUCKETS}")
-    n_classes, n_cols = header.get("classes"), header.get("n_cols")
-    if not (isinstance(n_classes, int) and isinstance(n_cols, int) and n_classes >= 0 and n_cols >= 0):
-        raise ParseError(f"{path}: model header has no valid classes/n_cols")
-    expected = 8 * (n_cols + n_classes * n_cols + n_classes)
-    if len(body) != expected:
-        raise ParseError(f"{path}: model body is {len(body)} bytes, expected {expected}")
-    cols = np.frombuffer(body, dtype="<i8", count=n_cols)
-    block = np.frombuffer(body, dtype="<f8", count=n_classes * n_cols, offset=8 * n_cols)
-    b = np.frombuffer(body, dtype="<f8", count=n_classes, offset=8 * (n_cols + n_classes * n_cols))
-    try:
-        return SoftmaxModel(
-            scheme, cols.astype(np.int64), block.reshape(n_classes, n_cols), b.astype(np.float64)
-        )
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        body_size = os.fstat(fh.fileno()).st_size - len(head)
+        try:
+            header = json.loads(head)
+        except ValueError:
+            raise ParseError(f"{path}: model header is not JSON") from None
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: model header is not a JSON object")
+        if header.get("format") != MODEL_FORMAT:
+            raise FingerprintMismatch(f"unsupported model format {header.get('format')!r}")
+        if header.get("scheme_fingerprint") != scheme.fingerprint:
+            raise FingerprintMismatch("model was trained under a different scheme")
+        if header.get("featurizer_hash") != FEATURIZER_HASH:
+            raise FingerprintMismatch("model was trained with a different featurizer")
+        if header.get("buckets") != N_BUCKETS:
+            raise ParseError(f"{path}: model has {header.get('buckets')!r} buckets, expected {N_BUCKETS}")
+        n_classes, n_cols = header.get("classes"), header.get("n_cols")
+        if not (isinstance(n_classes, int) and isinstance(n_cols, int) and n_classes >= 0 and n_cols >= 0):
+            raise ParseError(f"{path}: model header has no valid classes/n_cols")
+        expected = 8 * (n_cols + n_classes * n_cols + n_classes)
+        if body_size != expected:
+            raise ParseError(f"{path}: model body is {body_size} bytes, expected {expected}")
+        try:
+            cols = np.fromfile(fh, dtype="<i8", count=n_cols)
+            model = SoftmaxModel(scheme, cols, b=np.zeros(n_classes))
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+        for row in model.block:
+            row[...] = np.fromfile(fh, dtype="<f8", count=n_cols)
+        model.b[...] = np.fromfile(fh, dtype="<f8", count=n_classes)
+    return model

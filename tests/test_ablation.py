@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import weakref
+
 import pytest
 
+from taxotext import ablation
 from taxotext.ablation import AblationPoint, ablate_snippets, default_ks, write_ablation_csv
 from taxotext.acquire import snippet_text
 from taxotext.cache import TextCache
@@ -134,6 +137,27 @@ def _fields(report: MacroReport):
         report.macro_f1,
         report.confusion.counts.tolist(),
     )
+
+
+def test_each_depth_model_is_freed_before_the_next_depth_trains(tmp_path, sic_scheme, monkeypatch):
+    dataset = _dataset(sic_scheme)
+    cache = TextCache(tmp_path)
+    _seed_cache(cache, dataset)
+    models: list[weakref.ref] = []
+    alive_at_call = []
+    real_train = ablation.train
+
+    def tracking_train(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in models))
+        model = real_train(*args, **kwargs)
+        models.append(weakref.ref(model))
+        return model
+
+    monkeypatch.setattr(ablation, "train", tracking_train)
+    points = ablate_snippets(dataset, cache, ks=(1, 3, 5), cached_depth=DEPTH, train_config=CONFIG)
+    assert [p.k for p in points] == [1, 3, 5]
+    assert alive_at_call == [0, 0, 0]
+    assert all(ref() is None for ref in models)
 
 
 def test_points_come_back_sorted_and_deduped(tmp_path, sic_scheme):

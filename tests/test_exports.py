@@ -34,3 +34,13 @@ def test_import_limits_openblas_to_one_thread_unless_set(preset, expected):
     probe = "import os, taxotext; print(os.environ['OPENBLAS_NUM_THREADS'])"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == expected
+
+
+def test_importing_the_cli_leaves_numpy_random_unimported():
+    # numpy.random adds about 2 MB to every command's RSS; only train's shuffle needs it
+    env = dict(os.environ)
+    src = Path(taxotext.__file__).resolve().parents[1]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, taxotext.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -435,6 +435,71 @@ def test_dense_view_matches_columns():
     assert not np.any(np.delete(W, model.cols, axis=1))
 
 
+def _saturated_model(scheme, stride=4):
+    """A model with weights in every stride-th bucket: 27 x 65,536 for SIC at stride 4."""
+    rng = np.random.default_rng(7)
+    cols = np.arange(0, N_BUCKETS, stride)
+    n_classes = len(scheme.categories)
+    return SoftmaxModel(
+        scheme, cols, rng.standard_normal((n_classes, cols.size)), rng.standard_normal(n_classes)
+    )
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_load_model_reads_the_weights_in_place(tmp_path):
+    scheme = load_sic_scheme()
+    model = _saturated_model(scheme)
+    path = save_model(model, tmp_path / "wide.model")
+    block_bytes, row_bytes = model.block.nbytes, model.cols.nbytes
+    del model
+    loaded, peak = _traced_peak(lambda: load_model(path, scheme))
+    assert block_bytes > 10 * 2**20
+    # the model's own arrays, one row read ahead, and the header: no copy of the body
+    assert peak <= block_bytes + row_bytes + 2**20
+    assert np.array_equal(loaded.block, _saturated_model(scheme).block)
+
+
+def test_save_model_writes_the_weights_in_place(tmp_path):
+    scheme = load_sic_scheme()
+    model = _saturated_model(scheme)
+    path, peak = _traced_peak(lambda: save_model(model, tmp_path / "wide.model"))
+    # the nonzero mask, a bool per weight, and one row: no copy of the block
+    assert peak <= model.block.nbytes // 8 + model.cols.nbytes
+    loaded = load_model(path, scheme)
+    assert np.array_equal(loaded.cols, model.cols) and np.array_equal(loaded.block, model.block)
+    assert np.array_equal(loaded.b, model.b)
+
+
+def test_load_model_rejects_trailing_bytes(tmp_path):
+    scheme = load_sic_scheme()
+    path = save_model(train(_instances(scheme, ["20"], per_class=3), scheme), tmp_path / "m.model")
+    path.write_bytes(path.read_bytes() + b"\0" * 8)
+    with pytest.raises(ParseError, match="bytes"):
+        load_model(path, scheme)
+
+
+def test_all_zero_columns_are_not_saved(tmp_path):
+    scheme = load_sic_scheme()
+    n_classes = len(scheme.categories)
+    block = np.arange(3 * n_classes, dtype=np.float64).reshape(n_classes, 3) + 1.0
+    block[:, 1] = 0.0
+    model = SoftmaxModel(scheme, [3, 70, 900], block, np.linspace(-1.0, 1.0, n_classes))
+    path = save_model(model, tmp_path / "m.model")
+    assert json.loads(path.read_bytes().partition(b"\n")[0])["n_cols"] == 2
+    loaded = load_model(path, scheme)
+    assert loaded.cols.tolist() == [3, 900]
+    assert np.array_equal(loaded.W, model.W)
+    assert np.array_equal(loaded.b, model.b)
+
+
 def test_load_model_rejects_truncated_file(tmp_path):
     scheme = load_sic_scheme()
     path = save_model(train(_instances(scheme, ["20"], per_class=3), scheme), tmp_path / "m.model")

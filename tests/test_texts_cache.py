@@ -14,6 +14,7 @@ import pytest
 from taxotext import cache as cache_module
 from taxotext.cache import TextCache
 from taxotext.errors import CacheCorrupt, CacheUnavailable, MixedEntities
+from taxotext.hashing import canonical_json
 from taxotext.taxonomy import TaskId
 from taxotext.texts import AcquiredText, Source, combine_texts
 
@@ -113,6 +114,23 @@ def test_leaf_cache_key_is_pinned():
     # a changed key would orphan every existing cache entry
     key = TextCache.key(TaskId.SIC, "e1", Source.GSNIP, {"k": 10})
     assert key == "774acd2aea0dd2c84ced3e3739154345507d3e7a55bacc263dca670ee4280006"
+
+
+_JSON_SAMPLES = [
+    {"b": [1, 2.5, -0.0, 1e300, 3.141592653589793], "a": {"z": None, "y": True}},
+    {"name": "Café Zürich — 東京", "emoji": "\U0001f600", "ctrl": "tab\tnew\nline\"q\""},
+    [[{"k": 0.1 + 0.2}], [], {}, "", 1 / 3, 10**20],
+    "plain string",
+    2.0,
+]
+
+
+@pytest.mark.parametrize("sample", _JSON_SAMPLES)
+def test_prebuilt_encoders_write_what_json_dumps_writes(sample):
+    assert canonical_json(sample) == json.dumps(
+        sample, sort_keys=True, separators=(",", ":"), ensure_ascii=False
+    )
+    assert cache_module._BODY_JSON.encode(sample) == json.dumps(sample, ensure_ascii=False, sort_keys=True)
 
 
 def test_cache_loads_an_entry_without_a_task_field(tmp_path):
