@@ -132,6 +132,30 @@ def test_bad_signature_exits_2(workspace):
     assert _run(["acquire", "--sources", "gsnip0"], tmp_path / "runs", config=config) == 2
 
 
+@pytest.mark.parametrize(
+    "search_url,llm_key",
+    [
+        ("http://127.0.0.1:8x/search", "test-key"),
+        ("http://127.0.0.1:9/search results", "test-key"),
+        ("http://127.0.0.1:9/search\tresults", "test-key"),
+        (None, "test-key\n"),
+    ],
+    ids=["port-does-not-parse", "space-in-url", "tab-in-url", "line-break-in-key"],
+)
+def test_bad_provider_setting_exits_2_before_the_manifest(workspace, monkeypatch, search_url, llm_key):
+    # a setting no retry can mend: refused before any request and before the manifest
+    tmp_path, entities, _ = workspace
+    monkeypatch.setenv("LLM_API_KEY", llm_key)
+    config = _write_config(
+        tmp_path / "c.ini", dataset=entities, search_url=search_url or "http://127.0.0.1:9",
+        llm_url="http://127.0.0.1:9", backoff=0.001,
+    )
+    runs = tmp_path / "runs"
+    sources = "gsnip3" if search_url else "gptsum"
+    assert _run(["acquire", "--sources", sources], runs, config=config) == 2
+    assert load_manifest(runs / "r1") is None
+
+
 def test_malformed_dataset_exits_4(tmp_path, env_keys):
     entities = tmp_path / "entities.csv"
     entities.write_text(

@@ -6,6 +6,7 @@ import base64
 import os
 import random
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -427,3 +428,332 @@ def test_pool_shared_by_many_threads_never_shares_a_connection():
     assert results == {name: {name} for name in names}
     assert server.request_count == 20 * len(names)
     assert server.connection_count <= len(names)
+
+
+# --- reply framing, against a server that writes scripted bytes -------------------
+
+
+class Scripted:
+    """One scripted reply: its bytes, whether the server then closes the
+    connection, and whether it writes them one byte per send."""
+
+    def __init__(self, data: bytes, *, close=False, bytewise=False):
+        self.data, self.close, self.bytewise = data, close, bytewise
+
+
+class ScriptedServer:
+    """A raw-socket server that answers each request head with the next scripted
+    reply, and closes a connection when the script has run out."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.connections = 0
+        self._lock = threading.Lock()
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}/x"
+
+    def __enter__(self):
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self._listener.close()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:  # the listener was closed
+                return
+            with self._lock:
+                self.connections += 1
+            threading.Thread(target=self._serve, args=(sock,), daemon=True).start()
+
+    def _serve(self, sock):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        buf = b""
+        with sock:
+            try:
+                while True:
+                    while b"\r\n\r\n" not in buf:
+                        data = sock.recv(65536)
+                        if not data:
+                            return
+                        buf += data
+                    buf = buf.partition(b"\r\n\r\n")[2]  # the requests here carry no body
+                    with self._lock:
+                        if not self.script:
+                            return
+                        reply = self.script.pop(0)
+                    if reply.bytewise:
+                        for i in range(len(reply.data)):
+                            sock.sendall(reply.data[i : i + 1])
+                            time.sleep(0.0005)
+                    else:
+                        sock.sendall(reply.data)
+                    if reply.close:
+                        return
+            except OSError:  # the client gave up on the connection
+                return
+
+
+OK = Scripted(b'HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 8\r\n\r\n{"ok":1}')
+CHUNKED = (
+    b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+    b'3;name=value\r\n{"o\r\n5 ; note="a;b" \r\nk":1}\r\n0;last\r\n'
+    b"X-Checksum: abc\r\nX-Other: d\r\n\r\n"
+)
+
+
+@pytest.mark.parametrize(
+    "script,calls,connections,retries",
+    [
+        ([Scripted(CHUNKED), OK], 2, 1, 0),
+        ([Scripted(b'HTTP/1.1 200 OK\r\n\r\n{"ok":1}', close=True), OK], 2, 2, 0),
+        ([Scripted(b'HTTP/1.0 200 OK\r\nContent-Length: 8\r\n\r\n{"ok":1}'), OK], 2, 2, 0),
+        ([Scripted(b"HTTP/1.1 100 Continue\r\n\r\n" + OK.data), OK], 2, 1, 0),
+        ([Scripted(OK.data, bytewise=True), OK], 2, 1, 0),
+        ([Scripted(b'HTTP/1.1 200 OK\r\nContent-Length: 8, 8\r\n\r\n{"ok":1}'), OK], 2, 1, 0),
+        ([Scripted(b'HTTP/1.1 200 OK\r\nContent-Length: 20\r\n\r\n{"ok', close=True), OK], 1, 2, 1),
+        ([Scripted(b'HTTP/1.1 2OO OK\r\nContent-Length: 8\r\n\r\n{"ok":1}'), OK], 1, 2, 1),
+        ([Scripted(b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n0x8\r\n"), OK], 1, 2, 1),
+        (
+            [Scripted(b'HTTP/1.1 200 OK\r\nContent-Length: 8\r\nContent-Length: 9\r\n\r\n{"ok":1}'), OK],
+            1, 2, 1,
+        ),
+    ],
+    ids=[
+        "chunked-with-extensions-and-trailers", "close-delimited", "http-1.0-not-reused",
+        "100-continue-first", "one-byte-per-send", "repeated-equal-content-length",
+        "body-cut-short", "bad-status-line", "bad-chunk-size", "conflicting-content-lengths",
+    ],
+)
+def test_reply_framing(script, calls, connections, retries):
+    # Every call must read {"ok": 1}, on the first attempt or on its retry; a
+    # connection is reused only after a reply whose framing says where it ended.
+    sleeps = []
+    pool = http.ConnectionPool()
+    with ScriptedServer(script) as server:
+        try:
+            for _ in range(calls):
+                assert request_json(
+                    "GET", server.url, session=pool, sleep=sleeps.append, timeout=10,
+                    policy=RetryPolicy(max_attempts=2, base_backoff=0.0),
+                ) == {"ok": 1}
+        finally:
+            pool.close()
+    assert (server.connections, len(sleeps)) == (connections, retries)
+
+
+def test_reply_head_over_the_limit_fails_without_waiting_for_more():
+    head = b"HTTP/1.1 200 OK\r\nX-Padding: " + b"a" * (70 * 1024) + b"\r\n"  # never ends
+    started = time.monotonic()
+    with ScriptedServer([Scripted(head)]) as server:
+        with pytest.raises(HttpError, match="head over"):
+            request_json("GET", server.url, policy=RetryPolicy(max_attempts=1), timeout=20)
+    assert time.monotonic() - started < 10
+
+
+def test_lower_case_retry_after_is_honoured():
+    too_many = Scripted(b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 7\r\nContent-Length: 2\r\n\r\n{}")
+    sleeps = []
+    with ScriptedServer([too_many, OK]) as server:
+        assert request_json("GET", server.url, sleep=sleeps.append) == {"ok": 1}
+    assert sleeps == [7.0]
+
+
+@pytest.mark.parametrize(
+    "path,headers",
+    [
+        ("/x", {"X-Note": "a\r\nX-Injected: 1"}),
+        ("/x", {"X-Note": "a\nX-Injected: 1"}),
+        ("/x", {"X-Note": "a\x00"}),
+        ("/x", {"X-Note\r\nX-Injected": "1"}),
+        ("/x y", {}),
+        ("/x\x00y", {}),
+    ],
+    ids=["crlf-in-value", "lf-in-value", "nul-in-value", "crlf-in-name", "space-in-target",
+         "nul-in-target"],
+)
+def test_request_with_a_line_break_or_nul_is_refused_before_sending(path, headers):
+    with ScriptedServer([OK]) as server:
+        url = server.url.removesuffix("/x") + path
+        with pytest.raises(ValueError):
+            http.ConnectionPool().request("GET", url, timeout=5, headers=headers)
+        time.sleep(0.05)  # a connection, had one been made, would have been accepted by now
+    assert server.connections == 0
+
+
+def test_stale_check_takes_a_descriptor_over_1024():
+    # select.select() raises ValueError for a descriptor at or over FD_SETSIZE
+    resource = pytest.importorskip("resource")
+    high = 1500
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < high + 100:
+        pytest.skip("the soft RLIMIT_NOFILE is below 1600")
+    try:
+        os.fstat(high)
+    except OSError:
+        pass
+    else:
+        pytest.skip(f"descriptor {high} is in use")
+
+    def pooled(client):
+        (conn,) = [conn for conns in client._session._idle.values() for conn in conns]
+        return conn
+
+    with MockSearchServer({"Acme": ["a"]}, api_key="k") as server:
+        with SearchClient(server.base_url, api_key="k") as client:
+            client.search_entity("Acme", 1)
+            conn = pooled(client)
+            os.dup2(conn.sock.fileno(), high)
+            low, conn.sock = conn.sock, socket.socket(fileno=high)
+            low.close()
+            assert [r.snippet for r in client.search_entity("Acme", 1)] == ["a"]
+            assert pooled(client).sock.fileno() == high  # checked, then reused
+            assert server.connection_count == 1
+            with server._stats_lock:
+                (sock,) = server._open
+            sock.shutdown(socket.SHUT_RDWR)  # the check must still see the server drop it
+            wait_until(lambda: server.open_connections == 0)
+            time.sleep(0.05)
+            assert [r.snippet for r in client.search_entity("Acme", 1)] == ["a"]
+        assert server.connection_count == 2
+
+
+def test_plain_http_request_imports_no_tls_proxy_or_email_module():
+    # ssl, urllib.request (proxy lookup) and http.client's email parser cost
+    # start-up time; a plain-HTTP run with no proxy configured needs none of them
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if not k.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(src)
+    with MockSearchServer({"Acme": ["a"]}, api_key="k") as server:
+        code = (
+            "import sys\n"
+            "from taxotext.search import SearchClient\n"
+            f"with SearchClient({server.base_url!r}, api_key='k') as client:\n"
+            "    assert client.search_entity('Acme', 1)[0].snippet == 'a'\n"
+            "print(*[m for m in ('http.client', 'email.parser', 'urllib.request', 'ssl')"
+            " if m in sys.modules])\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert server.request_count == 1
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == ""
+
+
+# --- HTTPS, directly and through a CONNECT proxy -------------------------------------
+
+# A self-signed certificate for localhost and 127.0.0.1, valid for a century:
+#   openssl req -x509 -newkey ec -pkeyopt ec_paramgen_curve:prime256v1 -nodes -days 36500
+#     -subj /CN=localhost -addext basicConstraints=critical,CA:TRUE
+#     -addext keyUsage=critical,digitalSignature,keyCertSign -addext extendedKeyUsage=serverAuth
+#     -addext subjectAltName=DNS:localhost,IP:127.0.0.1 -keyout localhost.key -out localhost.crt
+TLS_DIR = Path(__file__).resolve().parent / "tls"
+
+
+class TlsSearchServer(MockSearchServer):
+    """The search mock behind TLS, presenting the certificate in tests/tls."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_DIR / "localhost.crt", TLS_DIR / "localhost.key")
+        self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
+
+    @property
+    def port(self) -> int:
+        return self._httpd.server_address[1]
+
+
+@pytest.fixture()
+def trust_test_certificate(monkeypatch):
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_DIR / "localhost.crt"))
+
+
+def test_https_reuses_one_tls_connection(trust_test_certificate, no_direct_connections):
+    with TlsSearchServer({"Acme": ["a"]}, api_key="k") as server:
+        with SearchClient(f"https://127.0.0.1:{server.port}", api_key="k") as client:
+            for _ in range(5):
+                assert [r.snippet for r in client.search_entity("Acme", 1)] == ["a"]
+    assert (server.request_count, server.connection_count) == (5, 1)
+
+
+def test_https_certificate_for_another_name_fails(trust_test_certificate, monkeypatch):
+    real = socket.create_connection
+    monkeypatch.setattr(  # other.test reaches the server, whose certificate does not name it
+        socket, "create_connection", lambda address, *a, **k: real(("127.0.0.1", address[1]), *a, **k)
+    )
+    policy = RetryPolicy(max_attempts=1)
+    with TlsSearchServer({"Acme": ["a"]}, api_key="k") as server:
+        with SearchClient(f"https://other.test:{server.port}", api_key="k", policy=policy) as client:
+            with pytest.raises(HttpError, match="Hostname mismatch"):
+                client.search_entity("Acme", 1)
+    assert server.request_count == 0
+
+
+class ConnectProxy:
+    """A proxy that serves CONNECT only: it records each request head and
+    pipes the tunnel to that port on 127.0.0.1."""
+
+    def __init__(self):
+        self.heads = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+
+    def __enter__(self):
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def __exit__(self, *exc):
+        self._listener.close()
+
+    def _accept(self):
+        while True:
+            try:
+                client, _ = self._listener.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._tunnel, args=(client,), daemon=True).start()
+
+    def _tunnel(self, client):
+        head = b""
+        while b"\r\n\r\n" not in head:
+            data = client.recv(4096)
+            if not data:
+                client.close()
+                return
+            head += data
+        self.heads.append(head.partition(b"\r\n\r\n")[0].decode("ascii"))
+        port = int(head.split(b" ", 2)[1].rsplit(b":", 1)[1])
+        upstream = socket.socket()  # not socket.create_connection, which a test may record
+        upstream.connect(("127.0.0.1", port))
+        client.sendall(b"HTTP/1.1 200 Connection established\r\n\r\n")
+        for src, dst in ((client, upstream), (upstream, client)):
+            threading.Thread(target=self._pipe, args=(src, dst), daemon=True).start()
+
+    @staticmethod
+    def _pipe(src, dst):
+        try:
+            while data := src.recv(65536):
+                dst.sendall(data)
+        except OSError:
+            pass
+        finally:
+            for sock in (src, dst):
+                sock.close()
+
+
+def test_https_goes_through_a_connect_proxy(
+    trust_test_certificate, no_direct_connections, monkeypatch
+):
+    with TlsSearchServer({"Acme": ["tunnelled"]}, api_key="k") as server, ConnectProxy() as proxy:
+        monkeypatch.setenv("HTTPS_PROXY", proxy.url)
+        with SearchClient(f"https://localhost:{server.port}", api_key="k") as client:
+            for _ in range(2):
+                assert [r.snippet for r in client.search_entity("Acme", 1)] == ["tunnelled"]
+    authority = f"localhost:{server.port}"
+    assert proxy.heads == [f"CONNECT {authority} HTTP/1.1\r\nHost: {authority}"]
+    assert no_direct_connections == ["127.0.0.1"]  # the proxy, once
+    assert (server.request_count, server.connection_count) == (2, 1)
