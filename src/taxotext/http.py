@@ -29,11 +29,9 @@ _HEAD_END = re.compile(rb"\r?\n\r?\n")
 _STATUS_LINE = re.compile(r"HTTP/1\.(\d) ([1-9]\d\d)(?: .*)?")
 _CHUNK_SIZE = re.compile(rb"[0-9A-Fa-f]{1,16}")
 _TOKEN = re.compile(r"[-!#$%&'*+.^_`|~0-9A-Za-z]+")  # a method or field name (RFC 9110 §5.6.2)
-# A CR, LF or NUL would end a field, and with it start one no caller wrote.
-_BAD_FIELD_VALUE = re.compile(r"[\x00-\x08\x0a-\x1f\x7f]")
-_NOT_VISIBLE_ASCII = re.compile(r"[^!-~]")
+# In a field value a CR, LF or NUL would end the field, and with it start one no caller wrote.
 _CONTROL = re.compile(r"[\x00-\x1f\x7f]")
-_SPACE_OR_CONTROL = re.compile(r"[\s\x00-\x1f\x7f]")
+_NOT_VISIBLE_ASCII = re.compile(r"[^!-~]")  # what a request target or host may not hold
 
 
 @dataclass(frozen=True)
@@ -292,7 +290,7 @@ class ConnectionPool:
         head = [f"{method} {target}{route.head}"]
         for name, value in fields.items():
             value = str(value)
-            if not _TOKEN.fullmatch(name) or _BAD_FIELD_VALUE.search(value):
+            if not _TOKEN.fullmatch(name) or _CONTROL.search(value):
                 raise ValueError(f"header field {name!r} has a character that is not allowed")
             head.append(f"{name}: {value}\r\n")
         head.append("\r\n")
@@ -444,8 +442,9 @@ class ProviderClient:
             raise ConfigError(f"{self.key_env} is not set and no api_key was given")
         if _CONTROL.search(key):  # it goes into a header field or the query
             raise ConfigError(f"the API key ({self.key_env} or api_key) has a control character")
-        # checked before urlsplit, which drops tabs and line breaks without a word
-        if _SPACE_OR_CONTROL.search(base_url):
+        # checked before urlsplit, which drops tabs and line breaks without a word;
+        # a non-ASCII host is left to the transport's IDNA encoding
+        if _CONTROL.search(base_url) or " " in base_url:
             raise ConfigError(f"{base_url!r} has whitespace or a control character")
         parts = urlsplit(base_url)
         try:
