@@ -6,8 +6,10 @@ Writes a synthetic entity CSV from the fixed ``SEED``, starts the in-package
 mock search and LLM servers (no latency) in a process of their own, and runs
 ``acquire --sources gsnip10,gptsum``, then ``build``, ``train``, ``predict``
 and ``eval`` on ``gsnip10``, each in a fresh process. It prints one JSON object:
-per command its exit code, wall time, CPU time and peak RSS, and the bytes of
-the cache, the corpora, ``finetune/`` and the model. It checks no bound.
+per command its exit code, wall time, CPU time and peak RSS; the bytes of the
+cache, the corpora, ``finetune/`` and the model; each split's row count; and
+the stored features (nonzeros) of the train corpus, so that memory per
+training row is read from two probes' outputs. It checks no bound.
 
 Each command runs under a fresh, small parent process that reads the
 command's peak RSS from ``RUSAGE_CHILDREN``: a child's ``ru_maxrss`` starts
@@ -115,6 +117,21 @@ def _bytes(path: Path) -> int:
     return sum(p.stat().st_size for p in path.rglob("*") if p.is_file()) if path.exists() else 0
 
 
+def _corpus_counts(corpus: Path) -> tuple[dict[str, int], int]:
+    """Rows per split of a built corpus, and the nonzeros of its train rows."""
+    from taxotext.features import featurize
+
+    rows, train_features = {}, 0
+    for split in ("train", "dev", "test"):
+        rows[split] = 0
+        with open(corpus / f"{split}.jsonl", encoding="utf-8") as fh:
+            for line in fh:
+                rows[split] += 1
+                if split == "train":
+                    train_features += featurize(json.loads(line)["input_text"]).nnz
+    return rows, train_features
+
+
 def probe(entities: int, task: str, workdir: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(SRC), "SEARCH_API_KEY": "probe", "LLM_API_KEY": "probe"}
     dataset = _inputs(entities, task, workdir)
@@ -142,11 +159,14 @@ def probe(entities: int, task: str, workdir: Path) -> dict:
         mocks.wait(timeout=60)
         mocks.stdout.close()
     run = workdir / "runs" / "probe"
+    rows, train_features = _corpus_counts(run / "corpus" / "gsnip10")
     return {
         "entities": entities,
         "task": task,
         "commands": commands,
         "bytes": {name: _bytes(run / name) for name in ("cache", "corpus", "finetune", "model")},
+        "rows": rows,
+        "train_features": train_features,
     }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .acquire import TextAcquirer, parse_source_signature
 from .cache import TextCache
@@ -54,15 +54,16 @@ def snippet_depths(ks: Sequence[int] | None, cached_depth: int) -> list[int]:
     return ks
 
 
-def _prefix_features(hashed: dict[str, PrefixFeaturizer], instances) -> list[FeatureVector]:
-    return [hashed[inst.entity_id].vector(inst.input_text) for inst in instances]
+def _prefix_features(hashed: dict[str, PrefixFeaturizer], instances) -> Iterator[FeatureVector]:
+    return (hashed[inst.entity_id].vector(inst.input_text) for inst in instances)
 
 
 def _score_depth(scheme, train_instances, test_instances, golds, hashed, config) -> MacroReport:
     """Train on one depth's instances and score its test predictions.
 
-    The depth's feature vectors, model and predictions live only in this
-    call, so they are freed before the next depth trains.
+    The depth's feature vectors are made one at a time as they are read, and
+    its model and predictions live only in this call, so they are freed
+    before the next depth trains.
     """
     model = train(train_instances, scheme, config, features=_prefix_features(hashed, train_instances))
     preds = predict_instances(model, test_instances, features=_prefix_features(hashed, test_instances))

@@ -13,7 +13,7 @@ from typing import Iterator
 from .cache import TextCache
 from .config import PipelineConfig
 from .errors import CacheUnavailable, TaxotextError
-from .search import SearchClient, SearchResult, aggregate_snippets
+from .search import SearchClient, join_snippets
 from .summarize import PROMPT_TEMPLATES, LlmClient, generate_summary
 from .taxonomy import EntityRecord, TaskId
 from .texts import _COMBINE_ORDER, AcquiredText, Source, combine_texts, utcnow
@@ -119,7 +119,7 @@ def snippet_text(entity_id: str, provenance: list[dict], k: int, retrieved_at: s
         entity_id=entity_id,
         source=Source.GSNIP,
         params={"k": k},
-        text=aggregate_snippets([SearchResult(**p) for p in kept], k),
+        text=join_snippets(p["snippet"] for p in kept),
         retrieved_at=retrieved_at,
         provenance=kept,
     )

@@ -27,7 +27,7 @@ from .acquire import LANES, SourceSpec, TextAcquirer, parse_source_signature
 from .cache import TextCache
 from .config import PipelineConfig, finite_float, load_config, parse_list, snapshot
 from .corpus import (
-    build_instances, emit_chat_finetune, emit_tabular, load_tabular, read_json_rows,
+    build_instances, emit_chat_finetune, emit_tabular, iter_tabular, load_tabular, read_json_rows,
 )
 from .errors import (
     AuthError, ConfigError, EmptyCompletion, HttpError, LengthMismatch,
@@ -43,7 +43,7 @@ from .metrics import (
 )
 from .remote import INVALID, INVALID_LABEL, prompt_baseline
 from .search import SearchClient
-from .softmax import Prediction, load_model, predict_instances, save_model, train
+from .softmax import Prediction, TrainingRows, load_model, predict_instances, save_model, train
 from .summarize import LlmClient
 from .taxonomy import Dataset, Split, TaxonomyScheme, load_dataset, load_scheme, split_dataset
 
@@ -276,11 +276,13 @@ def cmd_build(ctx: RunContext, args) -> int:
 
 def cmd_train(ctx: RunContext, args) -> int:
     corpus_path = _existing(args.corpus, _corpus_path(ctx, Split.TRAIN), "training corpus", "build")
-    instances = load_tabular(corpus_path, ctx.scheme)
+    # The whole corpus is read and featurized before the manifest entry, so a
+    # bad corpus leaves none.
+    rows = TrainingRows(iter_tabular(corpus_path, ctx.scheme), ctx.scheme)
     ctx.record({"corpus": str(corpus_path)})
-    model = train(instances, ctx.scheme, ctx.config.training)
+    model = train(rows, ctx.scheme, ctx.config.training)
     model_path = save_model(model, ctx.run_dir / "model" / f"{ctx.spec.signature}.model")
-    print(f"trained on {len(instances)} instances -> {model_path}")
+    print(f"trained on {len(rows)} instances -> {model_path}")
     return EXIT_OK
 
 

@@ -172,10 +172,9 @@ def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[in
             yield rownum, row
 
 
-def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[ClassificationInstance]:
-    """Inverse of emit_tabular; round-trips instances losslessly."""
+def iter_tabular(path: str | Path, scheme: TaxonomyScheme) -> Iterator[ClassificationInstance]:
+    """The instances of an emit_tabular file, read one line at a time."""
     by_id = scheme.by_id
-    out: list[ClassificationInstance] = []
     fields = ("entity_id", "input_text", "source_signature")
     for rownum, row in read_json_rows(path, fields):
         for name in fields:
@@ -186,12 +185,14 @@ def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[Classificatio
             if not isinstance(row["gold"], str) or row["gold"] not in by_id:
                 raise UnknownLabel(f"row {rownum}: unknown gold label {row['gold']!r} in {path}")
             gold = by_id[row["gold"]]
-        out.append(
-            ClassificationInstance(
-                entity_id=row["entity_id"],
-                input_text=row["input_text"],
-                gold=gold,
-                source_signature=row["source_signature"],
-            )
+        yield ClassificationInstance(
+            entity_id=row["entity_id"],
+            input_text=row["input_text"],
+            gold=gold,
+            source_signature=row["source_signature"],
         )
-    return out
+
+
+def load_tabular(path: str | Path, scheme: TaxonomyScheme) -> list[ClassificationInstance]:
+    """Inverse of emit_tabular; round-trips instances losslessly."""
+    return list(iter_tabular(path, scheme))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import MalformedResponse
 from .http import ProviderClient, request_json
@@ -49,13 +49,18 @@ class SearchClient(ProviderClient):
         return results
 
 
-def aggregate_snippets(results: Sequence[SearchResult], k: int) -> str:
-    """Join the snippets of the first k results into one text block.
+def join_snippets(snippets: Iterable[str]) -> str:
+    """Join snippets into one text block, in order, with single spaces.
 
-    Empty snippets are dropped so the output never carries doubled spaces;
-    output is trimmed. Deterministic in the result order.
+    Each snippet is trimmed, and blank ones are dropped so the output never
+    carries doubled spaces.
     """
+    return " ".join(s for s in map(str.strip, snippets) if s)
+
+
+def aggregate_snippets(results: Sequence[SearchResult], k: int) -> str:
+    """Join the snippets of the first k results into one text block, by
+    ``join_snippets``. Deterministic in the result order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    snippets = [r.snippet.strip() for r in results[:k]]
-    return " ".join(s for s in snippets if s)
+    return join_snippets(r.snippet for r in results[:k])

@@ -18,6 +18,12 @@ put in bucket order once, as the classes x buckets columns the model keeps:
 no path builds the classes x 2^18 matrix except the on-demand
 ``SoftmaxModel.W``.
 
+The corpus is held as ``TrainingRows``: one compact layout of every row's
+features, filled as each text is featurized, so no instance, text or
+``FeatureVector`` outlives its row. Each step gathers weight rows, forms outer
+products and accumulates the batch's gradient in buffers allocated once per
+``train`` call, sized for the longest row and the largest batch union.
+
 When at least two CPUs are usable and the corpus has at least
 ``SPLIT_MIN_ELEMENTS`` weights, a step whose prefix is that large updates it
 in two halves at once: a worker thread takes the upper rows, the calling
@@ -32,12 +38,13 @@ import json
 import logging
 import math
 import os
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -183,59 +190,140 @@ def loss_and_grad(
     return total / n, grad_W / n, grad_b / n
 
 
-def _slot_layout(feats: list[FeatureVector], first_order):
+class TrainingRows:
+    """Gold-labeled feature rows in one compact layout, filled one instance at a time.
+
+    Row ``i`` holds the buckets ``rows[i]``, a view of the int32 ``cols`` from
+    ``offsets[i]`` to ``offsets[i + 1]``, with its feature values at the same
+    positions of ``values`` and its class index ``targets[i]``. Each instance
+    and its ``FeatureVector`` are dropped once copied in, so an iterator of
+    instances is never held whole. ``features``, one vector per instance in
+    order, stands in for featurizing each instance's text. ``train`` renumbers
+    ``cols`` from buckets to slots in place, so the rows train once.
+
+    The first instance without a gold label in the scheme is kept as
+    ``label_error`` for ``train`` to raise. The instances after it are read but
+    not featurized, so a malformed row further on still raises here.
+    """
+
+    def __init__(
+        self,
+        instances: Iterable,
+        scheme: TaxonomyScheme,
+        features: Iterable[FeatureVector] | None = None,
+    ):
+        by_id = scheme.by_id
+        cols, values, offsets, targets = array("i"), array("d"), array("q", [0]), array("q")
+        self.label_error: MissingGold | UnknownLabel | None = None
+        vectors = None if features is None else iter(features)
+        for inst in instances:
+            if self.label_error is not None:
+                continue
+            if inst.gold is None:
+                self.label_error = MissingGold(f"instance {inst.entity_id!r} has no gold label")
+                continue
+            if inst.gold.id not in by_id:
+                self.label_error = UnknownLabel(f"gold label {inst.gold.id!r} not in scheme")
+                continue
+            fv = featurize(inst.input_text) if vectors is None else next(vectors, None)
+            if fv is None:
+                raise ValueError("fewer feature vectors than instances")
+            targets.append(scheme.index_of(inst.gold.id))
+            cols.frombytes(fv.indices.astype(np.int32).tobytes())
+            values.frombytes(fv.values.tobytes())
+            offsets.append(len(cols))
+        if vectors is not None and self.label_error is None and next(vectors, None) is not None:
+            raise ValueError("more feature vectors than instances")
+        self.scheme = scheme
+        self.cols = np.frombuffer(cols, dtype=np.int32)
+        self.values = np.frombuffer(values, dtype=np.float64)
+        self.offsets = np.frombuffer(offsets, dtype=np.int64)
+        self.targets = np.frombuffer(targets, dtype=np.int64)
+        self.renumbered = False
+
+    def __len__(self) -> int:
+        return self.targets.size
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.cols[self.offsets[i] : self.offsets[i + 1]]
+
+
+def _slot_layout(rows: TrainingRows, first_order) -> tuple[np.ndarray, np.ndarray]:
     """Number the used buckets by first appearance along `first_order`.
 
-    Returns the used buckets in increasing order, the slot of each, and, per
-    instance, the slots of its feature indices in the same (bucket) order as
-    the indices.
+    Rewrites each row's buckets to their slots in place, so ``rows[i]`` then
+    holds the slots of its features in the same (bucket) order, and returns the
+    used buckets in increasing order and the slot of each. Walking the rows
+    needs one bucket-indexed map, not a sort of every stored feature.
     """
-    seq = np.concatenate([feats[i].indices for i in first_order])
-    buckets, first = np.unique(seq, return_index=True)
-    slot_of = np.empty(buckets.size, dtype=np.int64)
-    slot_of[np.argsort(first)] = np.arange(buckets.size)
-    slots = [slot_of[np.searchsorted(buckets, fv.indices)] for fv in feats]
-    return buckets, slot_of, slots
+    if rows.renumbered:
+        raise ValueError("these rows were renumbered by an earlier train call")
+    rows.renumbered = True
+    slot = np.full(N_BUCKETS, -1, dtype=np.int32)
+    n_slots = 0
+    for i in first_order:
+        row = rows[i]
+        new = row[slot[row] < 0]
+        slot[new] = np.arange(n_slots, n_slots + new.size, dtype=np.int32)
+        n_slots += new.size
+        row[...] = slot[row]
+    buckets = np.flatnonzero(slot >= 0)
+    return buckets, slot[buckets]
 
 
-def _batch_grad(W, b, feats, slots, targets, batch_ids, pos_of):
+def _batch_grad(W, b, rows, batch_ids, pos_of, grad_buf, gather_buf, outer_buf):
     """Gradient rows of the union of the batch's slots, for slots x classes ``W``.
 
-    The logits use the transposed gather ``W[slots].T``: like the dense
-    ``W[:, indices]`` it is classes x n in Fortran order, so the product sums
-    in the same order. A C-contiguous copy would change the order and the
-    last bits of the weights. ``pos_of`` is scratch with one entry per slot;
-    it maps each slot of the union to its gradient row.
+    The logits use the transposed gather of ``W``'s rows at the instance's
+    slots: like the dense ``W[:, indices]`` it is classes x n in Fortran
+    order, so the product sums in the same order. Multiplying a C-contiguous
+    classes x n copy would change the order and the last bits of the weights.
+    ``pos_of`` is scratch with one entry per slot; it maps each slot of the
+    union to its gradient row. The gradient rows are the leading rows of
+    ``grad_buf``; each instance's gathered weights and outer product go into
+    the leading rows of ``gather_buf`` and ``outer_buf``.
     """
     # The sorted union by a mask on adjacent differences. On a plain integer
     # array np.unique takes its hash path, about ten times slower at these sizes.
-    seq = np.concatenate([slots[i] for i in batch_ids])
+    # The union is intp: indexing with the rows' int32 slots would cast them
+    # again at each block of the update.
+    seq = np.concatenate([rows[i] for i in batch_ids], dtype=np.intp)
     seq.sort()
     first = np.empty(seq.size, dtype=bool)
     first[:1] = True
     np.not_equal(seq[1:], seq[:-1], out=first[1:])
     cols = seq[first]
     pos_of[cols] = np.arange(cols.size)
-    grad_rows = np.zeros((cols.size, b.size))
+    grad_rows = grad_buf[: cols.size]
+    grad_rows.fill(0.0)
     grad_b = np.zeros(b.size)
     loss = 0.0
+    offsets, values, targets = rows.offsets, rows.values, rows.targets
     for i in batch_ids:
-        fv, y = feats[i], targets[i]
-        z = b + (W[slots[i]].T @ fv.values if fv.nnz else 0.0)
+        lo, hi = offsets[i], offsets[i + 1]
+        slots, fv_values, y = rows.cols[lo:hi], values[lo:hi], targets[i]
+        # mode="clip" writes straight into the buffer; every slot is in range.
+        gathered = np.take(W, slots, axis=0, out=gather_buf[: slots.size], mode="clip")
+        z = b + (gathered.T @ fv_values if slots.size else 0.0)
         shifted = z - z.max()
         e = np.exp(shifted)
         loss += math.log(e.sum()) - shifted[y]
         g = e / e.sum()
         g[y] -= 1.0
-        if fv.nnz:
-            grad_rows[pos_of[slots[i]]] += np.outer(fv.values, g)
+        if slots.size:
+            # grad_rows[at] += np.outer(fv_values, g), through the two buffers
+            outer = np.multiply(fv_values[:, None], g[None, :], out=outer_buf[: slots.size])
+            at = pos_of[slots]
+            np.take(grad_rows, at, axis=0, out=gathered, mode="clip")
+            gathered += outer
+            grad_rows[at] = gathered
         grad_b += g
     n = len(batch_ids)
     grad_rows /= n
     return cols, grad_rows, grad_b / n, loss / n
 
 
-def _adam_step(W, mW, vW, n_active, cols, grad_rows, beta1, beta2, decay, scale, sqrt_bc2, eps, buf):
+def _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, beta1, beta2, decay, scale, sqrt_bc2, eps, buf):
     """One moment update and weight step on the slots x classes arrays, in place.
 
     ``mW = beta1 * mW + (1 - beta1) * g`` and ``vW = beta2 * vW + (1 - beta2) * g * g``
@@ -246,9 +334,9 @@ def _adam_step(W, mW, vW, n_active, cols, grad_rows, beta1, beta2, decay, scale,
     is in cache. Every element sees the same IEEE operations in the same order
     as the whole-prefix expressions, without their n_active x classes
     temporaries. ``decay`` None skips the multiplication. ``grad_rows`` is
-    overwritten.
+    overwritten, and ``grad_sq``, of its shape, is scratch for its squares.
     """
-    grad_sq = np.multiply(grad_rows, grad_rows)
+    np.multiply(grad_rows, grad_rows, out=grad_sq)
     grad_sq *= 1.0 - beta2
     grad_rows *= 1.0 - beta1
     chunk = buf.shape[0]
@@ -289,52 +377,49 @@ def _split_point(n_active: int, n_classes: int, chunk: int) -> int:
     return mid if mid < n_active else 0
 
 
-def _one_per_instance(features: Sequence[FeatureVector], instances: list) -> list[FeatureVector]:
-    features = list(features)
-    if len(features) != len(instances):
-        raise ValueError(f"{len(features)} feature vectors for {len(instances)} instances")
-    return features
-
-
 def train(
     instances,
     scheme: TaxonomyScheme,
     config: TrainConfig | None = None,
     *,
-    features: Sequence[FeatureVector] | None = None,
+    features: Iterable[FeatureVector] | None = None,
 ) -> SoftmaxModel:
-    """Fit the classifier on gold-labeled instances.
+    """Fit the classifier on gold-labeled instances, or on their ``TrainingRows``.
 
     Deterministic for a fixed seed: shuffle order, batching, and update
     order are all derived from it. Bias is exempt from weight decay.
-    ``features``, one vector per instance in order, stands in for
-    featurizing each instance's text.
+    ``instances`` may be any iterable, read once; ``features``, one vector per
+    instance in order, stands in for featurizing each instance's text.
     """
     config = config or TrainConfig()
-    instances = list(instances)
-    if not instances:
-        raise EmptyTrainingSet("no training instances")
-    by_id = scheme.by_id
-    targets: list[int] = []
-    for inst in instances:
-        if inst.gold is None:
-            raise MissingGold(f"instance {inst.entity_id!r} has no gold label")
-        if inst.gold.id not in by_id:
-            raise UnknownLabel(f"gold label {inst.gold.id!r} not in scheme")
-        targets.append(scheme.index_of(inst.gold.id))
-    if features is None:
-        feats = [featurize(inst.input_text) for inst in instances]
+    if isinstance(instances, TrainingRows):
+        rows = instances
+        if rows.scheme.fingerprint != scheme.fingerprint:
+            raise ValueError("the rows were labeled under a different scheme")
     else:
-        feats = _one_per_instance(features, instances)
+        rows = TrainingRows(instances, scheme, features)
+    if rows.label_error is not None:
+        raise rows.label_error
+    if not len(rows):
+        raise EmptyTrainingSet("no training instances")
 
     rng = np.random.default_rng(config.seed)
-    orders = [rng.permutation(len(feats)) for _ in range(config.epochs)]
-    buckets, slot_of, slots = _slot_layout(feats, orders[0] if orders else range(len(feats)))
+    orders = [rng.permutation(len(rows)) for _ in range(config.epochs)]
+    buckets, slot_of = _slot_layout(rows, orders[0] if orders else range(len(rows)))
 
     n_classes = len(scheme.categories)
     W = np.zeros((buckets.size, n_classes))
     buf = np.empty((max(1, min(UPDATE_CHUNK_COLS, buckets.size)), n_classes))
     pos_of = np.empty(buckets.size, dtype=np.intp)
+    # The step buffers, allocated once: gathered weights and an outer product
+    # for the longest row, and gradient rows and their squares for the largest
+    # union a batch can have, that of its batch_size longest rows. A step
+    # writes only the leading rows it needs.
+    lengths = np.diff(rows.offsets)
+    gather_buf = np.empty((int(lengths.max()), n_classes))
+    outer_buf = np.empty_like(gather_buf)
+    grad_buf = np.empty((min(buckets.size, int(np.sort(lengths)[-config.batch_size :].sum())), n_classes))
+    sq_buf = np.empty_like(grad_buf)
     b = np.zeros(n_classes)
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)
@@ -355,8 +440,9 @@ def train(
                 batch_ids = order[start : start + config.batch_size]
                 step += 1
                 cols, grad_rows, grad_b, batch_loss = _batch_grad(
-                    W, b, feats, slots, targets, batch_ids, pos_of
+                    W, b, rows, batch_ids, pos_of, grad_buf, gather_buf, outer_buf
                 )
+                grad_sq = sq_buf[: cols.size]
                 if cols.size:
                     n_active = max(n_active, int(cols[-1]) + 1)
 
@@ -375,21 +461,21 @@ def train(
                     cut = int(np.searchsorted(cols, mid))
                     upper = worker.submit(
                         _adam_step, W[mid:], mW[mid:], vW[mid:], n_active - mid,
-                        cols[cut:] - mid, grad_rows[cut:], *hyper, upper_buf,
+                        cols[cut:] - mid, grad_rows[cut:], grad_sq[cut:], *hyper, upper_buf,
                     )
-                    _adam_step(W, mW, vW, mid, cols[:cut], grad_rows[:cut], *hyper, buf)
+                    _adam_step(W, mW, vW, mid, cols[:cut], grad_rows[:cut], grad_sq[:cut], *hyper, buf)
                     upper.result()
                 else:
-                    _adam_step(W, mW, vW, n_active, cols, grad_rows, *hyper, buf)
+                    _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, *hyper, buf)
                 b = b - scale * (mb / (np.sqrt(vb) / math.sqrt(bc2) + eps))
                 epoch_loss += batch_loss
                 n_batches += 1
             logger.info("epoch %d: mean batch loss %.4f", epoch + 1, epoch_loss / max(1, n_batches))
 
-    # Free the moments, then copy the slots into bucket order in chunks, so at
-    # most two arrays of U x classes weights (W and the model's block) are ever
-    # alive here.
-    del mW, vW
+    # Free the moments and the step buffers, then copy the slots into bucket
+    # order in chunks, so at most two arrays of U x classes weights (W and the
+    # model's block) are ever alive here.
+    del mW, vW, grad_buf, sq_buf, gather_buf, outer_buf
     model = SoftmaxModel(scheme, buckets, b=b)
     block = model.block
     for start in range(0, buckets.size, UPDATE_CHUNK_COLS):
@@ -418,19 +504,18 @@ def predict_text(model: SoftmaxModel, text: str, entity_id: str | None = None) -
 
 
 def predict_instances(
-    model: SoftmaxModel, instances, *, features: Sequence[FeatureVector] | None = None
+    model: SoftmaxModel, instances, *, features: Iterable[FeatureVector] | None = None
 ) -> list[Prediction]:
-    """Predict a sequence of instances one at a time, in order.
+    """Predict instances one at a time, in order.
 
     ``features``, one vector per instance in order, stands in for
-    featurizing each instance's text.
+    featurizing each instance's text; a count that differs is a ValueError.
     """
-    instances = list(instances)
     if features is None:
-        features = (featurize(inst.input_text) for inst in instances)
+        pairs = ((inst, featurize(inst.input_text)) for inst in instances)
     else:
-        features = _one_per_instance(features, instances)
-    return [predict(model, fv, entity_id=inst.entity_id) for inst, fv in zip(instances, features)]
+        pairs = zip(instances, features, strict=True)
+    return [predict(model, fv, entity_id=inst.entity_id) for inst, fv in pairs]
 
 
 def save_model(model: SoftmaxModel, path: str | Path) -> Path:

@@ -178,6 +178,6 @@ def generate_summary(
         params={"template_id": template.id, "model_id": model_id, "max_tokens": max_tokens},
         text="" if refusal else truncate_at_sentence(content),
         retrieved_at=now(),
-        provenance={"prompt_sha256": template.prompt_hash(name)},
+        provenance={"prompt_sha256": sha256_hex(prompt)},
         refusal=refusal,
     )

@@ -9,6 +9,8 @@ from pathlib import Path
 
 from conftest import cache_rows
 
+from taxotext.features import featurize
+
 PROBE = Path(__file__).resolve().parent.parent / "scripts" / "scale_probe.py"
 
 
@@ -26,6 +28,14 @@ def test_scale_probe_runs_the_chain_at_300_entities(tmp_path):
         assert command["wall_s"] > 0 and command["cpu_s"] > 0
         assert command["peak_rss_mb"] > 10
     assert all(result["bytes"][name] > 0 for name in ("cache", "corpus", "finetune", "model"))
+    # the split's rows and the train corpus's stored features, as the corpus holds them
+    corpus = tmp_path / "runs" / "probe" / "corpus" / "gsnip10"
+    lines = {split: (corpus / f"{split}.jsonl").read_text().splitlines() for split in result["rows"]}
+    assert sorted(lines) == ["dev", "test", "train"]
+    assert result["rows"] == {split: len(rows) for split, rows in lines.items()}
+    assert sum(result["rows"].values()) == 300
+    nonzeros = sum(featurize(json.loads(line)["input_text"]).nnz for line in lines["train"])
+    assert result["train_features"] == nonzeros > 10 * result["rows"]["train"]
     # acquire stored one search and one summary per entity
     assert len(cache_rows(tmp_path / "runs" / "probe" / "cache")) == 2 * 300
     manifest = json.loads((tmp_path / "runs" / "probe" / "manifest.json").read_text())

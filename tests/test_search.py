@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 
+from taxotext.acquire import snippet_text
 from taxotext.errors import AuthError, ConfigError, MalformedResponse
 from taxotext.mockserver import MockSearchServer
 from taxotext.search import SearchClient, SearchResult, aggregate_snippets
@@ -93,3 +96,23 @@ def test_aggregate_skips_blank_snippets():
 def test_aggregate_strips_outer_whitespace():
     joined = aggregate_snippets(_results(["  alpha  ", "beta\n"]), k=2)
     assert joined == "alpha beta"
+
+
+@pytest.mark.parametrize(
+    "snips, k, joined",
+    [
+        (["alpha", "", "gamma"], 3, "alpha gamma"),
+        (["", "   ", "\t\n"], 3, ""),
+        (["\u00a0", " beta ", "  "], 3, "beta"),
+        (["alpha", "  ", "gamma"], 2, "alpha"),
+        (["", "beta"], 1, ""),
+    ],
+    ids=["empty", "all-blank", "nbsp-only", "blank-in-cut", "cut-to-empty"],
+)
+def test_cached_snippets_join_as_search_results_do(snips, k, joined):
+    # gsnip texts cut from a cache entry's provenance dicts are the same bytes
+    # as the aggregate of the results they were stored from
+    results = _results(snips)
+    assert aggregate_snippets(results, k) == joined
+    cut = snippet_text("e1", [asdict(r) for r in results], k, "2024-01-01T00:00:00Z")
+    assert cut.text == joined

@@ -202,7 +202,8 @@ def test_train_matches_dense_oracle_across_narrow_update_chunks(monkeypatch, bat
     model = train(instances, scheme, config)
     assert model.cols.size > 2 * chunk and (chunk == 1 or model.cols.size % chunk != 0)
     order = np.random.default_rng(config.seed).permutation(len(instances))
-    _, _, slots = softmax._slot_layout([featurize(i.input_text) for i in instances], order)
+    slots = softmax.TrainingRows(instances, scheme)
+    softmax._slot_layout(slots, order)
     first_batch = np.concatenate([slots[i] for i in order[:batch_size]])
     assert first_batch.min() // chunk < first_batch.max() // chunk
     W, b = _dense_oracle(instances, scheme, config)
@@ -399,6 +400,85 @@ def test_model_file_bytes_pinned_across_update_chunks(tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_MODEL_SHA256
 
 
+# --- the compact row layout ------------------------------------------------------
+
+
+def test_train_on_one_shot_generators_writes_the_model_of_lists(tmp_path):
+    scheme = load_sic_scheme()
+    instances = _wide_instances(scheme)
+    vectors = [featurize(inst.input_text) for inst in instances]
+    runs = {
+        "lists": lambda: train(instances, scheme, WIDE_CONFIG),
+        "instances": lambda: train((i for i in instances), scheme, WIDE_CONFIG),
+        "features-list": lambda: train(instances, scheme, WIDE_CONFIG, features=vectors),
+        "both": lambda: train(
+            (i for i in instances), scheme, WIDE_CONFIG, features=(fv for fv in vectors)
+        ),
+        "rows": lambda: train(softmax.TrainingRows(iter(instances), scheme), scheme, WIDE_CONFIG),
+    }
+    for name, run in runs.items():
+        path = save_model(run(), tmp_path / f"{name}.model")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WIDE_MODEL_SHA256, name
+
+
+def test_training_rows_check_their_vectors_and_train_once():
+    scheme = load_sic_scheme()
+    instances = _instances(scheme, ["20", "60"], per_class=3)
+    vectors = [featurize(inst.input_text) for inst in instances]
+    for wrong in (vectors[:-1], vectors + vectors[:1]):
+        with pytest.raises(ValueError, match="feature vectors"):
+            train(iter(instances), scheme, features=iter(wrong))
+    rows = softmax.TrainingRows(instances, scheme)
+    assert len(rows) == len(instances)
+    assert [rows.cols.dtype, rows.values.dtype, rows.offsets.dtype] == [np.int32, np.float64, np.int64]
+    for i, fv in enumerate(vectors):
+        assert np.array_equal(rows[i], fv.indices)
+        assert np.array_equal(rows.values[rows.offsets[i] : rows.offsets[i + 1]], fv.values)
+    train(rows, scheme)
+    with pytest.raises(ValueError, match="renumbered"):
+        train(rows, scheme)
+    with pytest.raises(ValueError, match="scheme"):
+        train(softmax.TrainingRows(instances, scheme), load_healthcare_scheme())
+
+
+def _small_vocabulary_texts(n_rows, n_tokens=120, vocab=60):
+    """Texts over a few dozen words: many stored features, few distinct buckets."""
+    rng = np.random.default_rng(5)
+    words = [f"word{i}" for i in range(vocab)]
+    return [" ".join(rng.choice(words, size=n_tokens)) for _ in range(n_rows)]
+
+
+def test_train_holds_the_adam_state_the_rows_and_one_batch(tmp_path):
+    # The traced peak of train over a generator of instances is bounded by
+    # the three slots x classes arrays (weights and both moments), 12 B per
+    # stored feature (an int32 slot and a float64 value), 16 B per row
+    # (offset and class), 20 B per slot (bucket, slot and union position),
+    # and the step buffers: gradient rows and their squares for the largest
+    # possible batch union, gathered weights and an outer product for the
+    # longest row, and two chunks of the update. A list of FeatureVectors with
+    # int64 slots, or holding the instances, exceeds it.
+    scheme = load_sic_scheme()
+    cats = ["20", "60", "73"]
+    texts = _small_vocabulary_texts(1200)
+    config = TrainConfig(epochs=2, batch_size=8, warmup_steps=10, seed=1)
+    nnz = np.array([featurize(t).nnz for t in texts])
+    n_slots = np.unique(np.concatenate([featurize(t).indices for t in texts])).size
+    n_classes = len(scheme.categories)
+    batch_union = min(n_slots, int(np.sort(nnz)[-config.batch_size :].sum()))
+    chunk = min(UPDATE_CHUNK_COLS, n_slots)
+    step_buffers = 8 * n_classes * (2 * batch_union + 2 * int(nnz.max()) + 2 * chunk)
+    adam_state = 3 * 8 * n_slots * n_classes
+    bound = adam_state + 12 * int(nnz.sum()) + 16 * len(texts) + 20 * n_slots + step_buffers
+    instances = (
+        ClassificationInstance(f"r{k:05d}", text, scheme.by_id[cats[k % 3]], "gsnip10")
+        for k, text in enumerate(texts)
+    )
+    model, peak = _traced_peak(lambda: train(instances, scheme, config))
+    assert 12 * nnz.sum() > adam_state  # the rows weigh in the bound
+    assert model.cols.size == n_slots
+    assert peak <= bound, (peak, bound)
+
+
 def test_train_save_load_predict_never_allocate_a_dense_matrix(tmp_path):
     scheme = load_sic_scheme()
     instances = _wide_instances(scheme)
@@ -574,7 +654,8 @@ def test_split_step_matches_dense_oracle(monkeypatch, forced_split, chunk):
     # the first step cuts the first batch's slots, which are the leading rows
     # [:k], on a chunk boundary: the lower rows here, the upper on the worker
     order = np.random.default_rng(config.seed).permutation(len(instances))
-    _, _, slots = softmax._slot_layout([featurize(i.input_text) for i in instances], order)
+    slots = softmax.TrainingRows(instances, scheme)
+    softmax._slot_layout(slots, order)
     k = np.unique(np.concatenate([slots[i] for i in order[: config.batch_size]])).size
     mid = calls["main"][0]
     assert 0 < mid < k and mid % chunk == 0

@@ -3,10 +3,12 @@ from __future__ import annotations
 import pytest
 
 from taxotext.errors import AuthError, ConfigError, EmptyCompletion
+from taxotext.hashing import sha256_hex
 from taxotext.mockserver import MockLlmServer
 from taxotext.summarize import (
     PROMPT_TEMPLATES,
     LlmClient,
+    PromptTemplate,
     detect_refusal,
     generate_summary,
     truncate_at_sentence,
@@ -111,6 +113,26 @@ def test_generate_summary_roundtrip():
     assert not text.refusal
     assert text.text.startswith("Acme Corp makes fasteners.")
     assert text.provenance["prompt_sha256"] == PROMPT_TEMPLATES["GPT_SIC"].prompt_hash("Acme Corp")
+
+
+def test_generate_summary_fills_its_prompt_once_and_hashes_what_it_sent(monkeypatch):
+    fills, sent = [], []
+    real_fill = PromptTemplate.fill
+    monkeypatch.setattr(
+        PromptTemplate, "fill", lambda self, name: fills.append(name) or real_fill(self, name)
+    )
+
+    def reply(messages, model):
+        sent.append(messages[-1]["content"])
+        return "Acme Corp makes fasteners."
+
+    with (
+        MockLlmServer(reply, api_key="sk-test") as server,
+        LlmClient(server.base_url, api_key="sk-test") as client,
+    ):
+        text = generate_summary("e1", "Acme Corp", PROMPT_TEMPLATES["LLAMA_SIC"], client, model_id="m1")
+    assert fills == ["Acme Corp"]
+    assert text.provenance["prompt_sha256"] == sha256_hex(sent[0])
 
 
 def test_generate_summary_trims_dangling_sentence():
