@@ -5,7 +5,7 @@
 Writes a synthetic entity CSV from the fixed ``SEED``, starts the in-package
 mock search and LLM servers (no latency) in a process of their own, and runs
 ``acquire --sources gsnip10,gptsum``, then ``build``, ``train``, ``predict``
-and ``eval`` on ``gsnip10``, each in a fresh process. It prints one JSON object:
+and ``eval`` on ``gsnip10`` and ``ablate --ks 1,10``, each in a fresh process. It prints one JSON object:
 per command its exit code, wall time, CPU time and peak RSS; the bytes of the
 cache, the corpora, ``finetune/`` and the model; each split's row count; and
 the stored features (nonzeros) of the train corpus, so that memory per
@@ -38,6 +38,7 @@ COMMANDS = (
     ("train", "--sources", "gsnip10"),
     ("predict", "--sources", "gsnip10"),
     ("eval", "--sources", "gsnip10"),
+    ("ablate", "--ks", "1,10"),
 )
 VOCAB = 20000
 SEED = 0

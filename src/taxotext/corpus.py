@@ -13,16 +13,14 @@ import logging
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import MissingGold, MissingText, ParseError, UnknownLabel
 from .files import read_lines, write_file
 from .hashing import sha256_hex
-from .taxonomy import CategoryLabel, EntityRecord, Split, TaxonomyScheme, _data_text
+from .taxonomy import CategoryLabel, EntityRecord, TaxonomyScheme, _data_text
 
 logger = logging.getLogger(__name__)
-
-_GOLD_SPLITS = (Split.TRAIN, Split.DEV)
 
 
 @dataclass(frozen=True)
@@ -41,6 +39,38 @@ class BuildResult:
     empty_count: int  # refusal-only or missing descriptions
 
 
+def instance_text(name: str, description: str) -> str:
+    """An instance's input text: the entity's name, a newline, then its description."""
+    return f"{name}\n{description}"
+
+
+def _make_instance(
+    record: EntityRecord, description: str | None, signature: str, *, strict: bool = False
+) -> ClassificationInstance:
+    """Pair one record with its description, as ``TextAcquirer.resolve`` yields it.
+
+    A refused summary is ``""``; a missing one (None) raises MissingText in
+    strict mode and is emitted as an empty description otherwise. Gold
+    labels are attached only for train/dev records; test instances are
+    unlabeled.
+    """
+    if description is None:
+        if strict:
+            raise MissingText(f"no acquired text for entity {record.entity_id!r}")
+        description = ""
+    return ClassificationInstance(
+        entity_id=record.entity_id,
+        input_text=instance_text(record.name, description),
+        gold=record.gold,
+        source_signature=signature,
+    )
+
+
+def warn_empty(empty: int, total: int) -> None:
+    if empty:
+        logger.warning("%d of %d instances have empty descriptions", empty, total)
+
+
 def build_instances(
     records: Sequence[EntityRecord],
     texts: Mapping[str, str],
@@ -48,35 +78,18 @@ def build_instances(
     *,
     strict: bool = False,
 ) -> BuildResult:
-    """Pair records with their descriptions, ordered by entity id.
+    """Pair records with their descriptions (``_make_instance``), ordered by entity id.
 
-    texts maps an entity id to its description, as ``TextAcquirer.resolve``
-    yields it: a refused summary is ``""``, and a missing entry is left out.
-    input_text is the name, a newline, then the description. Gold labels
-    are attached only for train/dev records; test instances are unlabeled.
-    Entities absent from texts raise MissingText in strict mode and are
-    emitted with an empty description otherwise, like refusal-only texts.
+    texts maps an entity id to its description; an entity absent from it has
+    a missing one.
     """
     instances: list[ClassificationInstance] = []
     empty = 0
     for record in sorted(records, key=lambda r: r.entity_id):
-        body = texts.get(record.entity_id)
-        if body is None:
-            if strict:
-                raise MissingText(f"no acquired text for entity {record.entity_id!r}")
-            body = ""
-        if body == "":
-            empty += 1
-        instances.append(
-            ClassificationInstance(
-                entity_id=record.entity_id,
-                input_text=f"{record.name}\n{body}",
-                gold=record.label if record.split in _GOLD_SPLITS else None,
-                source_signature=signature,
-            )
-        )
-    if empty:
-        logger.warning("%d of %d instances have empty descriptions", empty, len(instances))
+        description = texts.get(record.entity_id)
+        instances.append(_make_instance(record, description, signature, strict=strict))
+        empty += not description
+    warn_empty(empty, len(instances))
     return BuildResult(tuple(instances), empty)
 
 
@@ -119,6 +132,12 @@ def chat_messages(
     return messages
 
 
+def _chat_line(instance: ClassificationInstance, scheme: TaxonomyScheme, *, with_labels: bool) -> str:
+    """One instance's line of a chat JSONL file."""
+    messages = chat_messages(instance, scheme, with_labels=with_labels)
+    return json.dumps({"messages": messages}, ensure_ascii=False) + "\n"
+
+
 def emit_chat_finetune(
     instances: Sequence[ClassificationInstance],
     scheme: TaxonomyScheme,
@@ -126,10 +145,8 @@ def emit_chat_finetune(
     *,
     with_labels: bool,
 ) -> Path:
-    messages = (chat_messages(inst, scheme, with_labels=with_labels) for inst in instances)
-    return write_file(
-        out_path, (json.dumps({"messages": m}, ensure_ascii=False) + "\n" for m in messages)
-    )
+    lines = (_chat_line(inst, scheme, with_labels=with_labels) for inst in instances)
+    return write_file(out_path, lines)
 
 
 def load_chat_finetune(path: str | Path) -> list[dict]:
@@ -137,16 +154,47 @@ def load_chat_finetune(path: str | Path) -> list[dict]:
     return [row for _, row in read_json_rows(path, ("messages",))]
 
 
-def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Path) -> Path:
-    def lines():
-        for inst in instances:
-            row: dict = {"entity_id": inst.entity_id, "input_text": inst.input_text}
-            if inst.gold is not None:
-                row["gold"] = inst.gold.id
-            row["source_signature"] = inst.source_signature
-            yield json.dumps(row, ensure_ascii=False) + "\n"
+def _tabular_line(instance: ClassificationInstance) -> str:
+    """One instance's line of a tabular JSONL file."""
+    row: dict = {"entity_id": instance.entity_id, "input_text": instance.input_text}
+    if instance.gold is not None:
+        row["gold"] = instance.gold.id
+    row["source_signature"] = instance.source_signature
+    return json.dumps(row, ensure_ascii=False) + "\n"
 
-    return write_file(out_path, lines())
+
+def emit_tabular(instances: Sequence[ClassificationInstance], out_path: str | Path) -> Path:
+    return write_file(out_path, map(_tabular_line, instances))
+
+
+def emit_split(
+    resolved: Iterable[tuple[EntityRecord, tuple[str | None]]],
+    signature: str,
+    scheme: TaxonomyScheme,
+    tabular: TextIO,
+    chat: TextIO,
+    *,
+    with_labels: bool,
+    strict: bool = False,
+) -> tuple[int, int]:
+    """Write one split's instances to its open tabular and chat files, one line to each.
+
+    ``resolved`` yields each record with its one description, in entity-id
+    order, as ``TextAcquirer.resolve`` does; each instance is made
+    (``_make_instance``), written and dropped before the next is read, so the
+    lines are those of ``build_instances`` and the two emitters without any
+    split being held. Returns the instance count and the empty count, which
+    is logged as ``build_instances`` logs it.
+    """
+    total = empty = 0
+    for record, (description,) in resolved:
+        instance = _make_instance(record, description, signature, strict=strict)
+        tabular.write(_tabular_line(instance))
+        chat.write(_chat_line(instance, scheme, with_labels=with_labels))
+        total += 1
+        empty += not description
+    warn_empty(empty, total)
+    return total, empty
 
 
 def read_json_rows(path: str | Path, fields: Sequence[str]) -> Iterator[tuple[int, dict]]:

@@ -99,5 +99,9 @@ class PrefixFeaturizer:
     def vector(self, prefix: str) -> FeatureVector:
         """The ``featurize`` vector of ``prefix``: a prefix of the text that ends
         with whitespace, before whitespace, or where the text ends."""
-        n = int(np.searchsorted(self._ends, len(prefix.lower()), side="right"))
+        return self.vector_at(len(prefix.lower()))
+
+    def vector_at(self, end: int) -> FeatureVector:
+        """``vector`` of the prefix whose lowercased form is ``end`` characters long."""
+        n = int(np.searchsorted(self._ends, end, side="right"))
         return _prefix_vector(self._buckets, self._ends.size, n)

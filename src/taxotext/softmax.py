@@ -323,7 +323,7 @@ def _batch_grad(W, b, rows, batch_ids, pos_of, grad_buf, gather_buf, outer_buf):
     return cols, grad_rows, grad_b / n, loss / n
 
 
-def _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, beta1, beta2, decay, scale, sqrt_bc2, eps, buf):
+def _adam_step(W, mW, vW, n_active, cols, grad_rows, beta1, beta2, decay, scale, sqrt_bc2, eps, buf):
     """One moment update and weight step on the slots x classes arrays, in place.
 
     ``mW = beta1 * mW + (1 - beta1) * g`` and ``vW = beta2 * vW + (1 - beta2) * g * g``
@@ -331,14 +331,13 @@ def _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, beta1, beta2, deca
     slots ``cols``; then ``W = W * decay - scale * (mW / (sqrt(vW) / sqrt_bc2 + eps))``.
     Both run over the prefix ``[:n_active]`` one contiguous block of rows at a
     time, through ``buf``, so each block of W, mW and vW is read once while it
-    is in cache. Every element sees the same IEEE operations in the same order
-    as the whole-prefix expressions, without their n_active x classes
-    temporaries. ``decay`` None skips the multiplication. ``grad_rows`` is
-    overwritten, and ``grad_sq``, of its shape, is scratch for its squares.
+    is in cache. A block's gradient rows are squared and scaled into the
+    leading rows of ``buf`` (a block holds at most as many gradient rows as
+    ``buf`` has rows) before ``buf`` holds its step. Every element sees the
+    same IEEE operations in the same order as the whole-prefix expressions,
+    without their n_active x classes temporaries. ``decay`` None skips the
+    multiplication. ``grad_rows`` is overwritten.
     """
-    np.multiply(grad_rows, grad_rows, out=grad_sq)
-    grad_sq *= 1.0 - beta2
-    grad_rows *= 1.0 - beta1
     chunk = buf.shape[0]
     edges = np.searchsorted(cols, range(0, n_active + chunk, chunk)).tolist()
     for lo, hi, start in zip(edges, edges[1:], range(0, n_active, chunk)):
@@ -347,9 +346,12 @@ def _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, beta1, beta2, deca
         m *= beta1
         v *= beta2
         if hi > lo:
-            rows = cols[lo:hi] - start
-            m[rows] += grad_rows[lo:hi]
-            v[rows] += grad_sq[lo:hi]
+            rows, g, g_sq = cols[lo:hi] - start, grad_rows[lo:hi], step[: hi - lo]
+            np.multiply(g, g, out=g_sq)
+            g_sq *= 1.0 - beta2
+            g *= 1.0 - beta1
+            m[rows] += g
+            v[rows] += g_sq
         if decay is not None:
             w *= decay
         np.sqrt(v, out=step)
@@ -389,7 +391,9 @@ def train(
     Deterministic for a fixed seed: shuffle order, batching, and update
     order are all derived from it. Bias is exempt from weight decay.
     ``instances`` may be any iterable, read once; ``features``, one vector per
-    instance in order, stands in for featurizing each instance's text.
+    instance in order, stands in for featurizing each instance's text, and
+    then only the instances' ``entity_id`` and ``gold`` are read, so
+    ``EntityRecord``s serve as well.
     """
     config = config or TrainConfig()
     if isinstance(instances, TrainingRows):
@@ -412,14 +416,13 @@ def train(
     buf = np.empty((max(1, min(UPDATE_CHUNK_COLS, buckets.size)), n_classes))
     pos_of = np.empty(buckets.size, dtype=np.intp)
     # The step buffers, allocated once: gathered weights and an outer product
-    # for the longest row, and gradient rows and their squares for the largest
-    # union a batch can have, that of its batch_size longest rows. A step
-    # writes only the leading rows it needs.
+    # for the longest row, and gradient rows for the largest union a batch can
+    # have, that of its batch_size longest rows. A step writes only the
+    # leading rows it needs.
     lengths = np.diff(rows.offsets)
     gather_buf = np.empty((int(lengths.max()), n_classes))
     outer_buf = np.empty_like(gather_buf)
     grad_buf = np.empty((min(buckets.size, int(np.sort(lengths)[-config.batch_size :].sum())), n_classes))
-    sq_buf = np.empty_like(grad_buf)
     b = np.zeros(n_classes)
     mW = np.zeros_like(W)
     vW = np.zeros_like(W)
@@ -442,7 +445,6 @@ def train(
                 cols, grad_rows, grad_b, batch_loss = _batch_grad(
                     W, b, rows, batch_ids, pos_of, grad_buf, gather_buf, outer_buf
                 )
-                grad_sq = sq_buf[: cols.size]
                 if cols.size:
                     n_active = max(n_active, int(cols[-1]) + 1)
 
@@ -461,12 +463,12 @@ def train(
                     cut = int(np.searchsorted(cols, mid))
                     upper = worker.submit(
                         _adam_step, W[mid:], mW[mid:], vW[mid:], n_active - mid,
-                        cols[cut:] - mid, grad_rows[cut:], grad_sq[cut:], *hyper, upper_buf,
+                        cols[cut:] - mid, grad_rows[cut:], *hyper, upper_buf,
                     )
-                    _adam_step(W, mW, vW, mid, cols[:cut], grad_rows[:cut], grad_sq[:cut], *hyper, buf)
+                    _adam_step(W, mW, vW, mid, cols[:cut], grad_rows[:cut], *hyper, buf)
                     upper.result()
                 else:
-                    _adam_step(W, mW, vW, n_active, cols, grad_rows, grad_sq, *hyper, buf)
+                    _adam_step(W, mW, vW, n_active, cols, grad_rows, *hyper, buf)
                 b = b - scale * (mb / (np.sqrt(vb) / math.sqrt(bc2) + eps))
                 epoch_loss += batch_loss
                 n_batches += 1
@@ -475,7 +477,7 @@ def train(
     # Free the moments and the step buffers, then copy the slots into bucket
     # order in chunks, so at most two arrays of U x classes weights (W and the
     # model's block) are ever alive here.
-    del mW, vW, grad_buf, sq_buf, gather_buf, outer_buf
+    del mW, vW, grad_buf, gather_buf, outer_buf
     model = SoftmaxModel(scheme, buckets, b=b)
     block = model.block
     for start in range(0, buckets.size, UPDATE_CHUNK_COLS):
@@ -509,7 +511,8 @@ def predict_instances(
     """Predict instances one at a time, in order.
 
     ``features``, one vector per instance in order, stands in for
-    featurizing each instance's text; a count that differs is a ValueError.
+    featurizing each instance's text (then only ``entity_id`` is read); a
+    count that differs is a ValueError.
     """
     if features is None:
         pairs = ((inst, featurize(inst.input_text)) for inst in instances)

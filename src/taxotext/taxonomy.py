@@ -165,6 +165,11 @@ class EntityRecord:
     label: CategoryLabel
     split: Split | None = None
 
+    @property
+    def gold(self) -> CategoryLabel | None:
+        """The label a model may learn from: train and dev records carry theirs, test records none."""
+        return self.label if self.split in (Split.TRAIN, Split.DEV) else None
+
 
 @dataclass(frozen=True)
 class Dataset:

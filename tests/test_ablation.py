@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import tracemalloc
 import weakref
 
 import pytest
@@ -158,6 +159,34 @@ def test_each_depth_model_is_freed_before_the_next_depth_trains(tmp_path, sic_sc
     assert [p.k for p in points] == [1, 3, 5]
     assert alive_at_call == [0, 0, 0]
     assert all(ref() is None for ref in models)
+
+
+def test_more_depths_add_offsets_and_reports_not_texts(tmp_path, sic_scheme):
+    # Each entity's deepest text is hashed once and each depth keeps one offset
+    # into it, so scoring every depth up to DEPTH may exceed scoring DEPTH alone
+    # by a report per extra depth (about 11 KB for SIC; 16 KiB is allowed, with
+    # the depth's transients) and an 8-byte offset slot per entity and depth,
+    # doubled. A description map and instances per depth (about 500 B per entity
+    # and depth here) exceed it.
+    dataset = _dataset(sic_scheme, n_train_per=60, n_test_per=15)
+    cache = TextCache(tmp_path)
+    _seed_cache(cache, dataset)
+    config = TrainConfig(epochs=1, batch_size=8, warmup_steps=0, seed=0)
+
+    def traced_peak(ks):
+        tracemalloc.start()
+        try:
+            ablate_snippets(dataset, cache, ks=ks, cached_depth=DEPTH, train_config=config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ablate_snippets(dataset, cache, ks=(1, DEPTH), cached_depth=DEPTH, train_config=config)
+    deepest = traced_peak((DEPTH,))
+    every = traced_peak(tuple(range(1, DEPTH + 1)))
+    extra_depths = DEPTH - 1
+    bound = extra_depths * (16 * 1024 + 16 * len(dataset.records))
+    assert every - deepest <= bound, (every - deepest, bound)
 
 
 def test_points_come_back_sorted_and_deduped(tmp_path, sic_scheme):

@@ -453,10 +453,11 @@ def test_train_holds_the_adam_state_the_rows_and_one_batch(tmp_path):
     # the three slots x classes arrays (weights and both moments), 12 B per
     # stored feature (an int32 slot and a float64 value), 16 B per row
     # (offset and class), 20 B per slot (bucket, slot and union position),
-    # and the step buffers: gradient rows and their squares for the largest
-    # possible batch union, gathered weights and an outer product for the
-    # longest row, and two chunks of the update. A list of FeatureVectors with
-    # int64 slots, or holding the instances, exceeds it.
+    # and the step buffers: gradient rows for the largest possible batch union
+    # (the update squares them into its chunk buffer, not into a second union
+    # of rows), gathered weights and an outer product for the longest row, and
+    # two chunks of the update. A list of FeatureVectors with int64 slots, or
+    # holding the instances, exceeds it.
     scheme = load_sic_scheme()
     cats = ["20", "60", "73"]
     texts = _small_vocabulary_texts(1200)
@@ -466,7 +467,7 @@ def test_train_holds_the_adam_state_the_rows_and_one_batch(tmp_path):
     n_classes = len(scheme.categories)
     batch_union = min(n_slots, int(np.sort(nnz)[-config.batch_size :].sum()))
     chunk = min(UPDATE_CHUNK_COLS, n_slots)
-    step_buffers = 8 * n_classes * (2 * batch_union + 2 * int(nnz.max()) + 2 * chunk)
+    step_buffers = 8 * n_classes * (batch_union + 2 * int(nnz.max()) + 2 * chunk)
     adam_state = 3 * 8 * n_slots * n_classes
     bound = adam_state + 12 * int(nnz.sum()) + 16 * len(texts) + 20 * n_slots + step_buffers
     instances = (
