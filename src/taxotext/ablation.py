@@ -124,14 +124,17 @@ def ablate_snippets(
     )
     golds = [r.label for r in test_records]
     points = []
-    for depth, k in enumerate(ks, 1):
+    # Deepest first, as its model and step buffers are the largest: the
+    # shallower depths then fit in the memory it frees, where in ascending
+    # order the allocator's heap grows past each depth in turn.
+    for depth, k in reversed(list(enumerate(ks, 1))):
         for records in (train_records, test_records):
             ends = (prefixes[r.entity_id][1] for r in records)
             warn_empty(sum(e[depth] == e[0] for e in ends), len(records))
         report = _score_depth(scheme, train_records, test_records, golds, prefixes, depth, train_config)
         points.append(AblationPoint(k=k, report=report))
         logger.info("ablation k=%d: macro F1 %.3f", k, report.macro_f1)
-    return points
+    return points[::-1]
 
 
 def write_ablation_csv(points: Sequence[AblationPoint], path: str | Path) -> Path:
