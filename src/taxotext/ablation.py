@@ -129,8 +129,8 @@ def ablate_snippets(
     # order the allocator's heap grows past each depth in turn.
     for depth, k in reversed(list(enumerate(ks, 1))):
         for records in (train_records, test_records):
-            ends = (prefixes[r.entity_id][1] for r in records)
-            warn_empty(sum(e[depth] == e[0] for e in ends), len(records))
+            offsets = (prefixes[r.entity_id][1] for r in records)
+            warn_empty(sum(o[depth] == o[0] for o in offsets), len(records))
         report = _score_depth(scheme, train_records, test_records, golds, prefixes, depth, train_config)
         points.append(AblationPoint(k=k, report=report))
         logger.info("ablation k=%d: macro F1 %.3f", k, report.macro_f1)

@@ -346,12 +346,12 @@ def _adam_step(W, mW, vW, n_active, cols, grad_rows, beta1, beta2, decay, scale,
         m *= beta1
         v *= beta2
         if hi > lo:
-            rows, g, g_sq = cols[lo:hi] - start, grad_rows[lo:hi], step[: hi - lo]
+            at, g, g_sq = cols[lo:hi], grad_rows[lo:hi], step[: hi - lo]
             np.multiply(g, g, out=g_sq)
             g_sq *= 1.0 - beta2
             g *= 1.0 - beta1
-            m[rows] += g
-            v[rows] += g_sq
+            mW[at] += g
+            vW[at] += g_sq
         if decay is not None:
             w *= decay
         np.sqrt(v, out=step)
