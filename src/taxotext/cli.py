@@ -263,13 +263,10 @@ def cmd_acquire(ctx: RunContext, args) -> int:
 
 
 def cmd_build(ctx: RunContext, args) -> int:
-    """Write each split's tabular and chat corpus from one pass over its cached texts.
+    """Write each split's tabular and chat corpus in one pass over its cached texts.
 
-    Each entity's cache entry is read once, and its instance is written to
-    both temp files and dropped before the next is read. A bad entry or a
-    missing text under --strict stops the command before its manifest entry;
-    otherwise the entry is recorded and then the six files are renamed into
-    place.
+    A bad cache entry, or a missing text under --strict, stops the command
+    before its manifest entry; the six files are renamed into place after it.
     """
     signature, resolver = ctx.spec.signature, TextAcquirer(ctx.config.task, ctx.cache)
     built = []

@@ -179,12 +179,10 @@ def emit_split(
 ) -> tuple[int, int]:
     """Write one split's instances to its open tabular and chat files, one line to each.
 
-    ``resolved`` yields each record with its one description, in entity-id
-    order, as ``TextAcquirer.resolve`` does; each instance is made
-    (``_make_instance``), written and dropped before the next is read, so the
-    lines are those of ``build_instances`` and the two emitters without any
-    split being held. Returns the instance count and the empty count, which
-    is logged as ``build_instances`` logs it.
+    ``resolved`` yields each record with its one description, as
+    ``TextAcquirer.resolve`` does. Each instance is written and dropped before
+    the next is read, so the lines are those of ``build_instances`` and the
+    two emitters with no split held. Returns the instance and empty counts.
     """
     total = empty = 0
     for record, (description,) in resolved:
