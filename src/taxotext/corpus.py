@@ -78,10 +78,12 @@ def build_instances(
     *,
     strict: bool = False,
 ) -> BuildResult:
-    """Pair records with their descriptions (``_make_instance``), ordered by entity id.
+    """Pair records with their descriptions, ordered by entity id.
 
     texts maps an entity id to its description; an entity absent from it has
-    a missing one.
+    a missing one, which raises MissingText in strict mode and is emitted as
+    an empty description otherwise. The instances are those ``emit_split``
+    writes.
     """
     instances: list[ClassificationInstance] = []
     empty = 0
