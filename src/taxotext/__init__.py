@@ -64,7 +64,7 @@ from .taxonomy import (
     normalize_sic,
     split_dataset,
 )
-from .texts import AcquiredText, Source, combine_texts
+from .texts import AcquiredText, Source
 
 __version__ = TOOL_VERSION
 
@@ -102,7 +102,6 @@ __all__ = [
     "build_classify_prompt",
     "build_instances",
     "chat_messages",
-    "combine_texts",
     "confusion",
     "detect_refusal",
     "emit_chat_finetune",

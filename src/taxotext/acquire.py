@@ -16,7 +16,7 @@ from .errors import CacheUnavailable, TaxotextError
 from .search import SearchClient, join_snippets
 from .summarize import PROMPT_TEMPLATES, LlmClient, generate_summary
 from .taxonomy import EntityRecord, TaskId
-from .texts import _COMBINE_ORDER, AcquiredText, Source, combine_texts, utcnow
+from .texts import AcquiredText, Source, utcnow
 
 logger = logging.getLogger(__name__)
 
@@ -56,6 +56,9 @@ class SourceSpec:
 # fetches the source and the worker pool ("lane") that the fetch runs in.
 LANES = {Source.GSNIP: "search", Source.GPTSUM: "llm", Source.LLAMASUM: "llm"}
 _GSNIP_SIG = re.compile(r"gsnip(\d*)$")
+# The order of a combined spec's components, and so of the texts its
+# description joins with a blank line: snippets first, then model summaries.
+_COMBINE_ORDER = {Source.GSNIP: 0, Source.GPTSUM: 1, Source.LLAMASUM: 2}
 _DEFAULTS = PipelineConfig()
 
 
@@ -133,17 +136,19 @@ def _provider_sources(specs) -> list[SourceSpec]:
     return stored
 
 
-def _assemble(spec: SourceSpec, entries: list[AcquiredText | None]) -> AcquiredText | None:
-    """A spec's text from its leaves' cache entries, in leaf order; None when
-    one is missing. A leaf with a depth is cut to it by ``snippet_text``."""
+def _description(spec: SourceSpec, entries: list[AcquiredText | None]) -> str | None:
+    """A spec's description from its leaves' cache entries, in leaf order; None
+    when one is missing. A leaf with a depth joins its entry's first ``depth``
+    snippets; a combined spec joins its leaves' non-empty texts with a blank
+    line, so a refused summary (``""``) leaves no separator behind."""
     if None in entries:
         return None
-    parts = [
-        entry if leaf.depth is None
-        else snippet_text(entry.entity_id, entry.provenance, leaf.depth, entry.retrieved_at)
+    texts = (
+        entry.text if leaf.depth is None
+        else join_snippets(p["snippet"] for p in entry.provenance[:leaf.depth])
         for leaf, entry in zip(spec.leaves, entries)
-    ]
-    return combine_texts(parts) if spec.components else parts[0]
+    )
+    return "\n\n".join(text for text in texts if text)
 
 
 class TextAcquirer:
@@ -177,7 +182,7 @@ class TextAcquirer:
 
     def acquire(self, record: EntityRecord, spec: SourceSpec, *, refresh: bool = False) -> AcquiredText:
         """Return one record's provider reply for a provider source, fetching
-        and caching on a miss; ``acquire_all`` joins combined sources.
+        and caching on a miss; ``resolve`` gives every spec's description.
 
         Cached entries are immutable; pass refresh=True to re-fetch and
         overwrite. A failed fetch and an unreadable cache entry each count
@@ -205,15 +210,15 @@ class TextAcquirer:
         return text
 
     def acquire_cached(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText | None:
-        """Resolve a record's text from the cache only; None when absent.
-
-        A ``gsnip<k>`` with a depth is cut from the entry it is keyed at, and
-        a combined source is None unless every component is cached.
-        """
-        return _assemble(spec, [
-            self.cache.load(TextCache.key(self.task_id, record.entity_id, leaf.source, leaf.params))
-            for leaf in spec.leaves
-        ])
+        """Return one record's provider reply for a provider source from the
+        cache only, None when absent; a ``gsnip<k>`` with a depth reads its
+        whole entry, as ``acquire`` does. ``resolve`` gives descriptions."""
+        if spec.components:
+            raise ValueError(
+                f"acquire_cached reads one provider source; pass {spec.signature!r} to resolve"
+            )
+        key = TextCache.key(self.task_id, record.entity_id, spec.source, spec.params)
+        return self.cache.load(key)
 
     def resolve(
         self, records: list[EntityRecord], *specs: SourceSpec
@@ -230,8 +235,8 @@ class TextAcquirer:
         picks = [[stored.index(leaf.stored) for leaf in spec.leaves] for spec in specs]
         for record in sorted(records, key=lambda r: r.entity_id):
             entries = [self.acquire_cached(record, leaf) for leaf in stored]
-            hits = (_assemble(spec, [entries[i] for i in pick]) for spec, pick in zip(specs, picks))
-            yield record, tuple(None if hit is None else hit.text for hit in hits)
+            texts = (_description(spec, [entries[i] for i in pick]) for spec, pick in zip(specs, picks))
+            yield record, tuple(texts)
 
     def acquire_all(
         self,

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import uuid
 from dataclasses import dataclass, replace
@@ -192,7 +193,7 @@ def write_predictions(predictions, path: str | Path) -> Path:
 
 def load_predictions(path: str | Path, scheme) -> list[Prediction]:
     """Predictions from JSONL; a label outside the scheme (bar INVALID), or a
-    confidence neither null nor a number, is a data error."""
+    confidence neither null nor a finite number, is a data error."""
     by_id = {**scheme.by_id, INVALID: INVALID_LABEL}
     out = []
     for rownum, row in read_json_rows(path, ("entity_id", "label")):
@@ -200,8 +201,11 @@ def load_predictions(path: str | Path, scheme) -> list[Prediction]:
         if label is None:
             raise UnknownLabel(f"row {rownum}: unknown label {row['label']!r} in {path}")
         confidence = row.get("confidence")
-        if confidence is not None and type(confidence) not in (int, float):  # bool is no number
-            raise ParseError(f"confidence {confidence!r} is not a number in {path}", row=rownum)
+        # bool is no number, and json reads NaN and Infinity as floats
+        if confidence is not None and (
+            type(confidence) not in (int, float) or not math.isfinite(confidence)
+        ):
+            raise ParseError(f"confidence {confidence!r} is not a finite number in {path}", row=rownum)
         out.append(Prediction(entity_id=row["entity_id"], label=label, confidence=confidence))
     return out
 
@@ -290,7 +294,8 @@ def cmd_build(ctx: RunContext, args) -> int:
 def cmd_train(ctx: RunContext, args) -> int:
     corpus_path = _existing(args.corpus, _corpus_path(ctx, Split.TRAIN), "training corpus", "build")
     # The whole corpus is read and featurized before the manifest entry, so a
-    # bad corpus leaves none.
+    # malformed row or an unknown gold label leaves none. A row without a gold
+    # label is train's error, raised after the entry is recorded.
     rows = TrainingRows(iter_tabular(corpus_path, ctx.scheme), ctx.scheme)
     ctx.record({"corpus": str(corpus_path)})
     model = train(rows, ctx.scheme, ctx.config.training)
@@ -347,6 +352,8 @@ def cmd_eval(ctx: RunContext, args) -> int:
 
 def cmd_sweep(ctx: RunContext, args) -> int:
     pred_path, predictions, golds = _scored_predictions(ctx, args)
+    if not predictions:
+        raise TaxotextError(f"split {ctx.split.value} has no entities to sweep")
     thresholds = ctx.config.thresholds
     if args.thresholds is not None:
         thresholds = _parse_list(args.thresholds, finite_float, "threshold")

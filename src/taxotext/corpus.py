@@ -16,9 +16,9 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .errors import MissingGold, MissingText, ParseError, UnknownLabel
-from .files import read_lines, write_file
+from .files import package_text, read_lines, write_file
 from .hashing import sha256_hex
-from .taxonomy import CategoryLabel, EntityRecord, TaxonomyScheme, _data_text
+from .taxonomy import CategoryLabel, EntityRecord, TaxonomyScheme
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +97,7 @@ def build_instances(
 
 @functools.cache  # read once per process; callers only read the dict
 def _instruction_table() -> dict:
-    return json.loads(_data_text("system_instructions.json"))
+    return json.loads(package_text("system_instructions.json"))
 
 
 def system_instruction(scheme: TaxonomyScheme) -> str:

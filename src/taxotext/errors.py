@@ -63,10 +63,6 @@ class EmptyCompletion(TaxotextError):
     """Model returned an empty completion."""
 
 
-class MixedEntities(TaxotextError):
-    """Texts for different entities were combined."""
-
-
 class CacheCorrupt(TaxotextError):
     """A cache entry, or the cache database, cannot be read; names the database and the key."""
 

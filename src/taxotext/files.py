@@ -1,10 +1,11 @@
-"""How this package writes files (each to a temp file beside it, then an atomic rename) and
-streams the lines of one it reads."""
+"""How this package writes files (each to a temp file beside it, then an atomic rename),
+streams the lines of one it reads, and reads the data files it ships."""
 
 from __future__ import annotations
 
 import os
 import uuid
+from importlib import resources
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -69,3 +70,8 @@ def read_lines(path: str | Path, *, newline: str | None = None) -> Iterator[str]
             yield from fh
         except UnicodeDecodeError:
             raise ParseError(f"not UTF-8 text: {path}") from None
+
+
+def package_text(name: str) -> str:
+    """The text of a data file shipped in the package's ``data`` directory."""
+    return (resources.files("taxotext") / "data" / name).read_text(encoding="utf-8")

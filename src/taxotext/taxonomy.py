@@ -14,7 +14,6 @@ import random
 from contextlib import closing
 from dataclasses import dataclass, replace
 from enum import Enum
-from importlib import resources
 from pathlib import Path
 
 from .errors import (
@@ -27,7 +26,7 @@ from .errors import (
     UnknownCategory,
     UnknownCode,
 )
-from .files import read_lines
+from .files import package_text, read_lines
 from .hashing import canonical_json, fingerprint
 
 DEFAULT_RATIOS = (0.5, 1.0 / 6.0, 1.0 / 3.0)
@@ -127,24 +126,20 @@ def lookup_healthcare_category(code: str, scheme: TaxonomyScheme) -> CategoryLab
     return label
 
 
-def _data_text(name: str) -> str:
-    return (resources.files("taxotext") / "data" / name).read_text(encoding="utf-8")
-
-
 def load_sic_scheme() -> TaxonomyScheme:
     """The 27-category SIC scheme bundled with the package."""
-    rows = list(csv.DictReader(_data_text("sic_categories.csv").splitlines()))
+    rows = list(csv.DictReader(package_text("sic_categories.csv").splitlines()))
     cats = tuple(CategoryLabel(r["category_id"], r["display_name"]) for r in rows)
     return TaxonomyScheme(TaskId.SIC, cats, {})
 
 
 def load_healthcare_scheme() -> TaxonomyScheme:
     """The 17-category healthcare scheme plus its code table."""
-    rows = list(csv.DictReader(_data_text("healthcare_categories.csv").splitlines()))
+    rows = list(csv.DictReader(package_text("healthcare_categories.csv").splitlines()))
     cats = tuple(CategoryLabel(r["category_id"], r["display_name"]) for r in rows)
     by_id = {c.id: c for c in cats}
     code_map: dict[str, CategoryLabel] = {}
-    for r in csv.DictReader(_data_text("healthcare_codes.csv").splitlines()):
+    for r in csv.DictReader(package_text("healthcare_codes.csv").splitlines()):
         code_map[r["code"]] = by_id[r["category_id"]]
     return TaxonomyScheme(TaskId.HEALTHCARE, cats, code_map)
 

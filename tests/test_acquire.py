@@ -26,7 +26,7 @@ from taxotext.mockserver import MockLlmServer, MockSearchServer
 from taxotext.search import SearchClient, SearchResult
 from taxotext.summarize import LlmClient
 from taxotext.taxonomy import EntityRecord, TaskId, load_sic_scheme
-from taxotext.texts import Source, combine_texts
+from taxotext.texts import Source
 
 from conftest import cache_rows, make_records, write_entities_csv
 
@@ -49,11 +49,16 @@ def _resolved(acquirer, records, spec):
 
 
 def _read_back(acquirer, records, *specs):
-    """What acquire_all stored, by (entity_id, signature), read back through
-    acquire_cached; a spec with an uncached component is left out."""
+    """What acquire_all stored, by (entity_id, signature): a provider source's
+    entry through acquire_cached, a combined spec's description through
+    resolve; a spec with an uncached component is left out."""
     texts = {}
-    for record in records:
-        for spec in specs:
+    for spec in specs:
+        if spec.components:
+            for entity_id, text in _resolved(acquirer, records, spec).items():
+                texts[entity_id, spec.signature] = text
+            continue
+        for record in records:
             hit = acquirer.acquire_cached(record, spec)
             if hit is not None:
                 texts[record.entity_id, spec.signature] = hit
@@ -283,15 +288,15 @@ def test_acquire_combined_fetches_components_and_caches(tmp_path):
 
         assert not errors
         combined = results[records[0].entity_id, "gsnip10+gptsum"]
-        assert combined.source is Source.COMBINED
-        assert "\n\n" in combined.text
-        assert combined.text.index("text 0") < combined.text.index("A summary sentence.")
+        assert "\n\n" in combined
+        assert combined.index("text 0") < combined.index("A summary sentence.")
 
         # components were cached too: rebuilding from cache needs no client
         offline = TextAcquirer(TaskId.SIC, cache)
         for sig in ("gsnip10", "gptsum", "gsnip10+gptsum"):
             sub = parse_source_signature(sig, TaskId.SIC)
-            assert offline.acquire_cached(records[0], sub) is not None
+            if not sub.components:
+                assert offline.acquire_cached(records[0], sub) is not None
             assert set(_resolved(offline, records, sub)) == {r.entity_id for r in records}
 
 
@@ -353,7 +358,6 @@ def test_combined_text_is_none_when_a_component_is_missing(tmp_path):
         acquirer = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"), search_client=client)
         acquirer.acquire_all(records, parse_source_signature("gsnip10", TaskId.SIC))
     spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
-    assert acquirer.acquire_cached(records[0], spec) is None
     assert _resolved(acquirer, records, spec) == {}
 
 
@@ -469,6 +473,8 @@ def test_acquire_refuses_a_combined_spec(tmp_path):
     spec = parse_source_signature("gsnip10+gptsum", TaskId.SIC)
     with pytest.raises(ValueError, match="acquire_all"):
         acquirer.acquire(_records(1)[0], spec)
+    with pytest.raises(ValueError, match="resolve"):
+        acquirer.acquire_cached(_records(1)[0], spec)
     assert acquirer.stats == {"fetched": 0, "hits": 0, "refusals": 0, "failures": 0}
     assert not (tmp_path / "c").exists()
 
@@ -508,14 +514,18 @@ class _FakeSearch(_CountingClient):
             return [SearchResult(i + 1, f"t{i}", f"u{i}", f"snippet {i} of {name}.") for i in range(k)]
 
 
+_SUMMARIES = {"gpt": "Makes industrial glue.", "llama": "Glue maker."}
+
+
 class _FakeLlm(_CountingClient):
-    refuse = ()  # entity names whose summary the model declines
+    refuse = {}  # model family ("gpt" or "llama") -> entity names whose summary it declines
 
     def complete(self, prompt, *, model, max_tokens):
         with self._call():
-            if any(name in prompt for name in self.refuse):
+            family = "llama" if model.startswith("llama") else "gpt"
+            if any(name in prompt for name in self.refuse.get(family, ())):
                 return "I don't have any information about that organization."
-            return "Makes industrial glue."
+            return _SUMMARIES[family]
 
 
 class _ForgetfulCache(TextCache):
@@ -611,31 +621,44 @@ def test_a_cache_failure_stops_both_lanes_and_acquire_exits_4(tmp_path, monkeypa
     assert llm.calls < len(records) and search.calls < len(records)
 
 
-def test_resolve_gives_descriptions_only(tmp_path):
-    # a refused summary is "", and a combined spec joins its parts as combine_texts does
-    records = _records(2)
+@pytest.mark.parametrize(
+    "signature,expected",
+    [
+        ("gsnip2", ["{s}", "{s}", "{s}", "{s}"]),
+        ("gptsum", ["", "{g}", "", "{g}"]),
+        ("llamasum", ["{l}", "{l}", "", None]),
+        ("gsnip2+gptsum", ["{s}", "{s}\n\n{g}", "{s}", "{s}\n\n{g}"]),
+        ("gptsum+gsnip2", ["{s}", "{s}\n\n{g}", "{s}", "{s}\n\n{g}"]),
+        ("gsnip2+gptsum+llamasum", ["{s}\n\n{l}", "{s}\n\n{g}\n\n{l}", "{s}", None]),
+        ("llamasum+gptsum", ["{l}", "{g}\n\n{l}", "", None]),
+    ],
+    ids=["cut", "refused", "missing", "combined", "out-of-order", "three", "all-refused"],
+)
+def test_resolve_gives_descriptions_only(tmp_path, signature, expected):
+    # The first record's gptsum is refused, the third's two summaries are, and
+    # the fourth has no llamasum. A refused summary is "", a combined spec joins
+    # its components' non-empty texts snippets first, and a missing one is None.
+    records = _records(4)
     llm = _FakeLlm()
-    llm.refuse = (records[0].name,)
+    llm.refuse = {"gpt": (records[0].name, records[2].name), "llama": (records[2].name,)}
     acquirer = TextAcquirer(
         TaskId.SIC, TextCache(tmp_path / "c"), search_client=_FakeSearch(), llm_client=llm
     )
-    gsnip, gptsum, combined = (
-        parse_source_signature(s, TaskId.SIC) for s in ("gsnip2", "gptsum", "gsnip2+gptsum")
+    gsnip, gptsum, llamasum = (
+        parse_source_signature(s, TaskId.SIC) for s in ("gsnip2", "gptsum", "llamasum")
     )
-    assert acquirer.acquire_all(records, gsnip, gptsum) == {}
-    first, second = (r.entity_id for r in records)
-    snippets = {r.entity_id: f"snippet 0 of {r.name}. snippet 1 of {r.name}." for r in records}
-    assert _resolved(acquirer, records, gsnip) == snippets
-    assert _resolved(acquirer, records, gptsum) == {first: "", second: "Makes industrial glue."}
-    assert _resolved(acquirer, records, combined) == {
-        first: snippets[first],
-        second: f"{snippets[second]}\n\nMakes industrial glue.",
+    assert acquirer.acquire_all(records[:3], gsnip, gptsum, llamasum) == {}
+    assert acquirer.acquire_all(records[3:], gsnip, gptsum) == {}
+    spec = parse_source_signature(signature, TaskId.SIC)
+    resolved = {record.entity_id: text for record, (text,) in acquirer.resolve(records, spec)}
+    assert resolved == {
+        r.entity_id: None if e is None else e.format(
+            s=f"snippet 0 of {r.name}. snippet 1 of {r.name}.",
+            g=_SUMMARIES["gpt"],
+            l=_SUMMARIES["llama"],
+        )
+        for r, e in zip(records, expected)
     }
-    for record in records:
-        parts = [acquirer.acquire_cached(record, leaf) for leaf in combined.leaves]
-        assert _resolved(acquirer, [record], combined) == {
-            record.entity_id: combine_texts(parts).text
-        }
 
 
 # --- cache entries ---------------------------------------------------------------------

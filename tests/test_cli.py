@@ -930,7 +930,11 @@ def test_prediction_label_outside_the_scheme_exits_4(workspace, capsys, command,
 
 
 @pytest.mark.parametrize("command", ["eval", "sweep"])
-@pytest.mark.parametrize("confidence", ["high", True, [0.9]], ids=["string", "bool", "list"])
+@pytest.mark.parametrize(
+    "confidence",
+    ["high", True, [0.9], float("nan"), float("inf"), float("-inf")],
+    ids=["string", "bool", "list", "nan", "inf", "-inf"],
+)
 def test_prediction_confidence_not_a_number_exits_4(workspace, capsys, command, confidence):
     tmp_path, entities, _ = workspace
     predictions = _test_split_predictions(tmp_path / "preds.jsonl")
@@ -943,6 +947,19 @@ def test_prediction_confidence_not_a_number_exits_4(workspace, capsys, command, 
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "row 2" in err and repr(confidence) in err and str(predictions) in err
+
+
+def test_sweep_on_an_empty_split_exits_4_without_manifest_entry(tmp_path, capsys, env_keys):
+    entities = tmp_path / "entities.csv"
+    _write_entities(entities, n_train=1, n_dev=0, n_test=0)
+    predictions = tmp_path / "preds.jsonl"
+    predictions.write_text("")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    argv = ["sweep", "--split", "dev", "--predictions", str(predictions)]
+    assert _run(argv, tmp_path / "runs", config=config) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("data error:") and "split dev" in err
+    assert load_manifest(tmp_path / "runs" / "r1") is None
 
 
 def test_reserved_invalid_prediction_label_is_scored(workspace):

@@ -13,21 +13,21 @@ import pytest
 
 from taxotext import cache as cache_module
 from taxotext.cache import TextCache
-from taxotext.errors import CacheCorrupt, CacheUnavailable, MixedEntities
+from taxotext.errors import CacheCorrupt, CacheUnavailable
 from taxotext.hashing import canonical_json
 from taxotext.taxonomy import TaskId
-from taxotext.texts import AcquiredText, Source, combine_texts
+from taxotext.texts import AcquiredText, Source
 
 from conftest import cache_rows, put_cache_body, wait_until
 
 
-def _text(entity="e1", source=Source.GSNIP, text="hello", refusal=False, at="2026-01-01T00:00:00+00:00", params=None):
+def _text(entity="e1", text="hello", refusal=False):
     return AcquiredText(
         entity_id=entity,
-        source=source,
-        params=params or {"k": 10},
+        source=Source.GSNIP,
+        params={"k": 10},
         text=text,
-        retrieved_at=at,
+        retrieved_at="2026-01-01T00:00:00+00:00",
         refusal=refusal,
     )
 
@@ -44,46 +44,6 @@ def test_refusal_requires_empty_text():
 def test_acquired_text_json_roundtrip():
     original = _text()
     assert AcquiredText.from_json(json.loads(json.dumps(original.to_json()))) == original
-
-
-def test_combine_orders_snippets_first():
-    summary = _text(source=Source.GPTSUM, text="summary text", params={"template_id": "GPT_SIC"})
-    snippets = _text(source=Source.GSNIP, text="snippet text")
-    combined = combine_texts([summary, snippets])
-    assert combined.text == "snippet text\n\nsummary text"
-    assert combined.source is Source.COMBINED
-    assert [c["source"] for c in combined.params["components"]] == ["GSNIP", "GPTSUM"]
-
-
-def test_combine_skips_refused_parts_without_dangling_separator():
-    refused = _text(source=Source.GPTSUM, text="", refusal=True, params={"template_id": "GPT_SIC"})
-    snippets = _text(source=Source.GSNIP, text="snippet text")
-    combined = combine_texts([refused, snippets])
-    assert combined.text == "snippet text"
-    assert not combined.refusal
-
-
-def test_combine_all_refused_is_refusal():
-    a = _text(source=Source.GPTSUM, text="", refusal=True, params={"template_id": "GPT_SIC"})
-    b = _text(source=Source.LLAMASUM, text="", refusal=True, params={"template_id": "LLAMA_SIC"})
-    combined = combine_texts([a, b])
-    assert combined.refusal
-    assert combined.text == ""
-
-
-def test_combine_rejects_mixed_entities_and_single_part():
-    a = _text(entity="e1")
-    b = _text(entity="e2", source=Source.GPTSUM, params={"template_id": "GPT_SIC"})
-    with pytest.raises(MixedEntities):
-        combine_texts([a, b])
-    with pytest.raises(ValueError):
-        combine_texts([a])
-
-
-def test_combine_retrieved_at_is_latest_component():
-    early = _text(source=Source.GSNIP, at="2026-01-01T00:00:00+00:00")
-    late = _text(source=Source.GPTSUM, at="2026-02-02T00:00:00+00:00", params={"template_id": "GPT_SIC"})
-    assert combine_texts([late, early]).retrieved_at == "2026-02-02T00:00:00+00:00"
 
 
 # --- TextCache ---------------------------------------------------------------

@@ -5,8 +5,9 @@ No linter ships with the project, so this scan stands in for one: a name
 bound at module level by an ``import`` (``__future__`` aside) or by
 ``logging.getLogger(...)`` must be read somewhere in its module, a
 module-level ``def`` or ``class`` whose name starts with ``_`` must be read
-by some package module outside its own definition, and each value a command
-accepts must be read by the code that runs that command.
+by some package module outside its own definition, no package module imports
+another's private name, and each value a command accepts must be read by the
+code that runs that command.
 """
 
 from __future__ import annotations
@@ -92,6 +93,22 @@ def test_module_level_private_helpers_are_read():
             if not any(stmt.name in names for other, names in reads if other is not stmt):
                 dead.append(f"{module}.{stmt.name}")
     assert not dead, f"private helpers nothing reads: {', '.join(dead)}"
+
+
+def test_no_module_imports_another_modules_private_name():
+    # a name that two modules share is public: one owns it, under a public name
+    borrowed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not node.level:
+                continue
+            borrowed += [
+                f"{path.stem} <- {node.module or '.'}.{alias.name}"
+                for alias in node.names
+                if alias.name.startswith("_") and not alias.name.endswith("__")
+            ]
+    assert not borrowed, f"private names imported from another module: {', '.join(borrowed)}"
 
 
 def test_the_scan_sees_every_module():
