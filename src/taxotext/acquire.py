@@ -245,7 +245,9 @@ class TextAcquirer:
         refresh: bool = False,
     ) -> dict[tuple[str, str], TaxotextError]:
         """Fetch into the cache what the specs read for many records, and
-        return the failures, keyed by ``(entity_id, signature)``.
+        return the failures, keyed by ``(entity_id, provider source)``: the
+        signature of the provider reply that failed, ``gsnip10`` for the
+        search of a ``gsnip3`` or ``gsnip10+gptsum`` at top_k 10.
 
         Each (record, provider source) pair that the specs read is fetched
         once, by the lane of its provider: one lane for search and one for
@@ -258,16 +260,15 @@ class TextAcquirer:
         read one cache entry (``gsnip1`` and ``gsnip3`` both read the
         ``top_k`` search) fetch it once.
 
-        A failure (a ``TaxotextError``) is logged and returned; the other
-        components of a combined spec are still fetched and cached, and the
-        entity's error is that of its first failed component, in combination
-        order. ``CacheUnavailable`` is raised instead, since every later load
-        and store would wait and fail too: like any other exception in a
-        worker, or an interrupt, it stops every worker after its fetch in
-        flight.
+        A failure (a ``TaxotextError``) is logged by the worker that caught it
+        and returned; the other components of a combined spec are still
+        fetched and cached. ``CacheUnavailable`` is raised instead, since
+        every later load and store would wait and fail too: like any other
+        exception in a worker, or an interrupt, it stops every worker after
+        its fetch in flight.
         """
         leaves = _provider_sources(specs)
-        failed: dict[tuple[str, str], TaxotextError] = {}  # (entity_id, stored leaf signature)
+        failed: dict[tuple[str, str], TaxotextError] = {}
         stop = threading.Event()
 
         def work(jobs, lock):
@@ -283,6 +284,9 @@ class TextAcquirer:
                     except CacheUnavailable:
                         raise
                     except TaxotextError as exc:
+                        logger.warning(
+                            "acquisition of %s failed for %s: %s", leaf.signature, record.entity_id, exc
+                        )
                         failed[record.entity_id, leaf.signature] = exc
             except BaseException:
                 stop.set()
@@ -307,17 +311,7 @@ class TextAcquirer:
             for pool in pools:
                 pool.shutdown()
 
-        errors = {}
-        for record in records:
-            for s in specs:
-                keys = ((record.entity_id, leaf.stored.signature) for leaf in s.leaves)
-                exc = next((failed[key] for key in keys if key in failed), None)
-                if exc is not None:
-                    logger.warning(
-                        "acquisition of %s failed for %s: %s", s.signature, record.entity_id, exc
-                    )
-                    errors[record.entity_id, s.signature] = exc
-        return errors
+        return failed
 
     def _fetch(self, record: EntityRecord, spec: SourceSpec) -> AcquiredText:
         if spec.source is Source.GSNIP:

@@ -192,11 +192,14 @@ def write_predictions(predictions, path: str | Path) -> Path:
 
 
 def load_predictions(path: str | Path, scheme) -> list[Prediction]:
-    """Predictions from JSONL; a label outside the scheme (bar INVALID), or a
-    confidence neither null nor a finite number, is a data error."""
+    """Predictions from JSONL; an entity_id that is not a string, a label
+    outside the scheme (bar INVALID), or a confidence neither null nor a
+    finite number, is a data error."""
     by_id = {**scheme.by_id, INVALID: INVALID_LABEL}
     out = []
     for rownum, row in read_json_rows(path, ("entity_id", "label")):
+        if not isinstance(row["entity_id"], str):
+            raise ParseError(f"field 'entity_id' is not a string in {path}", row=rownum)
         label = by_id.get(row["label"]) if isinstance(row["label"], str) else None
         if label is None:
             raise UnknownLabel(f"row {rownum}: unknown label {row['label']!r} in {path}")
@@ -212,7 +215,8 @@ def load_predictions(path: str | Path, scheme) -> list[Prediction]:
 
 def _scored_predictions(ctx: RunContext, args):
     """The eval/sweep inputs: predictions path and rows, and the gold labels in
-    prediction order; the ids must match the split's exactly."""
+    prediction order; the ids must match the split's exactly, and the split
+    must have entities to score."""
     pred_path = _existing(args.predictions, _predictions_path(ctx), "predictions", "predict")
     predictions = load_predictions(pred_path, ctx.scheme)
     by_id = {r.entity_id: r.label for r in ctx.dataset.by_split(ctx.split)}
@@ -222,6 +226,8 @@ def _scored_predictions(ctx: RunContext, args):
             f"predictions cover {len(set(pred_ids))} entities, "
             f"split {ctx.split.value} has {len(by_id)}"
         )
+    if not predictions:
+        raise TaxotextError(f"split {ctx.split.value} has no entities to score")
     return pred_path, predictions, [by_id[i] for i in pred_ids]
 
 
@@ -243,10 +249,7 @@ def cmd_acquire(ctx: RunContext, args) -> int:
     try:
         # every provider reply of every spec in one call, so that the search
         # and LLM lanes fetch at the same time, and every failure is kept
-        errors = acquirer.acquire_all(
-            ctx.dataset.records, *(leaf.stored for spec in specs for leaf in spec.leaves),
-            refresh=args.refresh,
-        )
+        errors = acquirer.acquire_all(ctx.dataset.records, *specs, refresh=args.refresh)
     finally:
         for client in (acquirer.search_client, acquirer.llm_client):
             if client is not None:
@@ -294,8 +297,7 @@ def cmd_build(ctx: RunContext, args) -> int:
 def cmd_train(ctx: RunContext, args) -> int:
     corpus_path = _existing(args.corpus, _corpus_path(ctx, Split.TRAIN), "training corpus", "build")
     # The whole corpus is read and featurized before the manifest entry, so a
-    # malformed row or an unknown gold label leaves none. A row without a gold
-    # label is train's error, raised after the entry is recorded.
+    # malformed row or a missing or unknown gold label leaves none.
     rows = TrainingRows(iter_tabular(corpus_path, ctx.scheme), ctx.scheme)
     ctx.record({"corpus": str(corpus_path)})
     model = train(rows, ctx.scheme, ctx.config.training)
@@ -352,8 +354,6 @@ def cmd_eval(ctx: RunContext, args) -> int:
 
 def cmd_sweep(ctx: RunContext, args) -> int:
     pred_path, predictions, golds = _scored_predictions(ctx, args)
-    if not predictions:
-        raise TaxotextError(f"split {ctx.split.value} has no entities to sweep")
     thresholds = ctx.config.thresholds
     if args.thresholds is not None:
         thresholds = _parse_list(args.thresholds, finite_float, "threshold")

@@ -199,11 +199,9 @@ class TrainingRows:
     and its ``FeatureVector`` are dropped once copied in, so an iterator of
     instances is never held whole. ``features``, one vector per instance in
     order, stands in for featurizing each instance's text. ``train`` renumbers
-    ``cols`` from buckets to slots in place, so the rows train once.
-
-    The first instance without a gold label in the scheme is kept as
-    ``label_error`` for ``train`` to raise. The instances after it are read but
-    not featurized, so a malformed row further on still raises here.
+    ``cols`` from buckets to slots in place, so the rows train once. An
+    instance without a gold label in the scheme raises ``MissingGold`` or
+    ``UnknownLabel`` as it is read.
     """
 
     def __init__(
@@ -214,17 +212,12 @@ class TrainingRows:
     ):
         by_id = scheme.by_id
         cols, values, offsets, targets = array("i"), array("d"), array("q", [0]), array("q")
-        self.label_error: MissingGold | UnknownLabel | None = None
         vectors = None if features is None else iter(features)
         for inst in instances:
-            if self.label_error is not None:
-                continue
             if inst.gold is None:
-                self.label_error = MissingGold(f"instance {inst.entity_id!r} has no gold label")
-                continue
+                raise MissingGold(f"instance {inst.entity_id!r} has no gold label")
             if inst.gold.id not in by_id:
-                self.label_error = UnknownLabel(f"gold label {inst.gold.id!r} not in scheme")
-                continue
+                raise UnknownLabel(f"gold label {inst.gold.id!r} not in scheme")
             fv = featurize(inst.input_text) if vectors is None else next(vectors, None)
             if fv is None:
                 raise ValueError("fewer feature vectors than instances")
@@ -232,7 +225,7 @@ class TrainingRows:
             cols.frombytes(fv.indices.astype(np.int32).tobytes())
             values.frombytes(fv.values.tobytes())
             offsets.append(len(cols))
-        if vectors is not None and self.label_error is None and next(vectors, None) is not None:
+        if vectors is not None and next(vectors, None) is not None:
             raise ValueError("more feature vectors than instances")
         self.scheme = scheme
         self.cols = np.frombuffer(cols, dtype=np.int32)
@@ -393,7 +386,9 @@ def train(
     ``instances`` may be any iterable, read once; ``features``, one vector per
     instance in order, stands in for featurizing each instance's text, and
     then only the instances' ``entity_id`` and ``gold`` are read, so
-    ``EntityRecord``s serve as well.
+    ``EntityRecord``s serve as well. A gold label missing or outside the
+    scheme raises as ``TrainingRows`` reads it, and no rows raise
+    ``EmptyTrainingSet``.
     """
     config = config or TrainConfig()
     if isinstance(instances, TrainingRows):
@@ -402,8 +397,6 @@ def train(
             raise ValueError("the rows were labeled under a different scheme")
     else:
         rows = TrainingRows(instances, scheme, features)
-    if rows.label_error is not None:
-        raise rows.label_error
     if not len(rows):
         raise EmptyTrainingSet("no training instances")
 

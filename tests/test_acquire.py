@@ -460,12 +460,41 @@ def test_combined_spec_caches_its_summary_when_its_search_fails(tmp_path):
         errors = acquirer.acquire_all(records, spec)
         assert llm_srv.request_count == len(records)
     assert not _read_back(acquirer, records, spec)
-    assert set(errors) == {(r.entity_id, "gsnip10+gptsum") for r in records}
+    # keyed by the provider reply that failed, the search, not by the combination
+    assert set(errors) == {(r.entity_id, "gsnip10") for r in records}
     assert all(isinstance(e, AuthError) for e in errors.values())
     assert acquirer.stats == {"fetched": 3, "hits": 0, "refusals": 0, "failures": 3}
     offline = TextAcquirer(TaskId.SIC, TextCache(tmp_path / "c"))
     gptsum = parse_source_signature("gptsum", TaskId.SIC)
     assert set(_resolved(offline, records, gptsum)) == {r.entity_id for r in records}
+
+
+@pytest.mark.parametrize(
+    "signatures,failing",
+    [
+        (["gsnip10+gptsum"], ["gsnip10"]),
+        (["gsnip10+gptsum"], ["gptsum"]),
+        (["gsnip10+gptsum"], ["gsnip10", "gptsum"]),
+        (["gsnip1", "gsnip3"], ["gsnip10"]),
+    ],
+    ids=["search", "llm", "both", "two-depths"],
+)
+def test_failures_are_keyed_by_the_provider_reply_that_failed(tmp_path, signatures, failing):
+    records = _records(3)
+    with (
+        MockSearchServer(_snippet_table(records), api_key="k") as search_srv,
+        MockLlmServer(lambda m, mo: "A summary sentence.", api_key="sk") as llm_srv,
+        SearchClient(search_srv.base_url, api_key="wrong" if "gsnip10" in failing else "k") as search,
+        LlmClient(llm_srv.base_url, api_key="wrong" if "gptsum" in failing else "sk") as llm,
+    ):
+        acquirer = TextAcquirer(
+            TaskId.SIC, TextCache(tmp_path / "c"), search_client=search, llm_client=llm
+        )
+        specs = [parse_source_signature(sig, TaskId.SIC) for sig in signatures]
+        errors = acquirer.acquire_all(records, *specs)
+    assert set(errors) == {(r.entity_id, sig) for r in records for sig in failing}
+    assert all(isinstance(e, AuthError) for e in errors.values())
+    assert len(errors) == acquirer.stats["failures"]
 
 
 def test_acquire_refuses_a_combined_spec(tmp_path):

@@ -344,12 +344,26 @@ def test_rerun_with_shared_cache_is_byte_identical(workspace):
         assert (run_a / rel).read_bytes() == (run_b / rel).read_bytes(), rel
 
 
-def test_manifest_written_before_outputs(workspace):
+def test_manifest_written_before_outputs(workspace, capsys):
+    tmp_path, entities, _ = workspace
+    runs = tmp_path / "runs"
+    # an empty training corpus reads cleanly before the manifest write; train
+    # then fails after it (EmptyTrainingSet), before any model lands
+    corpus = tmp_path / "train.jsonl"
+    corpus.write_text("")
+    config = _write_config(tmp_path / "c.ini", dataset=entities)
+    assert _run(["train", "--corpus", str(corpus)], runs, config=config) == 4
+    assert "no training instances" in capsys.readouterr().err
+    manifest = load_manifest(runs / "r1")
+    assert manifest is not None
+    assert [c["command"] for c in manifest.commands] == ["train"]
+    assert not (runs / "r1" / "model").exists()
+
+
+def test_train_on_an_unlabeled_corpus_exits_4_without_manifest_entry(workspace, capsys):
     tmp_path, entities, snippets = workspace
     runs = tmp_path / "runs"
     run_dir = _pipeline(tmp_path, entities, snippets, runs)
-    # train on the unlabeled test corpus: fails after the manifest write,
-    # before any model lands
     code = _run(
         ["train", "--corpus", str(run_dir / "corpus/gsnip3/test.jsonl")],
         runs,
@@ -357,9 +371,9 @@ def test_manifest_written_before_outputs(workspace):
         run_id="r2",
     )
     assert code == 4
-    manifest = load_manifest(runs / "r2")
-    assert manifest is not None
-    assert [c["command"] for c in manifest.commands] == ["train"]
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "no gold label" in err
+    assert load_manifest(runs / "r2") is None
     assert not (runs / "r2" / "model").exists()
 
 
@@ -949,13 +963,14 @@ def test_prediction_confidence_not_a_number_exits_4(workspace, capsys, command, 
     assert "row 2" in err and repr(confidence) in err and str(predictions) in err
 
 
-def test_sweep_on_an_empty_split_exits_4_without_manifest_entry(tmp_path, capsys, env_keys):
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+def test_sweep_on_an_empty_split_exits_4_without_manifest_entry(tmp_path, capsys, env_keys, command):
     entities = tmp_path / "entities.csv"
     _write_entities(entities, n_train=1, n_dev=0, n_test=0)
     predictions = tmp_path / "preds.jsonl"
     predictions.write_text("")
     config = _write_config(tmp_path / "c.ini", dataset=entities)
-    argv = ["sweep", "--split", "dev", "--predictions", str(predictions)]
+    argv = [command, "--split", "dev", "--predictions", str(predictions)]
     assert _run(argv, tmp_path / "runs", config=config) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("data error:") and "split dev" in err
@@ -1041,17 +1056,29 @@ def test_corpus_field_of_the_wrong_type_exits_4(workspace, capsys, field, value,
     assert str(corpus) in err and message in err and "row 2" in err
 
 
-def test_malformed_predictions_exit_4(workspace, capsys):
+@pytest.mark.parametrize("command", ["eval", "sweep"])
+@pytest.mark.parametrize(
+    "row,field",
+    [
+        ({"entity_id": "e005"}, "label"),
+        ({"entity_id": ["e005"], "label": "20"}, "entity_id"),
+        ({"entity_id": 5, "label": "20"}, "entity_id"),
+    ],
+    ids=["no-label", "entity-id-list", "entity-id-number"],
+)
+def test_malformed_predictions_exit_4(workspace, capsys, command, row, field):
     tmp_path, entities, _ = workspace
     predictions = _test_split_predictions(tmp_path / "preds.jsonl")
     rows = predictions.read_text().splitlines()
-    rows[2] = json.dumps({"entity_id": "e005"})
+    rows[2] = json.dumps(row)
     predictions.write_text("\n".join(rows) + "\n")
     config = _write_config(tmp_path / "c.ini", dataset=entities)
-    argv = ["eval", "--predictions", str(predictions)]
+    argv = [command, "--predictions", str(predictions)]
     assert _run(argv, tmp_path / "runs", config=config) == 4
     err = capsys.readouterr().err
-    assert "row 3" in err and "'label'" in err
+    assert "Traceback" not in err
+    assert "row 3" in err and repr(field) in err and str(predictions) in err
+    assert load_manifest(tmp_path / "runs" / "r1") is None
 
 
 @pytest.mark.parametrize("command", ["train", "predict"])
